@@ -86,7 +86,7 @@ func main() {
 		follVrfy = flag.String("follower", "", "loadgen: follower address to verify after the run (catch-up, lag, state match)")
 	)
 	var alg stm.Algorithm
-	flag.TextVar(&alg, "alg", stm.OUL, "algorithm (paper-style name, e.g. OUL, OWB, Ordered-TL2)")
+	flag.TextVar(&alg, "alg", stm.OWB, "algorithm (paper-style name, e.g. OWB, OUL, Ordered-TL2)")
 	flag.Parse()
 
 	if *loadgen {

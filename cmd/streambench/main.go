@@ -27,10 +27,10 @@
 //
 // Examples:
 //
-//	streambench -alg OUL -workers 8 -clients 16 -txns 100000
-//	streambench -alg OUL -batch 32 -json >> BENCH_stream.json
-//	streambench -alg OUL -shards 4 -cross 0.05 -json >> BENCH_stream.json
-//	streambench -alg OUL -cpuprofile cpu.out -memprofile mem.out
+//	streambench -alg OWB -workers 8 -clients 16 -txns 100000
+//	streambench -alg OWB -batch 32 -json >> BENCH_stream.json
+//	streambench -alg OWB -shards 4 -cross 0.05 -json >> BENCH_stream.json
+//	streambench -alg OWB -cpuprofile cpu.out -memprofile mem.out
 package main
 
 import (
@@ -185,7 +185,7 @@ func (st *txnState) declareTyped() stm.Access {
 
 func main() {
 	var (
-		alg      = stm.OUL
+		alg      = stm.OWB
 		workers  = flag.Int("workers", 8, "engine worker goroutines (per shard when -shards > 0)")
 		clients  = flag.Int("clients", 16, "closed-loop client goroutines")
 		txns     = flag.Int("txns", 100000, "total transactions to stream")
@@ -217,7 +217,7 @@ func main() {
 	// Algorithm implements encoding.TextMarshaler/TextUnmarshaler, so
 	// the flag package parses paper-style names directly — no
 	// hand-rolled switch.
-	flag.TextVar(&alg, "alg", stm.OUL, "algorithm (paper-style name, e.g. OUL, OWB, Ordered-TL2)")
+	flag.TextVar(&alg, "alg", stm.OWB, "algorithm (paper-style name, e.g. OWB, OUL, Ordered-TL2)")
 	flag.Parse()
 	if *faultsF != "" {
 		runChaos(*faultsF, alg, *shardsF, *workers, *txns, *onFailF, *walDir, *jsonF)

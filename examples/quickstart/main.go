@@ -58,14 +58,14 @@ func main() {
 	wantFinal := orderSensitive.Load()
 
 	// Parallel speculative execution with a predefined commit order
-	// (OUL, the paper's best performer), 8 workers: submit the same
-	// stream, then check every ticket's typed value against the
-	// sequential run.
+	// (OWB, the engine the service stack defaults to), 8 workers:
+	// submit the same stream, then check every ticket's typed value
+	// against the sequential run.
 	orderSensitive.Store(0)
 	for i := range counters {
 		counters[i].Store(0)
 	}
-	p, err := stm.NewPipeline(stm.Config{Algorithm: stm.OUL, Workers: 8})
+	p, err := stm.NewPipeline(stm.Config{Algorithm: stm.OWB, Workers: 8})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -145,7 +145,7 @@ func child(dir string) {
 	w, err := wal.Create(dir, 0, wal.Options{SyncEveryN: 32})
 	check(err)
 	p, err := stm.NewPipeline(stm.Config{
-		Algorithm:   stm.OUL,
+		Algorithm:   stm.OWB,
 		Workers:     4,
 		WAL:         w,
 		Codec:       codec(pool),
@@ -201,7 +201,7 @@ func main() {
 	check(err)
 	start := time.Now()
 	p, err := stm.NewPipeline(stm.Config{
-		Algorithm:   stm.OUL,
+		Algorithm:   stm.OWB,
 		Workers:     4,
 		WAL:         w, // re-appends of recovered ages are no-ops
 		Codec:       codec(pool),

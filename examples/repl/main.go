@@ -106,7 +106,7 @@ func main() {
 	lw, err := wal.Create(ldir, 0, opts)
 	check(err)
 	lp, err := stm.NewPipeline(stm.Config{
-		Algorithm:   stm.OUL,
+		Algorithm:   stm.OWB,
 		Workers:     4,
 		WAL:         lw,
 		Codec:       codec{lpool},
@@ -147,7 +147,7 @@ func main() {
 			}
 			var err error
 			fp, err = stm.NewPipeline(stm.Config{
-				Algorithm:   stm.OUL,
+				Algorithm:   stm.OWB,
 				Workers:     4,
 				FirstAge:    b.FirstAge,
 				WAL:         b.Writer,

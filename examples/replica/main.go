@@ -81,9 +81,9 @@ func replica(name string, alg stm.Algorithm, workers int, cmds []command) []uint
 func main() {
 	cmds := genLog()
 	// The "leader" applies sequentially; two replicas apply the same
-	// log speculatively with different parallelism and algorithms.
+	// log speculatively with different parallelism.
 	ref := replica("leader", stm.Sequential, 1, cmds)
-	r1 := replica("replica-1", stm.OUL, 4, cmds)
+	r1 := replica("replica-1", stm.OWB, 4, cmds)
 	r2 := replica("replica-2", stm.OWB, 12, cmds)
 	for i := range ref {
 		if r1[i] != ref[i] || r2[i] != ref[i] {

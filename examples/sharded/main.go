@@ -36,7 +36,7 @@ func transfer(a, b *stm.Var, amt uint64) stm.Body {
 func run(vars []stm.Var) (*shard.ShardedPipeline, error) {
 	sp, err := shard.New(shard.Config{
 		Shards:   shards,
-		Pipeline: stm.Config{Algorithm: stm.OUL, Workers: 2},
+		Pipeline: stm.Config{Algorithm: stm.OWB, Workers: 2},
 	})
 	if err != nil {
 		return nil, err

@@ -108,7 +108,7 @@ func main() {
 
 	store := stm.NewTVars[uint64](keys)
 	reg := obs.NewRegistry()
-	p, err := stm.NewPipeline(stm.Config{Algorithm: stm.OUL, Workers: 8, Obs: reg})
+	p, err := stm.NewPipeline(stm.Config{Algorithm: stm.OWB, Workers: 8, Obs: reg})
 	if err != nil {
 		log.Fatal(err)
 	}

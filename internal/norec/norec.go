@@ -210,7 +210,17 @@ func (t *Txn) TryCommit() bool {
 
 func (t *Txn) commitInner() bool {
 	if len(t.writes) == 0 {
-		return true // read-only: snapshot already consistent
+		// Read-only: the snapshot is already consistent, which is all
+		// plain NOrec asks. Under a predefined order age a must observe
+		// exactly the state after age a-1, so at its turn the reads are
+		// revalidated by value; a stale one is repaired by re-execution.
+		if t.eng.ordered {
+			if _, ok := t.revalidate(); !ok {
+				t.cell.Abort(meta.CauseValidation)
+				return false
+			}
+		}
+		return true
 	}
 	for !t.eng.seq.CompareAndSwap(t.snap, t.snap+1) {
 		snap, ok := t.revalidate()

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/orderedstm/ostm/internal/meta"
+	"github.com/orderedstm/ostm/internal/ordertest"
 )
 
 func cfg() meta.EngineConfig { return meta.EngineConfig{}.Normalize() }
@@ -112,4 +113,11 @@ func TestOrderedTurnHandoff(t *testing.T) {
 	if v.Load() != 11 {
 		t.Fatalf("final = %d", v.Load())
 	}
+}
+
+// TestOrderedReadOnlyObservesItsAge: under a predefined order a
+// transaction that wrote nothing must still observe exactly the state
+// after the age below it, so its reads are revalidated at its turn.
+func TestOrderedReadOnlyObservesItsAge(t *testing.T) {
+	ordertest.ReadOnlyAuditsMatchSequentialFold(t, NewOrdered(cfg()), 20000)
 }

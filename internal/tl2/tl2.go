@@ -217,7 +217,16 @@ func (t *Txn) TryCommit() bool {
 func (t *Txn) commitInner() bool {
 	if len(t.writes) == 0 {
 		// Read-only transactions are consistent by construction
-		// (every read post-validated against rv).
+		// (every read post-validated against rv) — at the snapshot,
+		// which is where plain TL2 serializes them. Under a predefined
+		// order age a must observe exactly the state after age a-1,
+		// so at its turn (every lower age committed, no other
+		// committer) the snapshot must still be current; a stale one
+		// is repaired by re-execution, like any failed validation.
+		if t.eng.ordered && !t.ReadSetValid() {
+			t.cell.Abort(meta.CauseValidation)
+			return false
+		}
 		return true
 	}
 	acquired := t.acquired[:0]

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/orderedstm/ostm/internal/meta"
+	"github.com/orderedstm/ostm/internal/ordertest"
 )
 
 func cfg() meta.EngineConfig { return meta.EngineConfig{TableBits: 10}.Normalize() }
@@ -158,4 +159,11 @@ func TestCleanupAndAbandon(t *testing.T) {
 	if tx2.Doomed() {
 		t.Fatal("TL2 transactions are never doomed")
 	}
+}
+
+// TestOrderedReadOnlyObservesItsAge: under a predefined order a
+// transaction that wrote nothing must still observe exactly the state
+// after the age below it, so its snapshot is validated at its turn.
+func TestOrderedReadOnlyObservesItsAge(t *testing.T) {
+	ordertest.ReadOnlyAuditsMatchSequentialFold(t, NewOrdered(cfg()), 20000)
 }

@@ -38,7 +38,7 @@ func (c ctrCodec) Decode(data []byte) (stm.Body, error) {
 // decoded body's effect lands.
 func TestSubmitEncodedCtx(t *testing.T) {
 	counter := stm.NewVar(0)
-	p, err := stm.NewPipeline(stm.Config{Algorithm: stm.OUL, Workers: 2, Codec: ctrCodec{counter}})
+	p, err := stm.NewPipeline(stm.Config{Algorithm: stm.OWB, Workers: 2, Codec: ctrCodec{counter}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestSubmitBatchCtxCancelDuringBackpressure(t *testing.T) {
 // context refuses the whole batch with no ages consumed.
 func TestSubmitEncodedBatchCtx(t *testing.T) {
 	counter := stm.NewVar(0)
-	p, err := stm.NewPipeline(stm.Config{Algorithm: stm.OUL, Workers: 2, Codec: ctrCodec{counter}})
+	p, err := stm.NewPipeline(stm.Config{Algorithm: stm.OWB, Workers: 2, Codec: ctrCodec{counter}})
 	if err != nil {
 		t.Fatal(err)
 	}

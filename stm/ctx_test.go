@@ -15,7 +15,7 @@ import (
 // later submissions pile up against Capacity deterministically.
 func gatePipeline(t *testing.T, workers int) (p *stm.Pipeline, gate chan struct{}) {
 	t.Helper()
-	p, err := stm.NewPipeline(stm.Config{Algorithm: stm.OUL, Workers: workers})
+	p, err := stm.NewPipeline(stm.Config{Algorithm: stm.OWB, Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}

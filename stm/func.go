@@ -88,7 +88,7 @@ func SubmitFuncCtx[R any](ctx context.Context, p *Pipeline, fn Func[R]) (*Ticket
 	if p.s.dur != nil {
 		return nil, ErrPayloadRequired
 	}
-	t := &TicketOf[R]{Ticket: Ticket{done: make(chan struct{})}, fn: fn}
+	t := &TicketOf[R]{fn: fn}
 	if err := p.submitWith(ctx, &t.Ticket, t.run, nil); err != nil {
 		return nil, err
 	}

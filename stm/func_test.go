@@ -104,7 +104,7 @@ func TestValueLatchDiscardsAbortedAttempts(t *testing.T) {
 		n = 4000
 	}
 	counter := stm.NewTVar[uint64](0)
-	p, err := stm.NewPipeline(stm.Config{Algorithm: stm.OUL, Workers: 8})
+	p, err := stm.NewPipeline(stm.Config{Algorithm: stm.OWB, Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestValueLatchDiscardsAbortedAttempts(t *testing.T) {
 // TestTicketOfErrAndDone: the typed ticket inherits the non-blocking
 // surface of Ticket.
 func TestTicketOfErrAndDone(t *testing.T) {
-	p, err := stm.NewPipeline(stm.Config{Algorithm: stm.OUL, Workers: 2})
+	p, err := stm.NewPipeline(stm.Config{Algorithm: stm.OWB, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestTicketOfErrAndDone(t *testing.T) {
 // errors.Is, expose the fault via errors.As, and be observable
 // through Err/Done without blocking.
 func TestStoppedSentinel(t *testing.T) {
-	p, err := stm.NewPipeline(stm.Config{Algorithm: stm.OUL, Workers: 2})
+	p, err := stm.NewPipeline(stm.Config{Algorithm: stm.OWB, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,6 +66,8 @@ type Pipeline struct {
 	ckptN    uint64 // checkpoints committed
 	ckptErr  error  // first checkpoint failure; auto-checkpointing stops
 
+	bodies sync.Pool // *[]Body scratch of SubmitEncodedBatchCtx
+
 	closeOnce sync.Once
 	closeErr  error
 }
@@ -138,6 +140,7 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 		jkick: make(chan struct{}, 1),
 		cdone: make(chan struct{}),
 	}
+	p.bodies.New = func() any { return new([]Body) }
 	s.epochKick = p.jkick
 	if s.dur != nil {
 		// The log reports durability progress straight into the
@@ -270,10 +273,10 @@ func (p *Pipeline) SubmitEncodedCtx(ctx context.Context, data []byte) (*Ticket, 
 }
 
 // submit is the shared submission core over a freshly allocated
-// ticket; ctx (nil for the uncancellable entry points) bounds the
-// backpressure wait.
+// ticket — the transaction's one allocation; ctx (nil for the
+// uncancellable entry points) bounds the backpressure wait.
 func (p *Pipeline) submit(ctx context.Context, body Body, payload []byte) (*Ticket, error) {
-	t := newTicket()
+	t := new(Ticket)
 	if err := p.submitWith(ctx, t, body, payload); err != nil {
 		return nil, err
 	}
@@ -427,15 +430,23 @@ func (p *Pipeline) SubmitEncodedBatchCtx(ctx context.Context, datas [][]byte) ([
 	if p.cfg.Codec == nil {
 		return nil, errors.New("stm: SubmitEncodedBatch requires Config.Codec")
 	}
-	bodies := make([]Body, len(datas))
+	// The decoded bodies only bridge Decode and post (the submission
+	// ring holds them from there), so the slice is borrowed, not made
+	// per call.
+	scratch := p.bodies.Get().(*[]Body)
+	defer func() {
+		clear(*scratch)
+		*scratch = (*scratch)[:0]
+		p.bodies.Put(scratch)
+	}()
 	for i, data := range datas {
 		body, err := p.cfg.Codec.Decode(data)
 		if err != nil {
 			return nil, fmt.Errorf("stm: decode payload %d: %w", i, err)
 		}
-		bodies[i] = body
+		*scratch = append(*scratch, body)
 	}
-	return p.submitBatch(ctx, bodies, datas)
+	return p.submitBatch(ctx, *scratch, datas)
 }
 
 // submitBatch is the shared batched core; payloads is nil for
@@ -452,6 +463,10 @@ func (p *Pipeline) submitBatch(ctx context.Context, bodies []Body, payloads [][]
 	if len(bodies) == 0 {
 		return nil, nil
 	}
+	// The batch is the unit of allocation: its tickets are one block,
+	// handed out by pointer (a caller holding any of them keeps the
+	// block alive, which a batch's worth of 48-byte tickets can afford).
+	block := make([]Ticket, len(bodies))
 	out := make([]*Ticket, 0, len(bodies))
 	s := p.s
 	var unwatch func() bool
@@ -510,7 +525,7 @@ func (p *Pipeline) submitBatch(ctx context.Context, bodies []Body, payloads [][]
 		if payloads != nil {
 			data = payloads[i]
 		}
-		t := newTicket()
+		t := &block[i]
 		s.post(t, body, data)
 		out = append(out, t)
 	}
@@ -932,10 +947,77 @@ type durState struct {
 	// (only engines with commit-order skew put anything here; the
 	// log still receives a strictly contiguous sequence).
 	pend map[uint64][]byte
-	// waiting holds committed tickets whose age is not yet durable
-	// (WaitDurable); resolved by durableTo as sync points land.
-	waiting map[uint64]*Ticket
-	err     error // first log failure; the durable prefix is frozen
+	// waitq holds committed tickets whose age is not yet durable
+	// (WaitDurable), in commit order — ascending age on every in-order
+	// engine — so durableTo pops from the front while age < next
+	// instead of ranging over every deferred ticket at each sync
+	// point. A ticket that commits below the queue's newest age
+	// (commit-order skew) escapes to waitSkew, as tslots/tickets do.
+	waitq    ticketFIFO
+	waitSkew map[uint64]*Ticket
+	err      error // first log failure; the durable prefix is frozen
+}
+
+// ticketFIFO is a queue of tickets in arrival order.
+type ticketFIFO struct {
+	buf  []*Ticket
+	head int
+}
+
+func (q *ticketFIFO) push(t *Ticket) {
+	if len(q.buf) == cap(q.buf) && q.head > len(q.buf)/2 {
+		// Mostly consumed: slide the live tail down instead of growing.
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf, q.head = q.buf[:n], 0
+	}
+	q.buf = append(q.buf, t)
+}
+
+// front returns the oldest ticket, nil when the queue is empty.
+func (q *ticketFIFO) front() *Ticket {
+	if q.head == len(q.buf) {
+		return nil
+	}
+	return q.buf[q.head]
+}
+
+// back returns the newest ticket, nil when the queue is empty.
+func (q *ticketFIFO) back() *Ticket {
+	if q.head == len(q.buf) {
+		return nil
+	}
+	return q.buf[len(q.buf)-1]
+}
+
+func (q *ticketFIFO) pop() {
+	q.buf[q.head] = nil
+	if q.head++; q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+	}
+}
+
+// deferTicket parks a committed WaitDurable ticket until durableTo
+// reaches its age.
+func (d *durState) deferTicket(t *Ticket) {
+	if b := d.waitq.back(); b != nil && b.age > t.age {
+		d.waitSkew[t.age] = t
+		return
+	}
+	d.waitq.push(t)
+}
+
+// failDeferred resolves every ticket still parked for durability with
+// err.
+func (d *durState) failDeferred(err error) {
+	for t := d.waitq.front(); t != nil; t = d.waitq.front() {
+		d.waitq.pop()
+		t.resolve(err)
+	}
+	for age, t := range d.waitSkew {
+		delete(d.waitSkew, age)
+		t.resolve(err)
+	}
 }
 
 func newStream(cfg Config) *stream {
@@ -963,7 +1045,7 @@ func newStream(cfg Config) *stream {
 			pring:    make([]pslot, size),
 			overflow: make(map[uint64][]byte),
 			pend:     make(map[uint64][]byte),
-			waiting:  make(map[uint64]*Ticket),
+			waitSkew: make(map[uint64]*Ticket),
 		}
 	}
 	s.cond = sync.NewCond(&s.mu)
@@ -1064,7 +1146,7 @@ func (s *stream) committed(age uint64) {
 				t.resolve(&DurabilityError{Err: d.err})
 				t = nil
 			case age >= d.log.Durable():
-				d.waiting[age] = t // resolved by durableTo at a sync point
+				d.deferTicket(t) // resolved by durableTo at a sync point
 				t = nil
 			}
 		}
@@ -1173,26 +1255,37 @@ func (s *stream) durableTo(next uint64, err error) {
 	if err != nil && d.err == nil {
 		d.err = err
 	}
-	for age, t := range d.waiting {
-		switch {
-		case d.err != nil:
-			delete(d.waiting, age)
-			t.resolve(&DurabilityError{Err: d.err})
-		case age < next:
-			delete(d.waiting, age)
-			if po := s.po; po != nil {
-				if t.ts != 0 {
-					po.resolveLat.Observe(time.Now().UnixNano() - t.ts)
-				}
-				if po.trace.Sampled(age) {
-					po.trace.Record(age, obs.StageDurable)
-					po.trace.Record(age, obs.StageResolve)
-				}
-			}
-			t.resolve(nil)
+	if d.err != nil {
+		d.failDeferred(&DurabilityError{Err: d.err})
+		s.mu.Unlock()
+		return
+	}
+	for t := d.waitq.front(); t != nil && t.age < next; t = d.waitq.front() {
+		d.waitq.pop()
+		s.resolveDurable(t)
+	}
+	for age, t := range d.waitSkew {
+		if age < next {
+			delete(d.waitSkew, age)
+			s.resolveDurable(t)
 		}
 	}
 	s.mu.Unlock()
+}
+
+// resolveDurable acknowledges a WaitDurable ticket whose age reached
+// stable storage. Called with mu held.
+func (s *stream) resolveDurable(t *Ticket) {
+	if po := s.po; po != nil {
+		if t.ts != 0 {
+			po.resolveLat.Observe(time.Now().UnixNano() - t.ts)
+		}
+		if po.trace.Sampled(t.age) {
+			po.trace.Record(t.age, obs.StageDurable)
+			po.trace.Record(t.age, obs.StageResolve)
+		}
+	}
+	t.resolve(nil)
 }
 
 // halted implements feed: the loop stopped on a fault before draining.
@@ -1263,16 +1356,13 @@ func (s *stream) settle() {
 	s.mu.Lock()
 	s.resolveOutstanding(s.fault)
 	if d := s.dur; d != nil {
-		for age, t := range d.waiting {
-			delete(d.waiting, age)
-			switch {
-			case d.err != nil:
-				t.resolve(&DurabilityError{Err: d.err})
-			case s.fault != nil:
-				t.resolve(&Stopped{Fault: s.fault})
-			default:
-				t.resolve(ErrClosed)
-			}
+		switch {
+		case d.err != nil:
+			d.failDeferred(&DurabilityError{Err: d.err})
+		case s.fault != nil:
+			d.failDeferred(&Stopped{Fault: s.fault})
+		default:
+			d.failDeferred(ErrClosed)
 		}
 	}
 	s.mu.Unlock()

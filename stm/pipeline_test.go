@@ -223,7 +223,7 @@ func TestPipelineFaultSemantics(t *testing.T) {
 // pipeline open, Close drains and rejects further submissions, and
 // both are safe to repeat.
 func TestPipelineCloseAndDrain(t *testing.T) {
-	p, err := stm.NewPipeline(stm.Config{Algorithm: stm.OUL, Workers: 4})
+	p, err := stm.NewPipeline(stm.Config{Algorithm: stm.OWB, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,28 +8,36 @@ import (
 	"net/http"
 	"sync"
 	"time"
+
+	"github.com/orderedstm/ostm/internal/latch"
 )
 
 // Call is one in-flight request on a Client: a future resolving when
 // the server's response frame for it arrives (i.e. when the
 // transaction committed, or was refused/canceled).
 type Call struct {
-	id      uint64
-	done    chan struct{}
-	age     uint64
-	err     error
-	payload []byte // retained only under WithNotLeaderRedial
+	id   uint64
+	done latch.Latch
+	age  uint64 // age and err are written once, before done resolves
+	err  error
 }
 
 // Done is closed when the response arrived.
-func (c *Call) Done() <-chan struct{} { return c.done }
+func (c *Call) Done() <-chan struct{} { return c.done.Done() }
 
 // Wait blocks for the response and returns the assigned global age
 // and the reconstructed typed error (nil on commit; else an *Error
 // matching the engine sentinels through errors.Is).
 func (c *Call) Wait() (uint64, error) {
-	<-c.done
+	c.done.Wait()
 	return c.age, c.err
+}
+
+// resolve completes the call; whoever holds the call after taking it
+// out of the pending ring is its only resolver.
+func (c *Call) resolve(age uint64, err error) {
+	c.age, c.err = age, err
+	c.done.Resolve()
 }
 
 // Age returns the assigned global age; valid after Done.
@@ -37,6 +45,49 @@ func (c *Call) Age() uint64 { return c.age }
 
 // Err returns the call's error; valid after Done.
 func (c *Call) Err() error { return c.err }
+
+// callRing is a connection's unanswered calls, indexed by id. Ids are
+// a dense per-connection counter and the server answers in order, so
+// the unanswered ids are a window [base, next) that a ring holds with
+// no per-call bookkeeping; it doubles when the window outgrows it.
+type callRing struct {
+	slots      []*Call // length is a power of two
+	base, next uint64
+}
+
+// put registers c, whose id is at or above every id put before.
+func (r *callRing) put(c *Call) {
+	if len(r.slots) == 0 {
+		r.slots = make([]*Call, 64)
+	}
+	if r.base == r.next {
+		r.base = c.id // empty window: restart it here
+	}
+	for c.id-r.base >= uint64(len(r.slots)) {
+		grown := make([]*Call, 2*len(r.slots))
+		for id := r.base; id < r.next; id++ {
+			grown[id&uint64(len(grown)-1)] = r.slots[id&uint64(len(r.slots)-1)]
+		}
+		r.slots = grown
+	}
+	r.slots[c.id&uint64(len(r.slots)-1)] = c
+	r.next = c.id + 1
+}
+
+// take removes and returns the call registered under id, nil if there
+// is none (answered already, or never sent on this connection).
+func (r *callRing) take(id uint64) *Call {
+	if id < r.base || id >= r.next {
+		return nil
+	}
+	mask := uint64(len(r.slots) - 1)
+	c := r.slots[id&mask]
+	r.slots[id&mask] = nil
+	for r.base < r.next && r.slots[r.base&mask] == nil {
+		r.base++
+	}
+	return c
+}
 
 // Client is one wire connection: a single full-duplex HTTP/2 stream
 // carrying a request frame stream out and the commit-order response
@@ -57,7 +108,8 @@ type Client struct {
 	writeEr error
 
 	rmu        sync.Mutex
-	pending    map[uint64]*Call
+	pending    callRing
+	retained   map[uint64][]byte // payload copies by id; nil unless WithNotLeaderRedial
 	lastAge    uint64
 	haveAge    bool
 	violations int
@@ -111,11 +163,11 @@ func Dial(ctx context.Context, addr string, opts ...DialOption) (*Client, error)
 		resp:     resp,
 		tr:       tr,
 		cancel:   cancel,
-		pending:  make(map[uint64]*Call),
 		readDone: make(chan struct{}),
 	}
 	if dc.redial {
 		c.rd = newRedirector(addr, dc.candidates)
+		c.retained = make(map[uint64][]byte)
 	}
 	go c.readLoop()
 	return c, nil
@@ -160,30 +212,49 @@ func (c *Client) SubmitMany(payloads [][]byte) ([]*Call, error) {
 	if c.writeEr != nil {
 		return nil, c.writeEr
 	}
+	block := make([]Call, len(payloads)) // the burst is the unit of allocation
 	calls := make([]*Call, len(payloads))
 	c.wbuf = c.wbuf[:0]
 	c.rmu.Lock()
 	for i, pl := range payloads {
-		id := c.nextID
-		c.nextID++
-		calls[i] = &Call{id: id, done: make(chan struct{})}
-		if c.rd != nil {
-			calls[i].payload = append([]byte(nil), pl...)
-		}
-		c.pending[id] = calls[i]
-		c.wbuf = appendRequestFrame(c.wbuf, id, 0, pl)
+		calls[i] = &block[i]
+		c.register(calls[i], pl)
+		c.wbuf = appendRequestFrame(c.wbuf, calls[i].id, 0, pl)
 	}
 	c.rmu.Unlock()
 	if _, err := c.pw.Write(c.wbuf); err != nil {
 		c.rmu.Lock()
 		for _, call := range calls {
-			delete(c.pending, call.id)
+			c.unregister(call.id)
 		}
 		c.rmu.Unlock()
 		c.writeEr = fmt.Errorf("serve: write frames: %w", err)
 		return nil, c.writeEr
 	}
 	return calls, nil
+}
+
+// register assigns call the next id and enters it in the pending
+// ring, keeping a copy of the payload when a NotLeader answer would
+// have to resubmit it. Called with wmu and rmu held.
+func (c *Client) register(call *Call, payload []byte) {
+	call.id = c.nextID
+	c.nextID++
+	c.pending.put(call)
+	if c.retained != nil {
+		c.retained[call.id] = append([]byte(nil), payload...)
+	}
+}
+
+// unregister takes id back out: its response arrived, or its frame
+// was never written. It returns the call and its retained payload, if
+// any. Called with rmu held.
+func (c *Client) unregister(id uint64) (call *Call, payload []byte) {
+	if c.retained != nil {
+		payload = c.retained[id]
+		delete(c.retained, id)
+	}
+	return c.pending.take(id), payload
 }
 
 func (c *Client) submit(payload []byte, deadlineMS uint32) (*Call, error) {
@@ -195,19 +266,14 @@ func (c *Client) submit(payload []byte, deadlineMS uint32) (*Call, error) {
 	if c.writeEr != nil {
 		return nil, c.writeEr
 	}
-	id := c.nextID
-	c.nextID++
-	call := &Call{id: id, done: make(chan struct{})}
-	if c.rd != nil {
-		call.payload = append([]byte(nil), payload...)
-	}
+	call := new(Call)
 	c.rmu.Lock()
-	c.pending[id] = call
+	c.register(call, payload)
 	c.rmu.Unlock()
-	c.wbuf = appendRequestFrame(c.wbuf[:0], id, deadlineMS, payload)
+	c.wbuf = appendRequestFrame(c.wbuf[:0], call.id, deadlineMS, payload)
 	if _, err := c.pw.Write(c.wbuf); err != nil {
 		c.rmu.Lock()
-		delete(c.pending, id)
+		c.unregister(call.id)
 		c.rmu.Unlock()
 		c.writeEr = fmt.Errorf("serve: write frame: %w", err)
 		return nil, c.writeEr
@@ -219,19 +285,13 @@ func (c *Client) readLoop() {
 	defer close(c.readDone)
 	br := bufio.NewReaderSize(c.resp.Body, 64<<10)
 	for {
-		frame, err := readFrame(br, DefaultMaxFrame)
-		if err != nil {
-			c.finish(err)
-			return
-		}
-		id, age, code, msg, err := parseResponseFrame(frame)
+		id, age, code, msg, err := readResponseFrame(br, DefaultMaxFrame)
 		if err != nil {
 			c.finish(err)
 			return
 		}
 		c.rmu.Lock()
-		call := c.pending[id]
-		delete(c.pending, id)
+		call, payload := c.unregister(id)
 		if code == CodeOK {
 			// The commit-order contract, checked at the cheapest
 			// possible point: committed ages on one connection must
@@ -243,16 +303,14 @@ func (c *Client) readLoop() {
 		}
 		c.rmu.Unlock()
 		if call != nil {
-			if code == CodeNotLeader && c.rd != nil && call.payload != nil {
+			if code == CodeNotLeader && c.rd != nil && payload != nil {
 				// Leadership moved: hand the call to the redirector
 				// instead of failing it. msg is the leader hint.
 				c.rd.wg.Add(1)
-				go c.rd.resubmit(call, msg)
+				go c.rd.resubmit(call, payload, msg)
 				continue
 			}
-			call.age = age
-			call.err = DecodeError(code, msg)
-			close(call.done)
+			call.resolve(age, DecodeError(code, msg))
 		}
 	}
 }
@@ -273,11 +331,12 @@ func (c *Client) finish(err error) {
 		err = fmt.Errorf("serve: connection closed before response")
 	}
 	c.rmu.Lock()
-	n := len(c.pending)
-	for id, call := range c.pending {
-		delete(c.pending, id)
-		call.err = err
-		close(call.done)
+	n := 0
+	for id := c.pending.base; id < c.pending.next; id++ {
+		if call, _ := c.unregister(id); call != nil {
+			call.resolve(0, err)
+			n++
+		}
 	}
 	c.rmu.Unlock()
 	if n > 0 {

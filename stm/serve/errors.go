@@ -132,6 +132,12 @@ func LeaderHint(err error) (leader string, ok bool) {
 // idempotent across the wire: applied to an *Error it returns the
 // Error's own code.
 func CodeOf(err error) Code {
+	if err == nil {
+		// Every committed response takes this exit; it is taken before
+		// the errors.As targets below are declared, because those
+		// escape to the heap.
+		return CodeOK
+	}
 	var (
 		wireErr *Error
 		ftErr   *shard.FenceTimeoutError
@@ -139,8 +145,6 @@ func CodeOf(err error) Code {
 		fault   *stm.Fault
 	)
 	switch {
-	case err == nil:
-		return CodeOK
 	case errors.As(err, &wireErr):
 		return wireErr.Code
 	case errors.Is(err, ErrNotLeader):

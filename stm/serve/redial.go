@@ -28,9 +28,9 @@ type dialCfg struct {
 // The original connection stays open (the old server may still answer
 // reads); redirected calls ride one shared secondary connection to the
 // current leader. Attempts are bounded per call with backoff; when
-// they run out the call resolves with the last error. Payloads are
-// retained per in-flight call to make resubmission possible — the
-// option's memory cost.
+// they run out the call resolves with the last error. A copy of each
+// in-flight payload is retained, by id, to make resubmission possible
+// — the option's memory cost.
 func WithNotLeaderRedial(candidates ...string) DialOption {
 	return func(c *dialCfg) {
 		c.redial = true
@@ -66,7 +66,7 @@ func newRedirector(origin string, candidates []string) *redirector {
 
 // resubmit chases one redirected call to the current leader. Runs on
 // its own goroutine, spawned by the primary connection's read loop.
-func (r *redirector) resubmit(call *Call, hint string) {
+func (r *redirector) resubmit(call *Call, payload []byte, hint string) {
 	defer r.wg.Done()
 	r.redials.Add(1)
 	backoff := redialBackoff
@@ -83,7 +83,7 @@ func (r *redirector) resubmit(call *Call, hint string) {
 			lastErr = err
 			continue
 		}
-		c2, err := cl.Submit(call.payload)
+		c2, err := cl.Submit(payload)
 		if err != nil {
 			lastErr = err
 			r.drop(cl)
@@ -91,8 +91,7 @@ func (r *redirector) resubmit(call *Call, hint string) {
 		}
 		age, err := c2.Wait()
 		if err == nil {
-			call.age = age
-			close(call.done)
+			call.resolve(age, nil)
 			return
 		}
 		lastErr = err
@@ -105,12 +104,10 @@ func (r *redirector) resubmit(call *Call, hint string) {
 		}
 		// A real engine answer from the new leader (fault, canceled,
 		// ...): that IS the call's outcome.
-		call.age, call.err = age, err
-		close(call.done)
+		call.resolve(age, err)
 		return
 	}
-	call.err = fmt.Errorf("serve: redial exhausted after %d attempts: %w", redialAttempts, lastErr)
-	close(call.done)
+	call.resolve(0, fmt.Errorf("serve: redial exhausted after %d attempts: %w", redialAttempts, lastErr))
 }
 
 // conn returns the shared leader connection, dialing if needed: the

@@ -15,7 +15,7 @@ import (
 func startGatedServer(t *testing.T, accounts []stm.Var, leaderAddr string) (*serve.Server, *stm.Pipeline, string, *atomic.Bool) {
 	t.Helper()
 	p, err := stm.NewPipeline(stm.Config{
-		Algorithm: stm.OUL,
+		Algorithm: stm.OWB,
 		Workers:   4,
 		Codec:     svcCodec{accounts},
 	})

@@ -20,15 +20,17 @@ import (
 // at durability under WaitDurable).
 type ticket interface {
 	Age() uint64
+	Err() (err error, resolved bool)
 	Wait() error
 	WaitCtx(ctx context.Context) error
 }
 
 // backend abstracts the two pipeline shapes behind the encoded-submit
-// entry points the wire carries.
+// entry points the wire carries. batch appends the accepted tickets to
+// out (the caller's scratch) and returns it.
 type backend interface {
 	one(ctx context.Context, data []byte) (ticket, error)
-	batch(ctx context.Context, datas [][]byte) ([]ticket, error)
+	batch(ctx context.Context, datas [][]byte, out []ticket) ([]ticket, error)
 }
 
 type pipeBackend struct{ p *stm.Pipeline }
@@ -41,11 +43,10 @@ func (b pipeBackend) one(ctx context.Context, data []byte) (ticket, error) {
 	return t, err
 }
 
-func (b pipeBackend) batch(ctx context.Context, datas [][]byte) ([]ticket, error) {
+func (b pipeBackend) batch(ctx context.Context, datas [][]byte, out []ticket) ([]ticket, error) {
 	lts, err := b.p.SubmitEncodedBatchCtx(ctx, datas)
-	out := make([]ticket, len(lts))
-	for i, t := range lts {
-		out[i] = t
+	for _, t := range lts {
+		out = append(out, t)
 	}
 	return out, err
 }
@@ -60,13 +61,14 @@ func (b shardBackend) one(ctx context.Context, data []byte) (ticket, error) {
 	return t, err
 }
 
-func (b shardBackend) batch(ctx context.Context, datas [][]byte) ([]ticket, error) {
+func (b shardBackend) batch(ctx context.Context, datas [][]byte, out []ticket) ([]ticket, error) {
 	lts, err := b.sp.SubmitEncodedBatchCtx(ctx, datas)
-	out := make([]ticket, len(lts))
-	for i, t := range lts {
+	for _, t := range lts {
+		var tk ticket // stays nil for a refused request: positions align with datas
 		if t != nil {
-			out[i] = t
+			tk = t
 		}
+		out = append(out, tk)
 	}
 	return out, err
 }
@@ -227,13 +229,48 @@ func (s *Server) gateErr() error {
 	return s.cfg.Gate()
 }
 
-// entry is one request's slot in a stream's response queue.
+// entry is one request's slot in a stream's response queue. Entries
+// travel by value: the queue's buffer is their only storage.
 type entry struct {
 	id     uint64
 	t      ticket // nil when err is pre-resolved (submission refused)
 	err    error
 	ctx    context.Context // non-nil iff the request carried a deadline
 	cancel context.CancelFunc
+	mark   uint64 // arena release point once this entry is answered
+}
+
+// wait blocks for the entry's outcome: its ticket's resolution, or the
+// request deadline if it carried one.
+func (e *entry) wait() error {
+	switch {
+	case e.t == nil:
+		return e.err
+	case e.ctx != nil:
+		defer e.cancel()
+		return e.t.WaitCtx(e.ctx)
+	}
+	return e.t.Wait()
+}
+
+// peek returns the entry's outcome if it is already known.
+func (e *entry) peek() (err error, resolved bool) {
+	if e.t == nil {
+		return e.err, true
+	}
+	if err, resolved = e.t.Err(); resolved && e.cancel != nil {
+		e.cancel()
+	}
+	return err, resolved
+}
+
+// appendResponse appends the entry's response frame for outcome err.
+func (e *entry) appendResponse(dst []byte, err error) []byte {
+	var age uint64
+	if e.t != nil {
+		age = e.t.Age()
+	}
+	return appendResponseFrame(dst, e.id, age, CodeOf(err), wireMsg(err))
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -257,9 +294,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	ctx := r.Context()
 	br := bufio.NewReaderSize(r.Body, 64<<10)
-	queue := make(chan *entry, 4*s.cfg.MaxBatch)
+	ar := newArena()
+	// Sized to a few ingress batches, so ingress can run ahead of a
+	// writer parked on an unresolved ticket without queueing unboundedly.
+	queue := make(chan entry, 4*s.cfg.MaxBatch)
 	writerDone := make(chan struct{})
-	go s.writeResponses(w, rc, queue, writerDone)
+	go s.writeResponses(w, rc, queue, ar, writerDone)
 
 	// Ingress: decode frames in arrival order. Frames that arrived
 	// together (complete in the read buffer) and carry no deadline are
@@ -269,52 +309,49 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// a per-request scope. Submission order always equals frame order,
 	// which is what makes the response stream's commit-order contract
 	// hold.
-	var runData [][]byte
-	var runIDs []uint64
+	var (
+		runData [][]byte // the run being collected: its payloads,
+		run     []entry  // and its entries, outcome still to be filled in
+		tickets []ticket // scratch of backend.batch
+	)
 	flushRun := func() {
-		if len(runData) == 0 {
+		if len(run) == 0 {
 			return
 		}
-		if gerr := s.gateErr(); gerr != nil {
-			for _, id := range runIDs {
-				queue <- &entry{id: id, err: gerr}
-			}
-			runData, runIDs = runData[:0], runIDs[:0]
-			return
+		tickets = tickets[:0]
+		err := s.gateErr()
+		if err == nil {
+			tickets, err = s.b.batch(ctx, runData, tickets)
 		}
-		ts, err := s.b.batch(ctx, runData)
-		for i, id := range runIDs {
-			e := &entry{id: id}
-			if i < len(ts) && ts[i] != nil {
-				e.t = ts[i]
-			} else {
-				e.err = err
-				if e.err == nil {
-					e.err = errors.New("serve: submission refused")
-				}
+		for i, e := range run {
+			if i < len(tickets) && tickets[i] != nil {
+				e.t = tickets[i]
+			} else if e.err = err; e.err == nil {
+				e.err = errors.New("serve: submission refused")
 			}
 			queue <- e
 		}
-		runData, runIDs = runData[:0], runIDs[:0]
+		clear(tickets)
+		runData, run = runData[:0], run[:0]
 	}
 	for {
-		frame, err := readFrame(br, s.cfg.MaxFrame)
+		id, deadlineMS, payload, err := readRequestFrame(br, s.cfg.MaxFrame, ar)
 		if err != nil {
-			// io.EOF: client half-closed, clean end of stream. Anything
-			// else (truncated frame, oversized, reset) also ends ingress;
-			// there is no request to answer it on.
-			break
-		}
-		id, deadlineMS, payload, err := parseRequestFrame(frame)
-		if err != nil {
+			bad, ok := err.(*Error)
+			if !ok {
+				// io.EOF: client half-closed, clean end of stream. Anything
+				// else (truncated frame, oversized, reset) also ends ingress;
+				// there is no request to answer it on.
+				break
+			}
 			flushRun()
-			queue <- &entry{id: id, err: &Error{Code: CodeBadRequest, Msg: err.Error()}}
+			queue <- entry{id: id, err: bad, mark: ar.mark()}
 			continue
 		}
 		if deadlineMS == 0 {
 			runData = append(runData, payload)
-			runIDs = append(runIDs, id)
-			if len(runData) < s.cfg.MaxBatch && frameBuffered(br) {
+			run = append(run, entry{id: id, mark: ar.mark()})
+			if len(run) < s.cfg.MaxBatch && frameBuffered(br) {
 				continue // more frames already arrived; extend the run
 			}
 			flushRun()
@@ -322,47 +359,78 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		flushRun()
 		if gerr := s.gateErr(); gerr != nil {
-			queue <- &entry{id: id, err: gerr}
+			queue <- entry{id: id, err: gerr, mark: ar.mark()}
 			continue
 		}
 		dctx, cancel := context.WithTimeout(ctx, time.Duration(deadlineMS)*time.Millisecond)
 		t, serr := s.b.one(dctx, payload)
 		if serr != nil {
 			cancel()
-			queue <- &entry{id: id, err: serr}
+			queue <- entry{id: id, err: serr, mark: ar.mark()}
 			continue
 		}
-		queue <- &entry{id: id, t: t, ctx: dctx, cancel: cancel}
+		queue <- entry{id: id, t: t, ctx: dctx, cancel: cancel, mark: ar.mark()}
 	}
 	flushRun()
 	close(queue)
 	<-writerDone
 }
 
-// writeResponses is the per-stream egress loop: it waits each entry's
-// ticket in submission order (equal to age order on this stream) and
-// writes the response frames back, flushing whenever the queue runs
-// dry so a paused producer still sees its tail.
-func (s *Server) writeResponses(w http.ResponseWriter, rc *http.ResponseController, queue <-chan *entry, done chan<- struct{}) {
+// writeResponses is the per-stream egress loop. It answers entries in
+// submission order (equal to age order on this stream): one blocking
+// wait for the oldest entry, then every entry behind it whose outcome
+// is already known — acknowledgements leave the pipeline in age order,
+// so they arrive here in runs — and the whole run goes out in one
+// Write and one Flush. The loop stops collecting at the first entry
+// still in flight, so a resolved response is never held back behind an
+// unresolved one: everything written is flushed before the next
+// blocking wait.
+func (s *Server) writeResponses(w http.ResponseWriter, rc *http.ResponseController, queue <-chan entry, ar *arena, done chan<- struct{}) {
 	defer close(done)
-	var buf []byte
-	for e := range queue {
-		err := e.err
-		var age uint64
-		if e.t != nil {
-			if e.ctx != nil {
-				err = e.t.WaitCtx(e.ctx)
-				e.cancel()
-			} else {
-				err = e.t.Wait()
+	var (
+		buf  []byte
+		next entry // taken off the queue, found still in flight
+		held bool
+	)
+	for {
+		e := next
+		if !held {
+			var ok bool
+			if e, ok = <-queue; !ok {
+				return
 			}
-			age = e.t.Age()
 		}
-		code := CodeOf(err)
-		buf = appendResponseFrame(buf[:0], e.id, age, code, wireMsg(err))
+		held = false
+		buf = e.appendResponse(buf[:0], e.wait())
+		mark := e.mark
+	run:
+		for {
+			select {
+			case e, ok := <-queue:
+				if !ok {
+					break run // the receive above ends the loop
+				}
+				err, resolved := e.peek()
+				if !resolved {
+					next, held = e, true
+					break run
+				}
+				buf = e.appendResponse(buf, err)
+				mark = e.mark
+			default:
+				break run
+			}
+		}
+		// Every entry up to mark has resolved (or never lived in the
+		// arena), so the pipeline is done with those payloads.
+		ar.release(mark)
 		if _, werr := w.Write(buf); werr != nil {
 			// Client gone: drain remaining entries so their tickets'
-			// deadline contexts are released, then quit.
+			// deadline contexts are released, then quit. Nothing more is
+			// released to the arena — those tickets may be unresolved.
+			if held && next.cancel != nil {
+				next.cancel()
+			}
 			for e := range queue {
 				if e.cancel != nil {
 					e.cancel()
@@ -370,9 +438,6 @@ func (s *Server) writeResponses(w http.ResponseWriter, rc *http.ResponseControll
 			}
 			return
 		}
-		if len(queue) == 0 {
-			_ = rc.Flush()
-		}
+		_ = rc.Flush()
 	}
-	_ = rc.Flush()
 }

@@ -80,48 +80,91 @@ func appendResponseFrame(dst []byte, id, age uint64, code Code, msg string) []by
 	return append(dst, msg...)
 }
 
-// readFrame reads one length-prefixed frame body (the bytes after the
-// u32 length) into a fresh slice. io.EOF before the first length byte
-// is a clean end of stream; a truncated frame is an error.
-func readFrame(br *bufio.Reader, max int) ([]byte, error) {
-	var lenb [4]byte
-	if _, err := io.ReadFull(br, lenb[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			return nil, fmt.Errorf("serve: truncated frame length: %w", err)
+// readFrameLen reads a frame's u32 length prefix in place. io.EOF
+// before its first byte is a clean end of stream; a partial prefix or
+// a length above max is an error.
+func readFrameLen(br *bufio.Reader, max int) (int, error) {
+	head, err := br.Peek(4)
+	if err != nil {
+		if len(head) > 0 && err == io.EOF {
+			return 0, fmt.Errorf("serve: truncated frame length: %w", io.ErrUnexpectedEOF)
 		}
-		return nil, err // io.EOF: clean end of stream
+		return 0, err // io.EOF: clean end of stream
 	}
-	n := binary.LittleEndian.Uint32(lenb[:])
-	if int(n) > max {
-		return nil, fmt.Errorf("serve: frame of %d bytes exceeds limit %d", n, max)
+	n := int(binary.LittleEndian.Uint32(head))
+	if n > max {
+		return 0, fmt.Errorf("serve: frame of %d bytes exceeds limit %d", n, max)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(br, buf); err != nil {
-		return nil, fmt.Errorf("serve: truncated frame: %w", err)
-	}
-	return buf, nil
+	_, _ = br.Discard(4) // cannot fail: Peek just buffered these bytes
+	return n, nil
 }
 
-// parseRequestFrame splits a request frame body. The payload aliases
-// frame (readFrame allocates per frame, so ownership transfers).
-func parseRequestFrame(frame []byte) (id uint64, deadlineMS uint32, payload []byte, err error) {
-	if len(frame) < reqHeaderLen {
-		return 0, 0, nil, fmt.Errorf("serve: request frame of %d bytes is shorter than its %d-byte header", len(frame), reqHeaderLen)
+// readRequestFrame reads one request frame. The header is parsed in
+// place in br's buffer; the payload is read into ar (see arena for
+// when that memory may be reused) — except a deadline frame's, which
+// gets a slice of its own because its response may be written, and the
+// arena released past it, while its ticket is still unresolved. A nil
+// ar puts every payload on the heap.
+//
+// A frame too short for its header is consumed whole and reported as
+// an *Error with CodeBadRequest: the stream is intact and the request
+// can be answered. Any other error ends the stream.
+func readRequestFrame(br *bufio.Reader, max int, ar *arena) (id uint64, deadlineMS uint32, payload []byte, err error) {
+	n, err := readFrameLen(br, max)
+	if err != nil {
+		return 0, 0, nil, err
 	}
-	id = binary.LittleEndian.Uint64(frame)
-	deadlineMS = binary.LittleEndian.Uint32(frame[8:])
-	return id, deadlineMS, frame[reqHeaderLen:], nil
+	if n < reqHeaderLen {
+		if _, err := br.Discard(n); err != nil {
+			return 0, 0, nil, fmt.Errorf("serve: truncated frame: %w", err)
+		}
+		return 0, 0, nil, &Error{Code: CodeBadRequest, Msg: fmt.Sprintf("serve: request frame of %d bytes is shorter than its %d-byte header", n, reqHeaderLen)}
+	}
+	hdr, err := br.Peek(reqHeaderLen)
+	if err != nil {
+		return 0, 0, nil, fmt.Errorf("serve: truncated frame: %w", err)
+	}
+	id = binary.LittleEndian.Uint64(hdr)
+	deadlineMS = binary.LittleEndian.Uint32(hdr[8:])
+	_, _ = br.Discard(reqHeaderLen)
+	if n -= reqHeaderLen; ar != nil && deadlineMS == 0 {
+		payload = ar.alloc(n)
+	} else {
+		payload = make([]byte, n)
+	}
+	if _, err := io.ReadFull(br, payload); err != nil {
+		return 0, 0, nil, fmt.Errorf("serve: truncated frame: %w", err)
+	}
+	return id, deadlineMS, payload, nil
 }
 
-// parseResponseFrame splits a response frame body.
-func parseResponseFrame(frame []byte) (id, age uint64, code Code, msg string, err error) {
-	if len(frame) < respHeaderLen {
-		return 0, 0, 0, "", fmt.Errorf("serve: response frame of %d bytes is shorter than its %d-byte header", len(frame), respHeaderLen)
+// readResponseFrame reads one response frame, parsing the fixed header
+// in place in br's buffer; msg is materialized only when non-empty (a
+// CodeOK response carries none).
+func readResponseFrame(br *bufio.Reader, max int) (id, age uint64, code Code, msg string, err error) {
+	n, err := readFrameLen(br, max)
+	if err != nil {
+		return 0, 0, 0, "", err
 	}
-	id = binary.LittleEndian.Uint64(frame)
-	age = binary.LittleEndian.Uint64(frame[8:])
-	code = Code(frame[16])
-	return id, age, code, string(frame[respHeaderLen:]), nil
+	if n < respHeaderLen {
+		return 0, 0, 0, "", fmt.Errorf("serve: response frame of %d bytes is shorter than its %d-byte header", n, respHeaderLen)
+	}
+	hdr, err := br.Peek(respHeaderLen)
+	if err != nil {
+		return 0, 0, 0, "", fmt.Errorf("serve: truncated frame: %w", err)
+	}
+	id = binary.LittleEndian.Uint64(hdr)
+	age = binary.LittleEndian.Uint64(hdr[8:])
+	code = Code(hdr[16])
+	_, _ = br.Discard(respHeaderLen)
+	if n > respHeaderLen {
+		text := make([]byte, n-respHeaderLen)
+		if _, err := io.ReadFull(br, text); err != nil {
+			return 0, 0, 0, "", fmt.Errorf("serve: truncated frame: %w", err)
+		}
+		msg = string(text)
+	}
+	return id, age, code, msg, nil
 }
 
 // frameBuffered reports whether br already holds a complete frame —

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -27,11 +28,7 @@ func TestRequestFrameRoundTrip(t *testing.T) {
 			// frameBuffered is best-effort lookahead; force a fill.
 			_, _ = br.Peek(4)
 		}
-		frame, err := readFrame(br, DefaultMaxFrame)
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
-		}
-		id, dl, got, err := parseRequestFrame(frame)
+		id, dl, got, err := readRequestFrame(br, DefaultMaxFrame, nil)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -39,19 +36,37 @@ func TestRequestFrameRoundTrip(t *testing.T) {
 			t.Fatalf("frame %d: got id=%d dl=%d payload=%q", i, id, dl, got)
 		}
 	}
-	if _, err := readFrame(br, DefaultMaxFrame); err != io.EOF {
+	if _, _, _, err := readRequestFrame(br, DefaultMaxFrame, nil); err != io.EOF {
 		t.Fatalf("want io.EOF at end of stream, got %v", err)
 	}
 }
 
 func TestReadFrameLimits(t *testing.T) {
 	huge := appendRequestFrame(nil, 1, 0, make([]byte, 256))
-	if _, err := readFrame(bufio.NewReader(bytes.NewReader(huge)), 64); err == nil {
+	read := func(stream []byte, max int) error {
+		_, _, _, err := readRequestFrame(bufio.NewReader(bytes.NewReader(stream)), max, nil)
+		return err
+	}
+	if read(huge, 64) == nil {
 		t.Fatal("oversized frame accepted")
 	}
-	trunc := huge[:len(huge)-10]
-	if _, err := readFrame(bufio.NewReader(bytes.NewReader(trunc)), DefaultMaxFrame); err == nil {
-		t.Fatal("truncated frame accepted")
+	// Cut inside the length prefix, inside the header, inside the payload.
+	for _, keep := range []int{2, 4 + reqHeaderLen - 2, len(huge) - 10} {
+		if err := read(huge[:keep], DefaultMaxFrame); err == nil || err == io.EOF {
+			t.Fatalf("frame truncated to %d bytes: got %v", keep, err)
+		}
+	}
+	// A frame shorter than its header is answerable: the stream stays
+	// in step and the refusal is typed.
+	short := binary.LittleEndian.AppendUint32(nil, 5)
+	short = append(short, 1, 2, 3, 4, 5)
+	br := bufio.NewReader(bytes.NewReader(append(short, huge...)))
+	_, _, _, err := readRequestFrame(br, DefaultMaxFrame, nil)
+	if bad, ok := err.(*Error); !ok || bad.Code != CodeBadRequest {
+		t.Fatalf("short frame: got %v, want a CodeBadRequest *Error", err)
+	}
+	if id, _, pl, err := readRequestFrame(br, DefaultMaxFrame, nil); err != nil || id != 1 || len(pl) != 256 {
+		t.Fatalf("frame after a short one: id=%d len=%d err=%v", id, len(pl), err)
 	}
 }
 
@@ -131,7 +146,7 @@ func TestWireErrorRoundTrip(t *testing.T) {
 
 		// Over the wire and back.
 		frame := appendResponseFrame(nil, 5, 77, CodeOf(tc.err), tc.err.Error())
-		id, age, code, msg, err := parseResponseFrame(frame[4:])
+		id, age, code, msg, err := readResponseFrame(bufio.NewReader(bytes.NewReader(frame)), DefaultMaxFrame)
 		if err != nil || id != 5 || age != 77 {
 			t.Fatalf("%s: parse: id=%d age=%d err=%v", tc.name, id, age, err)
 		}

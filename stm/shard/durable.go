@@ -90,7 +90,7 @@ func (dr *durRouter) add(g uint64, payload []byte, involved int) *Ticket {
 	e := &durEntry{g: g, payload: payload, remaining: involved}
 	var t *Ticket
 	if dr.wait {
-		t = &Ticket{g: g, sp: dr.sp, done: make(chan struct{})}
+		t = &Ticket{g: g, sp: dr.sp}
 		e.t = t
 	}
 	dr.mu.Lock()
@@ -313,9 +313,11 @@ func (dr *durRouter) lastErr() error {
 	return dr.err
 }
 
-// resolveTicket completes a router-owned ticket. All callers hold
-// dr.mu and clear their reference, so a ticket resolves at most once.
+// resolveTicket completes a router-resolved ticket. Every caller
+// owns the only reference that may resolve it (durRouter's under
+// dr.mu, cleared afterwards; the cross-shard aggregator's outright),
+// so a ticket resolves at most once.
 func resolveTicket(t *Ticket, err error) {
 	t.err = err
-	close(t.done)
+	t.done.Resolve()
 }

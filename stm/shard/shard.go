@@ -759,7 +759,7 @@ func (sp *ShardedPipeline) submitCross(ctx context.Context, g uint64, involved [
 		}
 	}
 	if t == nil {
-		t = &Ticket{g: g, sp: sp, done: make(chan struct{})}
+		t = &Ticket{g: g, sp: sp}
 	}
 	sp.xmu.Lock()
 	sp.xlive[g] = x
@@ -805,8 +805,7 @@ func (sp *ShardedPipeline) submitCross(ctx context.Context, g uint64, involved [
 			if routerOwned {
 				sp.dr.resolveErr(g, terr)
 			} else {
-				t.err = err
-				close(t.done)
+				resolveTicket(t, err)
 			}
 			if sp.dr != nil {
 				// Mirror submitLocal's cleanup: the refused age can
@@ -838,8 +837,7 @@ func (sp *ShardedPipeline) submitCross(ctx context.Context, g uint64, involved [
 				sp.dr.resolveErr(g, sp.translate(g, err))
 			}
 		} else {
-			t.err = err
-			close(t.done)
+			resolveTicket(t, err)
 		}
 		sp.xfinish(g)
 	}()
@@ -848,13 +846,22 @@ func (sp *ShardedPipeline) submitCross(ctx context.Context, g uint64, involved [
 
 func (sp *ShardedPipeline) xfinish(g uint64) {
 	sp.xmu.Lock()
-	if x := sp.xlive[g]; x != nil {
+	x := sp.xlive[g]
+	if x != nil {
 		x.disarm()
 	}
 	delete(sp.xlive, g)
 	sp.xout--
 	sp.xcond.Broadcast()
 	sp.xmu.Unlock()
+	if f := sp.fault.Load(); f != nil && x != nil {
+		// sp.fail stops the pipelines before it sweeps xlive, and a stop
+		// resolves the fence tickets the aggregator waits on — so the
+		// aggregator can take x off the list inside that window, with
+		// peers still parked in the rendezvous. Whoever removes x after
+		// a fault releases them (a no-op once the body completed).
+		x.fail(f)
+	}
 }
 
 // fail records the first global fault and stops the world: every

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"github.com/orderedstm/ostm/internal/latch"
 	"github.com/orderedstm/ostm/stm"
 )
 
@@ -31,8 +32,8 @@ type Ticket struct {
 	// transaction); cross-shard tickets are resolved by an aggregator
 	// once every involved shard's fence committed.
 	local *stm.Ticket
-	done  chan struct{}
-	err   error // written once before done is closed (cross-shard)
+	done  latch.Latch
+	err   error // written once, before done resolves (cross-shard)
 }
 
 // Age returns the transaction's global predefined-order position.
@@ -43,7 +44,7 @@ func (t *Ticket) Done() <-chan struct{} {
 	if t.local != nil {
 		return t.local.Done()
 	}
-	return t.done
+	return t.done.Done()
 }
 
 // Wait blocks until the ticket resolves and returns its outcome.
@@ -51,7 +52,7 @@ func (t *Ticket) Wait() error {
 	if t.local != nil {
 		return t.sp.translate(t.g, t.local.Wait())
 	}
-	<-t.done
+	t.done.Wait()
 	return t.sp.translate(t.g, t.err)
 }
 
@@ -71,8 +72,11 @@ func (t *Ticket) WaitCtx(ctx context.Context) error {
 		}
 		return t.sp.translate(t.g, err)
 	}
+	if t.done.Resolved() {
+		return t.sp.translate(t.g, t.err)
+	}
 	select {
-	case <-t.done:
+	case <-t.done.Done():
 		return t.sp.translate(t.g, t.err)
 	case <-ctx.Done():
 		return fmt.Errorf("%w waiting for global age %d: %w", stm.ErrCanceled, t.g, ctx.Err())
@@ -89,10 +93,8 @@ func (t *Ticket) Err() (err error, resolved bool) {
 		}
 		return t.sp.translate(t.g, err), true
 	}
-	select {
-	case <-t.done:
-		return t.sp.translate(t.g, t.err), true
-	default:
+	if !t.done.Resolved() {
 		return nil, false
 	}
+	return t.sp.translate(t.g, t.err), true
 }

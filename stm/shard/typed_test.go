@@ -182,7 +182,7 @@ func TestShardedSubmitCtxCancel(t *testing.T) {
 	bk := pool.buckets(shards)
 	sp, err := shard.New(shard.Config{
 		Shards:   shards,
-		Pipeline: stm.Config{Algorithm: stm.OUL, Workers: 2, Capacity: 16},
+		Pipeline: stm.Config{Algorithm: stm.OWB, Workers: 2, Capacity: 16},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -306,7 +306,7 @@ func TestShardedWaitCtx(t *testing.T) {
 	bk := pool.buckets(shards)
 	sp, err := shard.New(shard.Config{
 		Shards:   shards,
-		Pipeline: stm.Config{Algorithm: stm.OUL, Workers: 2},
+		Pipeline: stm.Config{Algorithm: stm.OWB, Workers: 2},
 	})
 	if err != nil {
 		t.Fatal(err)

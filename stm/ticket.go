@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+
+	"github.com/orderedstm/ostm/internal/latch"
 )
 
 // ErrClosed is returned by Pipeline.Submit after Close has been
@@ -57,14 +59,9 @@ func (s *Stopped) Is(target error) bool { return target == ErrStopped }
 // commit.
 type Ticket struct {
 	age  uint64
-	done chan struct{}
-	err  error // written once before done is closed
-	ts   int64  // UnixNano at age assignment; 0 unless Config.Obs is set
-}
-
-// newTicket returns an unposted ticket (age is assigned at post).
-func newTicket() *Ticket {
-	return &Ticket{done: make(chan struct{})}
+	done latch.Latch
+	err  error // written once, before done resolves
+	ts   int64 // UnixNano at age assignment; 0 unless Config.Obs is set
 }
 
 // Age returns the commit-order position (consensus slot, loop index)
@@ -72,8 +69,9 @@ func newTicket() *Ticket {
 func (t *Ticket) Age() uint64 { return t.age }
 
 // Done returns a channel closed when the ticket resolves; use it to
-// select across tickets and other events.
-func (t *Ticket) Done() <-chan struct{} { return t.done }
+// select across tickets and other events. The channel is made on the
+// first call (a ticket nobody selects on or parks on never owns one).
+func (t *Ticket) Done() <-chan struct{} { return t.done.Done() }
 
 // Err is a non-blocking peek at the ticket's outcome: resolved=false
 // while the transaction is still in flight, otherwise the error Wait
@@ -81,20 +79,19 @@ func (t *Ticket) Done() <-chan struct{} { return t.done }
 // combine Done with an immediate outcome read — without parking a
 // goroutine in Wait.
 func (t *Ticket) Err() (err error, resolved bool) {
-	select {
-	case <-t.done:
-		return t.err, true
-	default:
+	if !t.done.Resolved() {
 		return nil, false
 	}
+	return t.err, true
 }
 
 // Wait blocks until the ticket resolves and returns its outcome: nil
 // once the transaction committed (its effects are visible and every
 // lower age has committed, for ordered algorithms), or the error the
-// ticket was resolved with.
+// ticket was resolved with. On an already-resolved ticket it is one
+// atomic load.
 func (t *Ticket) Wait() error {
-	<-t.done
+	t.done.Wait()
 	return t.err
 }
 
@@ -104,13 +101,11 @@ func (t *Ticket) Wait() error {
 // wait — the transaction keeps its age, still commits, and the ticket
 // resolves normally for any other waiter (and for a later Wait).
 func (t *Ticket) WaitCtx(ctx context.Context) error {
-	select {
-	case <-t.done:
+	if t.done.Resolved() {
 		return t.err
-	default:
 	}
 	select {
-	case <-t.done:
+	case <-t.done.Done():
 		return t.err
 	case <-ctx.Done():
 		return fmt.Errorf("%w waiting for age %d: %w", ErrCanceled, t.age, ctx.Err())
@@ -122,5 +117,5 @@ func (t *Ticket) WaitCtx(ctx context.Context) error {
 // resolved at most once.
 func (t *Ticket) resolve(err error) {
 	t.err = err
-	close(t.done)
+	t.done.Resolve()
 }

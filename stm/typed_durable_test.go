@@ -216,7 +216,7 @@ func TestSubmitPayloadTCodecMismatch(t *testing.T) {
 	}
 	defer w.Close()
 	p, err := stm.NewPipeline(stm.Config{
-		Algorithm: stm.OUL, Workers: 2,
+		Algorithm: stm.OWB, Workers: 2,
 		WAL: w, Codec: tfCodec{accounts: accounts},
 	})
 	if err != nil {

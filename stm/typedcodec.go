@@ -104,7 +104,7 @@ func SubmitPayloadTCtx[Req, R any](ctx context.Context, p *Pipeline, req Req) (*
 	if err != nil {
 		return nil, fmt.Errorf("stm: decode payload: %w", err)
 	}
-	t := &TicketOf[R]{Ticket: Ticket{done: make(chan struct{})}, fn: c.handler(dreq)}
+	t := &TicketOf[R]{fn: c.handler(dreq)}
 	if err := p.submitWith(ctx, &t.Ticket, t.run, data); err != nil {
 		return nil, err
 	}
@@ -128,7 +128,7 @@ func SubmitEncodedT[Req, R any](p *Pipeline, data []byte) (*TicketOf[R], error) 
 	if err != nil {
 		return nil, fmt.Errorf("stm: decode payload: %w", err)
 	}
-	t := &TicketOf[R]{Ticket: Ticket{done: make(chan struct{})}, fn: c.handler(req)}
+	t := &TicketOf[R]{fn: c.handler(req)}
 	if err := p.submitWith(nil, &t.Ticket, t.run, data); err != nil {
 		return nil, err
 	}
