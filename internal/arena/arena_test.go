@@ -1,9 +1,11 @@
-package serve
+package arena
 
 import (
 	"bytes"
 	"testing"
 )
+
+const arenaSize = 64 << 10
 
 // TestArenaLiveBuffersNeverOverlap carves and releases in the order
 // the server does — ingress ahead, the writer releasing marks behind —
@@ -15,7 +17,7 @@ func TestArenaLiveBuffersNeverOverlap(t *testing.T) {
 		fill byte
 		mark uint64
 	}
-	ar := newArena()
+	ar := New(arenaSize)
 	var queue []live
 	seed := uint32(1)
 	rnd := func(n int) int {
@@ -36,7 +38,7 @@ func TestArenaLiveBuffersNeverOverlap(t *testing.T) {
 		if step%7 == 0 {
 			n = rnd(64)
 		}
-		b := ar.alloc(n)
+		b := ar.Alloc(n)
 		if len(b) != n {
 			t.Fatalf("step %d: alloc(%d) returned %d bytes", step, n, len(b))
 		}
@@ -44,10 +46,10 @@ func TestArenaLiveBuffersNeverOverlap(t *testing.T) {
 		for i := range b {
 			b[i] = fill
 		}
-		queue = append(queue, live{b, fill, ar.mark()})
+		queue = append(queue, live{b, fill, ar.Mark()})
 		check(step)
 		for len(queue) > 0 && rnd(3) != 0 {
-			ar.release(queue[0].mark)
+			ar.Release(queue[0].mark)
 			queue = queue[1:]
 		}
 	}
@@ -56,15 +58,15 @@ func TestArenaLiveBuffersNeverOverlap(t *testing.T) {
 	}
 }
 
-// TestArenaSteadyStateAllocatesNothing: a connection whose responses
-// keep up with its requests never leaves the ring.
+// TestArenaSteadyStateAllocatesNothing: an owner whose releases keep
+// up with its carving never leaves the ring.
 func TestArenaSteadyStateAllocatesNothing(t *testing.T) {
-	ar := newArena()
+	ar := New(arenaSize)
 	if n := testing.AllocsPerRun(10000, func() {
 		for i := 0; i < 8; i++ {
-			_ = ar.alloc(100)
+			_ = ar.Alloc(100)
 		}
-		ar.release(ar.mark())
+		ar.Release(ar.Mark())
 	}); n != 0 {
 		t.Fatalf("%v allocations per burst, want 0", n)
 	}

@@ -143,6 +143,15 @@ type CheckpointSink interface {
 	Checkpoint(age uint64, state []byte) error
 }
 
+// burstLog is the optional durable-log extension that lets the log
+// size a sync group to the commit burst, implemented by wal.Writer:
+// AppendMore is Append plus whether the pipeline already knows of
+// another age on its way to the log (MSG_MORE, for group commit). A
+// DurableLog that does not implement it gets plain Append.
+type burstLog interface {
+	AppendMore(age uint64, payload []byte, more bool) error
+}
+
 // ErrPayloadRequired is returned by Submit and SubmitBatch on a
 // pipeline configured with a WAL: opaque bodies cannot be replayed
 // after a crash, so every durable submission must come in through

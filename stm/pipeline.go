@@ -931,9 +931,10 @@ type stream struct {
 // tickets deferred past commit by WaitDurable. All fields are guarded
 // by the stream mutex.
 type durState struct {
-	log  DurableLog
-	wait bool   // Config.WaitDurable
-	next uint64 // next age to hand to the log (contiguous frontier)
+	log   DurableLog
+	burst burstLog // log, when it takes the more-is-coming hint; else nil
+	wait  bool     // Config.WaitDurable
+	next  uint64   // next age to hand to the log (contiguous frontier)
 	// pring retains each in-flight age's encoded payload until that
 	// age commits. Like the ticket ring, slots are age-tagged with a
 	// map escape: commit-order skew (unordered engines, STMLite's
@@ -1047,6 +1048,7 @@ func newStream(cfg Config) *stream {
 			pend:     make(map[uint64][]byte),
 			waitSkew: make(map[uint64]*Ticket),
 		}
+		s.dur.burst, _ = cfg.WAL.(burstLog)
 	}
 	s.cond = sync.NewCond(&s.mu)
 	return s
@@ -1205,9 +1207,11 @@ func (s *stream) committed(age uint64) {
 // engines only) parks its payload until the frontier reaches it. An
 // age above a permanent gap — a racing commit that landed past a
 // fault — parks forever, which is exactly the prefix property the
-// log guarantees. Called with mu held; Append only buffers (group
-// commit happens in the log's syncer), so the commit path never waits
-// on storage.
+// log guarantees. Called with mu held, before the age is counted as
+// committed; Append only buffers (group commit happens in the log's
+// syncer), so the commit path never waits on storage. A log that takes
+// the hint is told whether more is coming: another submitted age is
+// still uncommitted, or a parked successor is appended next.
 func (s *stream) logAge(age uint64) {
 	d := s.dur
 	var p []byte
@@ -1229,17 +1233,24 @@ func (s *stream) logAge(age uint64) {
 		d.pend[age] = append([]byte(nil), p...)
 		return
 	}
+	inflight := s.submitted-(s.base+s.ncommitted) > 1
 	for {
-		if err := d.log.Append(d.next, p); err != nil {
+		succ, parked := d.pend[d.next+1]
+		var err error
+		if d.burst != nil {
+			err = d.burst.AppendMore(d.next, p, inflight || parked)
+		} else {
+			err = d.log.Append(d.next, p)
+		}
+		if err != nil {
 			d.err = err
 			return
 		}
 		d.next++
-		var ok bool
-		p, ok = d.pend[d.next]
-		if !ok {
+		if !parked {
 			return
 		}
+		p = succ
 		delete(d.pend, d.next)
 	}
 }

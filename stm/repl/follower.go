@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/orderedstm/ostm/internal/arena"
 	"github.com/orderedstm/ostm/stm/obs"
 	"github.com/orderedstm/ostm/stm/serve"
 	"github.com/orderedstm/ostm/stm/wal"
@@ -48,6 +49,14 @@ type Boot struct {
 // Runtime is the running engine a follower drives: Submit feeds one
 // encoded record (the owner's SubmitEncoded), Drain awaits full
 // commit + durability of everything submitted (the owner's Drain).
+//
+// The payload handed to Submit is a slice of the follower's receive
+// buffer, lent under the SubmitEncoded contract: it stays intact until
+// the record has been appended to Boot.Writer — which the pipeline
+// does at commit, after the body's last execution — and may be
+// overwritten any time after. A Submit that keeps the bytes longer
+// (the sharded router queues them past its return) must copy them,
+// as shard.SubmitEncoded does.
 type Runtime struct {
 	Submit func(payload []byte) error
 	Drain  func() error
@@ -124,6 +133,29 @@ type Follower struct {
 
 	errMu sync.Mutex
 	err   error // fatal stream error; the follower has stopped applying
+
+	// ring holds the group frames being applied, so that receiving one
+	// allocates nothing and its records' payloads reach Runtime.Submit
+	// as slices of it. A group's bytes are dead once the local writer's
+	// Next() has passed its last age: the unsharded pipeline has copied
+	// the payload into the log by then (at commit, the SubmitEncoded
+	// contract) and the sharded router copied it at submit, so the one
+	// rule covers every Runtime and needs no ticket. held queues the
+	// groups not yet released, oldest first. Both belong to the apply
+	// loop. A follower that falls a ring's worth behind its own
+	// pipeline reads further groups into the heap.
+	ring *arena.Ring
+	held []heldGroup
+}
+
+// ringSize is the follower's receive ring: a few group frames of the
+// shipper's default FlushBytes.
+const ringSize = 1 << 20
+
+// heldGroup is an applied group whose buffer is still lent out.
+type heldGroup struct {
+	end  uint64 // one past the group's last age
+	mark uint64 // ring release point covering the group
 }
 
 // streamConn is one open stream to the leader.
@@ -184,7 +216,7 @@ func StartFollower(cfg FollowerConfig) (*Follower, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := &Follower{cfg: cfg, stop: make(chan struct{}), loopDone: make(chan struct{})}
+	f := &Follower{cfg: cfg, stop: make(chan struct{}), loopDone: make(chan struct{}), ring: arena.New(ringSize)}
 
 	boot := Boot{
 		FirstAge:    rec.First(),
@@ -281,7 +313,7 @@ func StartFollower(cfg FollowerConfig) (*Follower, error) {
 // expectHello reads the stream's hello and the first substantive
 // frame after it (the shipper always sends one promptly).
 func (f *Follower) expectHello(sc *streamConn) (frame, error) {
-	h, err := readStreamFrame(sc.br, f.cfg.MaxFrame)
+	h, err := readStreamFrame(sc.br, f.cfg.MaxFrame, f.ring)
 	if err != nil {
 		return frame{}, fmt.Errorf("repl: reading hello: %w", err)
 	}
@@ -290,7 +322,7 @@ func (f *Follower) expectHello(sc *streamConn) (frame, error) {
 	}
 	f.leaderFrontier.Store(h.age)
 	f.leaderBytes.Store(h.aux)
-	return readStreamFrame(sc.br, f.cfg.MaxFrame)
+	return readStreamFrame(sc.br, f.cfg.MaxFrame, f.ring)
 }
 
 // loop is the apply loop: (re)connect, validate, apply, repeat until
@@ -336,7 +368,7 @@ func (f *Follower) loop(sc *streamConn, pending []frame) {
 				continue
 			}
 			f.reconnects.Add(1)
-			h, err := readStreamFrame(sc.br, f.cfg.MaxFrame)
+			h, err := readStreamFrame(sc.br, f.cfg.MaxFrame, f.ring)
 			if err != nil || h.typ != frameHello {
 				sc.close()
 				sc = nil
@@ -346,7 +378,8 @@ func (f *Follower) loop(sc *streamConn, pending []frame) {
 			f.leaderBytes.Store(h.aux)
 			backoff = f.cfg.ReconnectBackoff
 		}
-		fr, err := readStreamFrame(sc.br, f.cfg.MaxFrame)
+		f.releaseApplied()
+		fr, err := readStreamFrame(sc.br, f.cfg.MaxFrame, f.ring)
 		if err != nil {
 			sc.close()
 			sc = nil
@@ -360,30 +393,34 @@ func (f *Follower) loop(sc *streamConn, pending []frame) {
 	}
 }
 
-// apply consumes one stream frame. Record frames go through exactly
-// the validation recovery applies to disk bytes — CRC over (length,
-// age, payload) and contiguous expected age — then into the live
-// pipeline; the pipeline's attached writer appends them locally at
-// commit, so the local log never holds an age the engine has not
+// apply consumes one stream frame. A group's records go, one by one,
+// through exactly the validation recovery applies to disk bytes — the
+// WAL's frame rule and the contiguous expected age — and then into the
+// live pipeline; the pipeline's attached writer appends them locally
+// at commit, so the local log never holds an age the engine has not
 // applied.
 func (f *Follower) apply(fr frame) error {
 	switch fr.typ {
-	case frameRecord:
-		expect := f.applyNext.Load()
-		if fr.age != expect {
-			return fmt.Errorf("repl: stream broke age order: got %d, want %d", fr.age, expect)
+	case frameGroup:
+		first := f.applyNext.Load()
+		if fr.age != first {
+			return fmt.Errorf("repl: stream broke age order: got %d, want %d", fr.age, first)
 		}
-		if wal.RecordCRC(fr.age, fr.payload) != fr.crc {
-			return fmt.Errorf("repl: record %d failed its checksum", fr.age)
+		rest, err := f.applyGroup(fr.payload)
+		end := f.applyNext.Load()
+		if err == nil && end-first != fr.aux {
+			err = fmt.Errorf("repl: group at %d holds %d records, its header says %d", first, end-first, fr.aux)
 		}
-		if err := f.rt.Submit(fr.payload); err != nil {
-			return fmt.Errorf("repl: applying record %d: %w", fr.age, err)
+		nbytes := uint64(len(fr.payload) - len(rest))
+		f.applied.Add(end - first)
+		f.appliedB.Add(nbytes)
+		f.localBytes.Add(nbytes)
+		// A group the ring could not take (the mark has not moved) is the
+		// garbage collector's to free.
+		if mark := f.ring.Mark(); len(f.held) == 0 || f.held[len(f.held)-1].mark != mark {
+			f.held = append(f.held, heldGroup{end: end, mark: mark})
 		}
-		f.applyNext.Store(fr.age + 1)
-		f.applied.Add(1)
-		f.appliedB.Add(uint64(wal.FrameSize(fr.payload)))
-		f.localBytes.Add(uint64(wal.FrameSize(fr.payload)))
-		return nil
+		return err
 	case frameHeartbeat, frameHello:
 		f.leaderFrontier.Store(fr.age)
 		f.leaderBytes.Store(fr.aux)
@@ -408,6 +445,43 @@ func (f *Follower) apply(fr frame) error {
 	default:
 		return fmt.Errorf("repl: unknown frame %s", frameName(fr.typ))
 	}
+}
+
+// applyGroup walks a group's raw frames, submitting each record that
+// passes; the apply frontier advances record by record. It stops at
+// the first that fails the frame rule, breaks the age order or is
+// refused by the runtime, and returns the bytes from there on:
+// everything before them has been applied, nothing in them is.
+func (f *Follower) applyGroup(b []byte) ([]byte, error) {
+	for expect := f.applyNext.Load(); len(b) > 0; expect++ {
+		age, payload, rest, err := wal.ParseFrame(b)
+		if err != nil {
+			return b, fmt.Errorf("repl: record %d: %w", expect, err)
+		}
+		if age != expect {
+			return b, fmt.Errorf("repl: stream broke age order: got %d, want %d", age, expect)
+		}
+		if err := f.rt.Submit(payload); err != nil {
+			return b, fmt.Errorf("repl: applying record %d: %w", age, err)
+		}
+		f.applyNext.Store(expect + 1)
+		b = rest
+	}
+	return nil, nil
+}
+
+// releaseApplied gives back the ring space of every group the local
+// log has fully appended.
+func (f *Follower) releaseApplied() {
+	next, n := f.writer.Next(), 0
+	for n < len(f.held) && f.held[n].end <= next {
+		n++
+	}
+	if n == 0 {
+		return
+	}
+	f.ring.Release(f.held[n-1].mark)
+	f.held = f.held[:copy(f.held, f.held[n:])]
 }
 
 // fail latches a fatal apply error.

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/orderedstm/ostm/stm/obs"
@@ -19,7 +20,7 @@ type ShipperOptions struct {
 	// batch regardless of the timer.
 	Heartbeat time.Duration
 	// FlushBytes is the egress buffer size that forces a mid-drain
-	// flush (default 256 KiB).
+	// flush, and so the size a group frame is cut at (default 256 KiB).
 	FlushBytes int
 	// Obs, when non-nil, registers the leader-side replication metric
 	// families (ostm_repl_*).
@@ -55,7 +56,7 @@ type Shipper struct {
 // connState is one follower stream's book-keeping, tracked for the
 // ship-lag gauge (the slowest connected follower defines the lag).
 type connState struct {
-	shipped uint64 // ages below it have been written to this stream
+	shipped atomic.Uint64 // ages below it have been written to this stream
 }
 
 // NewShipper builds a shipper over the leader's live writer. The
@@ -116,8 +117,9 @@ func (s *Shipper) lagAges() uint64 {
 	defer s.mu.Unlock()
 	var lag uint64
 	for c := range s.subs {
-		if d := durable - c.shipped; d > lag {
-			lag = d
+		// A stream may have shipped past the frontier read above.
+		if sh := c.shipped.Load(); sh < durable && durable-sh > lag {
+			lag = durable - sh
 		}
 	}
 	return lag
@@ -136,7 +138,8 @@ func (s *Shipper) serveStream(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "repl: bad or missing ?from", http.StatusBadRequest)
 		return
 	}
-	conn := &connState{shipped: from}
+	conn := new(connState)
+	conn.shipped.Store(from)
 	wake := s.subscribe(conn)
 	defer s.unsubscribe(conn)
 
@@ -164,8 +167,13 @@ func (s *Shipper) serveStream(w http.ResponseWriter, r *http.Request) {
 		buf = buf[:0]
 		var nrec, nbytes uint64
 		for {
-			age, payload, ok, nerr := cur.Next(limit)
-			if errors.Is(nerr, wal.ErrCompacted) {
+			// One group frame per run of durable records: the cursor
+			// copies their frames out of the segment file as they are.
+			start := len(buf)
+			var first uint64
+			var n int
+			buf, first, n, err = cur.AppendFrames(beginGroup(buf), limit, s.opts.FlushBytes)
+			if errors.Is(err, wal.ErrCompacted) {
 				// The records this follower needs are gone (checkpoint
 				// truncation). Bootstrap it from the newest checkpoint
 				// instead, then resume records at the checkpoint age.
@@ -174,23 +182,24 @@ func (s *Shipper) serveStream(w http.ResponseWriter, r *http.Request) {
 					return
 				}
 				cur.Close()
-				if cur, err = wal.NewCursor(s.w.Dir(), conn.shipped); err != nil {
+				if cur, err = wal.NewCursor(s.w.Dir(), conn.shipped.Load()); err != nil {
 					return
 				}
 				segsPrev = cur.Segments()
 				continue
 			}
-			if nerr != nil {
+			if err != nil {
 				// Log corruption or I/O failure: nothing safe to ship.
 				return
 			}
-			if !ok {
+			if n == 0 {
+				buf = buf[:start]
 				break
 			}
-			buf = appendFrame(buf, frameRecord, age, 0, wal.RecordCRC(age, payload), payload)
-			conn.shipped = age + 1
-			nrec++
-			nbytes += uint64(wal.FrameSize(payload))
+			endGroup(buf, start, first, n)
+			conn.shipped.Store(first + uint64(n))
+			nrec += uint64(n)
+			nbytes += uint64(len(buf) - start - 4 - frameHeaderLen)
 			if len(buf) >= s.opts.FlushBytes {
 				if _, err := w.Write(buf); err != nil {
 					return
@@ -226,18 +235,18 @@ func (s *Shipper) appendSnapshot(buf []byte, conn *connState) ([]byte, error) {
 		return nil, err
 	}
 	if len(ages) == 0 {
-		return nil, fmt.Errorf("repl: records below %d compacted but no checkpoint exists", conn.shipped)
+		return nil, fmt.Errorf("repl: records below %d compacted but no checkpoint exists", conn.shipped.Load())
 	}
 	age := ages[len(ages)-1]
 	state, err := wal.ReadCheckpoint(s.w.Dir(), age)
 	if err != nil {
 		return nil, err
 	}
-	if age < conn.shipped {
-		return nil, fmt.Errorf("repl: newest checkpoint %d below compacted request %d", age, conn.shipped)
+	if from := conn.shipped.Load(); age < from {
+		return nil, fmt.Errorf("repl: newest checkpoint %d below compacted request %d", age, from)
 	}
 	buf = appendFrame(buf, frameSnapshot, age, s.w.Bytes(), wal.RecordCRC(age, state), state)
-	conn.shipped = age
+	conn.shipped.Store(age)
 	s.mu.Lock()
 	s.stats.snapshots++
 	s.mu.Unlock()

@@ -26,12 +26,14 @@
 //	hello (0)      first frame of every stream. age = the leader's
 //	               durability frontier, aux = its cumulative framed
 //	               log bytes. No payload.
-//	record (1)     one WAL record: payload is the record's payload,
-//	               age its age, crc the WAL's own record checksum
-//	               (wal.RecordCRC), so the follower validates shipped
-//	               bytes by exactly the rule recovery validates disk
-//	               bytes. Records arrive in contiguous age order
-//	               starting at N.
+//	group (1)      a run of WAL records: payload is the records' frames
+//	               exactly as the leader's segment files hold them
+//	               (u32 length | u32 CRC-32C | u64 age | payload, back
+//	               to back), age the first record's age, aux how many
+//	               there are; crc is unused (0) — every record carries
+//	               its own. Groups arrive in contiguous age order
+//	               starting at N; a run is whatever became durable
+//	               since the last one, cut at ShipperOptions.FlushBytes.
 //	heartbeat (2)  age = the leader's durability frontier, aux = its
 //	               cumulative framed bytes. Sent whenever the stream
 //	               catches up to the frontier and on an idle timer, so
@@ -49,6 +51,24 @@
 // the durability frontier, so a leader crash can never retract a
 // shipped record ("no phantom durables" holds across the wire by
 // construction).
+//
+// # Who verifies what
+//
+// A record is checksummed when the leader appends it, and that CRC
+// travels with it from then on. The shipper does not re-check it: it
+// copies whole frames below its own durability frontier from the
+// segment file into the stream, hopping from header to header
+// (wal.Cursor.AppendFrames), and vouches only that the ages run on
+// contiguously. The follower's check is the one that stops a damaged
+// record, whether the disk, the leader's memory or the network damaged
+// it: it walks each group with the WAL's own frame rule
+// (wal.ParseFrame: whole header, fitting length, CRC-32C over length,
+// age and payload) plus the contiguous expected age — exactly what
+// recovery applies to disk bytes — and applies a record only once it
+// has passed. The first record that fails ends the stream for good
+// (Follower.Err names its age): every record before it in the group
+// has been applied, nothing at or after it is. The follower's own log
+// then checksums the payload again as it appends it.
 package repl
 
 import (
@@ -56,15 +76,21 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+
+	"github.com/orderedstm/ostm/internal/arena"
 )
 
 const (
 	frameHello     byte = 0
-	frameRecord    byte = 1
+	frameGroup     byte = 1
 	frameHeartbeat byte = 2
 	frameSnapshot  byte = 3
 
 	frameHeaderLen = 21 // u8 type + u64 age + u64 aux + u32 crc
+	frameTypeOff   = 4  // offsets of a frame's fields from its start
+	frameAgeOff    = 5
+	frameAuxOff    = 13
+	frameCRCOff    = 21
 
 	// DefaultMaxFrame bounds accepted stream frames. Snapshot frames
 	// carry whole checkpoint states, so the ceiling is far above the
@@ -76,8 +102,8 @@ func frameName(t byte) string {
 	switch t {
 	case frameHello:
 		return "hello"
-	case frameRecord:
-		return "record"
+	case frameGroup:
+		return "group"
 	case frameHeartbeat:
 		return "heartbeat"
 	case frameSnapshot:
@@ -96,8 +122,25 @@ func appendFrame(dst []byte, typ byte, age, aux uint64, crc uint32, payload []by
 	return append(dst, payload...)
 }
 
-// frame is one decoded stream frame. payload aliases a fresh
-// per-frame allocation; ownership transfers to the consumer.
+// beginGroup appends a group frame's header with its length, first age
+// and count still to come: the caller appends the records' raw frames
+// behind it and closes it with endGroup.
+func beginGroup(dst []byte) []byte {
+	return appendFrame(dst, frameGroup, 0, 0, 0, nil)
+}
+
+// endGroup fills in the header of the group frame that starts at
+// dst[start:] and runs to the end of dst.
+func endGroup(dst []byte, start int, first uint64, count int) {
+	fr := dst[start:]
+	binary.LittleEndian.PutUint32(fr, uint32(len(fr)-4))
+	binary.LittleEndian.PutUint64(fr[frameAgeOff:], first)
+	binary.LittleEndian.PutUint64(fr[frameAuxOff:], uint64(count))
+}
+
+// frame is one decoded stream frame. A group's payload lives in the
+// follower's ring (see Follower.ring for when that memory is reused);
+// a snapshot's is a fresh allocation the consumer owns.
 type frame struct {
 	typ     byte
 	age     uint64
@@ -106,32 +149,46 @@ type frame struct {
 	payload []byte
 }
 
-// readStreamFrame reads one frame. io.EOF before the first length byte
+// readStreamFrame reads one frame, parsing the header in place in br's
+// buffer; a group's payload is read into ring (nil puts it on the
+// heap, like every other payload). io.EOF before the first length byte
 // is a clean end of stream; anything truncated is an error.
-func readStreamFrame(br *bufio.Reader, max int) (frame, error) {
-	var lenb [4]byte
-	if _, err := io.ReadFull(br, lenb[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			return frame{}, fmt.Errorf("repl: truncated frame length: %w", err)
+func readStreamFrame(br *bufio.Reader, max int, ring *arena.Ring) (frame, error) {
+	lenb, err := br.Peek(4)
+	if err != nil {
+		if err == io.EOF && len(lenb) > 0 {
+			return frame{}, fmt.Errorf("repl: truncated frame length: %w", io.ErrUnexpectedEOF)
 		}
 		return frame{}, err
 	}
-	n := binary.LittleEndian.Uint32(lenb[:])
+	n := binary.LittleEndian.Uint32(lenb)
 	if int64(n) > int64(max) {
 		return frame{}, fmt.Errorf("repl: frame of %d bytes exceeds limit %d", n, max)
 	}
 	if n < frameHeaderLen {
 		return frame{}, fmt.Errorf("repl: frame of %d bytes is shorter than its %d-byte header", n, frameHeaderLen)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(br, buf); err != nil {
+	hdr, err := br.Peek(4 + frameHeaderLen)
+	if err != nil {
 		return frame{}, fmt.Errorf("repl: truncated frame: %w", err)
 	}
-	return frame{
-		typ:     buf[0],
-		age:     binary.LittleEndian.Uint64(buf[1:9]),
-		aux:     binary.LittleEndian.Uint64(buf[9:17]),
-		crc:     binary.LittleEndian.Uint32(buf[17:21]),
-		payload: buf[frameHeaderLen:],
-	}, nil
+	fr := frame{
+		typ: hdr[frameTypeOff],
+		age: binary.LittleEndian.Uint64(hdr[frameAgeOff:]),
+		aux: binary.LittleEndian.Uint64(hdr[frameAuxOff:]),
+		crc: binary.LittleEndian.Uint32(hdr[frameCRCOff:]),
+	}
+	_, _ = br.Discard(4 + frameHeaderLen) // cannot fail: Peek just buffered these bytes
+	if n -= frameHeaderLen; n == 0 {
+		return fr, nil
+	}
+	if fr.typ == frameGroup && ring != nil {
+		fr.payload = ring.Alloc(int(n))
+	} else {
+		fr.payload = make([]byte, n)
+	}
+	if _, err := io.ReadFull(br, fr.payload); err != nil {
+		return frame{}, fmt.Errorf("repl: truncated frame: %w", err)
+	}
+	return fr, nil
 }

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/orderedstm/ostm/internal/arena"
 	"github.com/orderedstm/ostm/stm"
 	"github.com/orderedstm/ostm/stm/obs"
 	"github.com/orderedstm/ostm/stm/shard"
@@ -229,6 +230,24 @@ func (s *Server) gateErr() error {
 	return s.cfg.Gate()
 }
 
+// arenaSize is a connection's payload ring (internal/arena): the size
+// of its read buffer, and room for every in-flight request of a stream
+// whose payloads are not unusually large (the response queue holds a
+// few hundred entries). The ingress loop carves payload buffers from
+// it and the response writer gives them back, so a request frame costs
+// no allocation; whatever does not fit goes to the heap.
+//
+// Lifetime rule. The pipeline keeps a submitted payload until its
+// ticket resolves — the SubmitEncoded contract: the body may alias it
+// until commit, the log copies it at the commit frontier, and under
+// WaitDurable resolution waits for the fsync — so a buffer is released
+// only after its ticket resolved. Responses are written in submission
+// order, which makes release a single advancing mark: the writer
+// releases up to an entry's mark only once that entry and every entry
+// before it has resolved. (Deadline frames, whose response may
+// precede resolution, never live here; see readRequestFrame.)
+const arenaSize = 64 << 10
+
 // entry is one request's slot in a stream's response queue. Entries
 // travel by value: the queue's buffer is their only storage.
 type entry struct {
@@ -294,7 +313,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	ctx := r.Context()
 	br := bufio.NewReaderSize(r.Body, 64<<10)
-	ar := newArena()
+	ar := arena.New(arenaSize)
 	// Sized to a few ingress batches, so ingress can run ahead of a
 	// writer parked on an unresolved ticket without queueing unboundedly.
 	queue := make(chan entry, 4*s.cfg.MaxBatch)
@@ -345,12 +364,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 				break
 			}
 			flushRun()
-			queue <- entry{id: id, err: bad, mark: ar.mark()}
+			queue <- entry{id: id, err: bad, mark: ar.Mark()}
 			continue
 		}
 		if deadlineMS == 0 {
 			runData = append(runData, payload)
-			run = append(run, entry{id: id, mark: ar.mark()})
+			run = append(run, entry{id: id, mark: ar.Mark()})
 			if len(run) < s.cfg.MaxBatch && frameBuffered(br) {
 				continue // more frames already arrived; extend the run
 			}
@@ -359,17 +378,17 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		flushRun()
 		if gerr := s.gateErr(); gerr != nil {
-			queue <- entry{id: id, err: gerr, mark: ar.mark()}
+			queue <- entry{id: id, err: gerr, mark: ar.Mark()}
 			continue
 		}
 		dctx, cancel := context.WithTimeout(ctx, time.Duration(deadlineMS)*time.Millisecond)
 		t, serr := s.b.one(dctx, payload)
 		if serr != nil {
 			cancel()
-			queue <- entry{id: id, err: serr, mark: ar.mark()}
+			queue <- entry{id: id, err: serr, mark: ar.Mark()}
 			continue
 		}
-		queue <- entry{id: id, t: t, ctx: dctx, cancel: cancel, mark: ar.mark()}
+		queue <- entry{id: id, t: t, ctx: dctx, cancel: cancel, mark: ar.Mark()}
 	}
 	flushRun()
 	close(queue)
@@ -385,7 +404,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // still in flight, so a resolved response is never held back behind an
 // unresolved one: everything written is flushed before the next
 // blocking wait.
-func (s *Server) writeResponses(w http.ResponseWriter, rc *http.ResponseController, queue <-chan entry, ar *arena, done chan<- struct{}) {
+func (s *Server) writeResponses(w http.ResponseWriter, rc *http.ResponseController, queue <-chan entry, ar *arena.Ring, done chan<- struct{}) {
 	defer close(done)
 	var (
 		buf  []byte
@@ -423,7 +442,7 @@ func (s *Server) writeResponses(w http.ResponseWriter, rc *http.ResponseControll
 		}
 		// Every entry up to mark has resolved (or never lived in the
 		// arena), so the pipeline is done with those payloads.
-		ar.release(mark)
+		ar.Release(mark)
 		if _, werr := w.Write(buf); werr != nil {
 			// Client gone: drain remaining entries so their tickets'
 			// deadline contexts are released, then quit. Nothing more is

@@ -52,6 +52,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+
+	"github.com/orderedstm/ostm/internal/arena"
 )
 
 // DefaultMaxFrame bounds the length prefix accepted by both sides
@@ -100,7 +102,7 @@ func readFrameLen(br *bufio.Reader, max int) (int, error) {
 }
 
 // readRequestFrame reads one request frame. The header is parsed in
-// place in br's buffer; the payload is read into ar (see arena for
+// place in br's buffer; the payload is read into ar (see arenaSize for
 // when that memory may be reused) — except a deadline frame's, which
 // gets a slice of its own because its response may be written, and the
 // arena released past it, while its ticket is still unresolved. A nil
@@ -109,7 +111,7 @@ func readFrameLen(br *bufio.Reader, max int) (int, error) {
 // A frame too short for its header is consumed whole and reported as
 // an *Error with CodeBadRequest: the stream is intact and the request
 // can be answered. Any other error ends the stream.
-func readRequestFrame(br *bufio.Reader, max int, ar *arena) (id uint64, deadlineMS uint32, payload []byte, err error) {
+func readRequestFrame(br *bufio.Reader, max int, ar *arena.Ring) (id uint64, deadlineMS uint32, payload []byte, err error) {
 	n, err := readFrameLen(br, max)
 	if err != nil {
 		return 0, 0, nil, err
@@ -128,7 +130,7 @@ func readRequestFrame(br *bufio.Reader, max int, ar *arena) (id uint64, deadline
 	deadlineMS = binary.LittleEndian.Uint32(hdr[8:])
 	_, _ = br.Discard(reqHeaderLen)
 	if n -= reqHeaderLen; ar != nil && deadlineMS == 0 {
-		payload = ar.alloc(n)
+		payload = ar.Alloc(n)
 	} else {
 		payload = make([]byte, n)
 	}

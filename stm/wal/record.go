@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -28,31 +29,28 @@ const (
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// recordCRC computes the checksum the frame stores.
+// recordCRC computes the checksum the frame stores. The twelve header
+// bytes are folded in from the values themselves, a byte at a time: a
+// stack array handed to crc32.Update escapes through its assembly
+// path and would cost an allocation per record checked.
 func recordCRC(length uint32, age uint64, payload []byte) uint32 {
-	var hdr [12]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], length)
-	binary.LittleEndian.PutUint64(hdr[4:12], age)
-	c := crc32.Update(0, crcTable, hdr[:])
-	return crc32.Update(c, crcTable, payload)
+	c := ^uint32(0)
+	for s := 0; s < 32; s += 8 {
+		c = crcTable[byte(c)^byte(length>>s)] ^ c>>8
+	}
+	for s := 0; s < 64; s += 8 {
+		c = crcTable[byte(c)^byte(age>>s)] ^ c>>8
+	}
+	return crc32.Update(^c, crcTable, payload)
 }
 
 // appendRecord appends the framed record to buf and returns the
-// extended slice. The checksum is computed over the destination
-// buffer in place (a temporary header array would escape through
-// crc32.Update and cost an allocation per append on the commit path).
+// extended slice.
 func appendRecord(buf []byte, age uint64, payload []byte) []byte {
-	start := len(buf)
-	var hdr [headerSize]byte
-	buf = append(buf, hdr[:]...)
-	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
-	binary.LittleEndian.PutUint64(buf[start+8:], age)
-	buf = append(buf, payload...)
-	c := crc32.Update(0, crcTable, buf[start:start+4])
-	c = crc32.Update(c, crcTable, buf[start+8:start+headerSize])
-	c = crc32.Update(c, crcTable, buf[start+headerSize:])
-	binary.LittleEndian.PutUint32(buf[start+4:], c)
-	return buf
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
+	buf = binary.LittleEndian.AppendUint32(buf, recordCRC(uint32(len(payload)), age, payload))
+	buf = binary.LittleEndian.AppendUint64(buf, age)
+	return append(buf, payload...)
 }
 
 // recordSize returns the framed size of a payload.
@@ -65,28 +63,46 @@ type tornError struct{ reason string }
 
 func (e *tornError) Error() string { return "wal: torn record: " + e.reason }
 
-// readRecord reads one record from r, verifying the frame. remaining
-// bounds how many bytes the segment still holds past the current
-// offset, so a garbage length field from a torn tail is rejected
-// before allocating for it. It returns io.EOF at a clean segment end,
-// and a *tornError for a short or corrupt record.
-func readRecord(r io.Reader, remaining int64) (age uint64, payload []byte, err error) {
-	var hdr [headerSize]byte
-	n, err := io.ReadFull(r, hdr[:])
-	if err == io.EOF && n == 0 {
-		return 0, nil, io.EOF
+// peekHeader parses the record header at br's read position, in place
+// in br's buffer and without consuming it. remaining bounds how many
+// bytes the segment still holds past the current offset, so a garbage
+// length field from a torn tail is rejected before anything is sized
+// by it. It returns io.EOF at a clean segment end, and a *tornError
+// for a short header or an implausible length.
+func peekHeader(br *bufio.Reader, remaining int64) (length, crc uint32, age uint64, err error) {
+	hdr, err := br.Peek(headerSize)
+	if err == io.EOF && len(hdr) == 0 {
+		return 0, 0, 0, io.EOF
 	}
 	if err != nil {
-		return 0, nil, &tornError{reason: "short header"}
+		return 0, 0, 0, &tornError{reason: "short header"}
 	}
-	length := binary.LittleEndian.Uint32(hdr[0:4])
-	crc := binary.LittleEndian.Uint32(hdr[4:8])
+	return decodeHeader(hdr, remaining)
+}
+
+// decodeHeader parses a record header and checks its length field
+// against the remaining bytes that follow the header's start.
+func decodeHeader(hdr []byte, remaining int64) (length, crc uint32, age uint64, err error) {
+	length = binary.LittleEndian.Uint32(hdr[0:4])
+	crc = binary.LittleEndian.Uint32(hdr[4:8])
 	age = binary.LittleEndian.Uint64(hdr[8:16])
 	if length > maxPayload || int64(length) > remaining-headerSize {
-		return 0, nil, &tornError{reason: fmt.Sprintf("implausible length %d", length)}
+		return 0, 0, 0, &tornError{reason: fmt.Sprintf("implausible length %d", length)}
 	}
+	return length, crc, age, nil
+}
+
+// readRecord reads one record from br, verifying the frame; the
+// payload is its only allocation. Errors are peekHeader's, plus a
+// *tornError for a short payload or a checksum mismatch.
+func readRecord(br *bufio.Reader, remaining int64) (age uint64, payload []byte, err error) {
+	length, crc, age, err := peekHeader(br, remaining)
+	if err != nil {
+		return 0, nil, err
+	}
+	_, _ = br.Discard(headerSize) // cannot fail: Peek just buffered these bytes
 	payload = make([]byte, length)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	if _, err := io.ReadFull(br, payload); err != nil {
 		return 0, nil, &tornError{reason: "short payload"}
 	}
 	if recordCRC(length, age, payload) != crc {

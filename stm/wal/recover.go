@@ -291,6 +291,7 @@ func (r *Recovery) Writer(opts Options) (*Writer, error) {
 	w.next.Store(r.next)
 	w.durable.Store(r.next)
 	w.nbytes.Store(totalBytes(r.recs) + r.skippedB)
+	w.admittedB.Store(w.nbytes.Load()) // recovered history is durable: no open group
 	if r.hasCkpt {
 		w.ckptAge_.Store(r.ckptAge)
 	}

@@ -40,16 +40,29 @@
 //
 // The sync policy decides when groups are admitted: after every N
 // appends (Options.SyncEveryN), at least every interval while dirty
-// (Options.SyncInterval), adaptively (Options.Adaptive: immediately
-// while the device is idle, growing toward a byte target while syncs
-// are in flight), or only on explicit Sync/Close (none of the above —
-// policy "none", the right choice when a layer above already decides
-// durability points). Count and adaptive policies also admit pending
-// records as soon as a sync slot frees (admit-on-drain), so a partial
-// group never waits for traffic that may not come, and an idle-flush
-// timer bounds the stalled-tail latency either way. Durability is
-// tracked as a frontier: every age below Writer.Durable is on stable
-// storage.
+// (Options.SyncInterval), adaptively (Options.Adaptive), or only on
+// explicit Sync/Close (none of the above — policy "none", the right
+// choice when a layer above already decides durability points). Count
+// and adaptive policies also admit pending records as soon as a sync
+// slot frees (admit-on-drain), so a partial group never waits for
+// traffic that may not come, and an idle-flush timer bounds the
+// stalled-tail latency either way. Durability is tracked as a
+// frontier: every age below Writer.Durable is on stable storage.
+//
+// The adaptive policy sizes a group to what the device and the
+// producer are doing. While a sync is in flight the group grows —
+// until it reaches Options.AdaptiveBytes or the slot frees. On an idle
+// device a record is admitted at once, unless the producer has said
+// more is coming (Writer.AppendMore, which the pipeline calls with
+// "another submitted transaction has yet to commit"): then the group
+// stays open for the rest of the commit burst and is admitted by the
+// append that says no more, by the byte target, or after one fsync
+// time — the writer's own running estimate, measured around the
+// fdatasyncs it issues — whichever comes first. So a lone transaction
+// still syncs immediately, a burst of acknowledgements' worth of
+// commits costs one fsync instead of two, and a committed record never
+// waits on a slow successor for longer than the sync it is waiting for
+// would take anyway.
 //
 // # Checkpoints
 //
@@ -169,10 +182,12 @@ type Options struct {
 	SyncInterval time.Duration
 	// Adaptive enables adaptive group sizing: while the sync device is
 	// idle, pending records are admitted immediately (smallest groups,
-	// lowest latency); while syncs are in flight, the group grows
-	// until it reaches AdaptiveBytes or a sync slot frees, whichever
-	// comes first — the group size tracks the device's own latency.
-	// Mutually exclusive with SyncEveryN.
+	// lowest latency) — or, when the appender has hinted that more is
+	// coming (AppendMore), once the burst ends or one fsync time has
+	// passed; while syncs are in flight, the group grows until it
+	// reaches AdaptiveBytes or a sync slot frees, whichever comes
+	// first — the group size tracks the device's own latency and the
+	// producer's own bursts. Mutually exclusive with SyncEveryN.
 	Adaptive bool
 	// AdaptiveBytes is the byte target an adaptive group grows toward
 	// while syncs are in flight (default 256 KiB).

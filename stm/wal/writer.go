@@ -47,17 +47,23 @@ type Writer struct {
 	dir  string
 	fs   FS // Options.FS, defaulted to OS
 
-	mu       sync.Mutex
-	f        File
-	buf      []byte // framed records not yet written to f
-	segSize  int64  // bytes already written to f (excludes buf)
-	sinceN   int    // appends since the last count-based sync kick
-	retired  []File // full segments awaiting their fsync+close
-	dirDirty bool   // a segment was created since the last dir sync
-	err      error
-	notify   func(next uint64, err error)
-	taps     []func(durable uint64)
-	closed   bool
+	mu      sync.Mutex
+	f       File
+	buf     []byte // framed records not yet written to f
+	segSize int64  // bytes already written to f (excludes buf)
+	sinceN  int    // appends since the last count-based sync kick
+	// growTimer bounds how long an adaptive group that was told more is
+	// coming may wait for it on an idle device: armed (growArmed) for
+	// one syncEst by the first such append, it kicks the admission
+	// loop; admission disarms it. nil unless the policy is adaptive.
+	growTimer *time.Timer
+	growArmed bool
+	retired   []File // full segments awaiting their fsync+close
+	dirDirty  bool   // a segment was created since the last dir sync
+	err       error
+	notify    func(next uint64, err error)
+	taps      []func(durable uint64)
+	closed    bool
 
 	// admitMu serializes sync-group admission (the append/admission
 	// stage of the pipelined syncer). Lock order: admitMu may take mu
@@ -75,6 +81,7 @@ type Writer struct {
 	nbytes  atomic.Uint64 // framed bytes appended over the log's life
 
 	admittedB atomic.Uint64 // nbytes watermark at the last admission
+	syncEst   atomic.Int64  // running estimate of one fdatasync, ns (0 before the first)
 	inflight  atomic.Int64  // sync groups admitted but not yet completed
 	depthMax  atomic.Int64  // high watermark of inflight
 	overlaps  atomic.Uint64 // admissions that found another sync in flight
@@ -197,6 +204,10 @@ func (w *Writer) startSyncer() {
 		return
 	}
 	w.loopDone = make(chan struct{})
+	if w.opts.Adaptive {
+		w.growTimer = time.AfterFunc(time.Hour, w.kickSync)
+		w.growTimer.Stop()
+	}
 	go w.syncLoop()
 }
 
@@ -258,6 +269,18 @@ func (w *Writer) Dir() string { return w.dir }
 // order; an age already in the log is ignored (see type doc). The
 // record is buffered — not durable — until the next sync point.
 func (w *Writer) Append(age uint64, payload []byte) error {
+	return w.AppendMore(age, payload, false)
+}
+
+// AppendMore is Append with a hint, in the manner of MSG_MORE: more
+// says the caller already knows of another record on its way (a
+// submitted transaction not yet committed). The adaptive policy uses
+// it to size a sync group to the commit burst — on an idle device it
+// holds the group open instead of syncing its first record alone; see
+// Options.Adaptive for what closes it. Other policies ignore the hint,
+// and more=false is exactly Append. It implements the pipeline's
+// optional hinted-append interface.
+func (w *Writer) AppendMore(age uint64, payload []byte, more bool) error {
 	w.mu.Lock()
 	if w.err != nil {
 		err := w.err
@@ -292,12 +315,22 @@ func (w *Writer) Append(age uint64, payload []byte) error {
 	var kicked bool
 	switch {
 	case w.opts.Adaptive:
-		// Adaptive sizing: admit immediately while the device is idle
-		// (smallest groups, lowest latency); while syncs are in flight
-		// let the group grow until it hits the byte target (a slot
-		// freeing up admits it earlier — see admit-on-drain).
-		kicked = w.inflight.Load() == 0 ||
-			w.nbytes.Load()-w.admittedB.Load() >= uint64(w.opts.AdaptiveBytes)
+		// Adaptive sizing: while syncs are in flight let the group grow
+		// until it hits the byte target (a slot freeing up admits it
+		// earlier — see admit-on-drain). On an idle device admit at once
+		// (lowest latency) unless more is coming: then the group stays
+		// open for the rest of the burst, for one fsync time at most.
+		est := w.syncEst.Load()
+		switch {
+		case w.nbytes.Load()-w.admittedB.Load() >= uint64(w.opts.AdaptiveBytes):
+			kicked = true
+		case w.inflight.Load() > 0:
+		case !more || est == 0:
+			kicked = true
+		case !w.growArmed:
+			w.growArmed = true
+			w.growTimer.Reset(time.Duration(est))
+		}
 	case w.opts.SyncEveryN > 0:
 		// The count is a cap on how long a record may wait under load,
 		// never a reason to strand one while the device is idle: an
@@ -386,6 +419,10 @@ func (w *Writer) admit(wait bool) (*syncOp, error) {
 	w.dirDirty = false
 	w.sinceN = 0
 	w.admittedB.Store(w.nbytes.Load())
+	if w.growArmed {
+		w.growArmed = false
+		w.growTimer.Stop()
+	}
 	w.mu.Unlock()
 	w.wo.admitted(op.target)
 	if wait {
@@ -446,17 +483,22 @@ func (w *Writer) doSync(op *syncOp) {
 	}
 }
 
-// timedSync is Fdatasync with the retry policy applied and the
-// fsync-latency histogram attached; without observability it is a
-// direct call.
+// timedSync is Fdatasync with the retry policy applied, timed: every
+// call feeds the fsync-latency histogram (when observed) and the
+// writer's running estimate of one fsync, a moving average over the
+// last eight or so.
 func (w *Writer) timedSync(f File) error {
 	return w.retry(&w.ioErrs.fsync, func() error {
-		if w.wo == nil {
-			return f.Fdatasync()
-		}
 		t0 := time.Now()
 		err := f.Fdatasync()
-		w.wo.fsyncLat.Observe(time.Since(t0).Nanoseconds())
+		d := time.Since(t0).Nanoseconds()
+		if w.wo != nil {
+			w.wo.fsyncLat.Observe(d)
+		}
+		if est := w.syncEst.Load(); est != 0 {
+			d = est + (d-est)/8
+		}
+		w.syncEst.Store(max(d, 1))
 		return err
 	})
 }
@@ -634,8 +676,8 @@ func (w *Writer) syncLoop() {
 		case <-w.done:
 			return
 		case <-w.kick:
-			if w.next.Load() == w.durable.Load() && w.inflight.Load() > 0 {
-				continue // everything pending is already on the wire
+			if w.nbytes.Load() == w.admittedB.Load() {
+				continue // everything appended is already on the wire
 			}
 		case <-t.C:
 			if w.next.Load() == w.durable.Load() {
