@@ -9,6 +9,7 @@
 package ostm
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -315,18 +316,18 @@ func BenchmarkSubmitCommit(b *testing.B) {
 			i := uint64(age) % benchPool
 			tx.Write(&vs[i], tx.Read(&vs[i])+1)
 		}
-		bodies := make([]stm.Body, 32)
-		for i := range bodies {
-			bodies[i] = body
+		reqs := make([]stm.Request, 32)
+		for i := range reqs {
+			reqs[i] = stm.Request{Body: body}
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for n := 0; n < b.N; {
-			k := len(bodies)
+			k := len(reqs)
 			if rem := b.N - n; k > rem {
 				k = rem
 			}
-			tks, err := p.SubmitBatch(bodies[:k])
+			tks, err := p.SubmitBatch(context.Background(), reqs[:k])
 			if err != nil {
 				b.Fatal(err)
 			}

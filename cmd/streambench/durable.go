@@ -25,7 +25,8 @@ const (
 	opWarmShard = 2
 )
 
-// txnPayload is the application-level payload handed to SubmitPayload.
+// txnPayload is the application-level payload, framed by
+// encodePayload/appendTransfer before submission.
 type txnPayload struct {
 	op       byte
 	from, to uint32
@@ -44,6 +45,16 @@ func encodePayload(p txnPayload) ([]byte, error) {
 	default:
 		return nil, fmt.Errorf("streambench: unknown payload op %d", p.op)
 	}
+}
+
+// mustEncode frames a payload built by the bench itself (its ops are
+// all known, so an error is a bench bug).
+func mustEncode(p txnPayload) []byte {
+	data, err := encodePayload(p)
+	if err != nil {
+		fatal(err)
+	}
+	return data
 }
 
 // appendTransfer frames a transfer payload into dst (append-style, so
@@ -199,17 +210,14 @@ func typedBenchCodec(tacc []stm.TVar[uint64]) *stm.TypedCodec[*txnPayload, uint6
 // benchCodec is the unsharded stm.Codec over the account pool.
 type benchCodec struct{ accounts []stm.Var }
 
-// encodeAny accepts both payload shapes the bench submits (pointer on
-// the hot path — it avoids interface boxing — and plain value).
+// encodeAny is the Codec face of encodePayload; the bench itself
+// submits bytes it framed, so only a Codec caller reaches it.
 func encodeAny(payload any) ([]byte, error) {
-	switch p := payload.(type) {
-	case *txnPayload:
-		return encodePayload(*p)
-	case txnPayload:
-		return encodePayload(p)
-	default:
+	p, ok := payload.(txnPayload)
+	if !ok {
 		return nil, fmt.Errorf("streambench: unexpected payload %T", payload)
 	}
+	return encodePayload(p)
 }
 
 func (c benchCodec) Encode(payload any) ([]byte, error) { return encodeAny(payload) }

@@ -34,6 +34,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -120,9 +121,8 @@ func newTypedTxnState(tacc []stm.TVar[uint64], handles []*stm.Var, ops int) *txn
 // scratch is one client's reusable batch-submission buffers, so the
 // batched path allocates no harness slices per round either.
 type scratch struct {
-	bodies   []stm.Body
-	reqs     []shard.Request
-	payloads []any
+	preqs []stm.Request
+	reqs  []shard.Request
 }
 
 // fillExtra rewrites the extra-read indices: ops-2 neighbors of
@@ -141,9 +141,8 @@ func (st *txnState) fillExtra(fi, ops, n int, idx []int) {
 
 // payload rewrites the durable submission payload from the current
 // indices. The struct and its index scratch are reused across rounds
-// (Encode runs synchronously inside SubmitPayload, and the state is
-// only rewritten after the previous submission resolved), so durable
-// submission allocates just the wire bytes and the decoded body.
+// (encodeWire frames it synchronously, and the state is only
+// rewritten after the previous submission resolved).
 func (st *txnState) payload() *txnPayload {
 	st.pl.op, st.pl.from, st.pl.to = opTransfer, uint32(st.from), uint32(st.to)
 	st.pl.extra = st.pl.extra[:0]
@@ -195,7 +194,7 @@ func main() {
 		window   = flag.Int("window", 0, "run-ahead window (0 = default)")
 		epoch    = flag.Int("epoch", 1<<14, "commits per recycling epoch")
 		batch    = flag.Int("batch", 1, "transactions submitted per client round (>1 uses SubmitBatch)")
-		typed    = flag.Bool("typed", false, "drive the typed API (TVar[uint64] + SubmitFunc / SubmitPayloadT) instead of the word API")
+		typed    = flag.Bool("typed", false, "drive the typed API (TVar[uint64] + SubmitFunc / SubmitEncodedT) instead of the word API")
 		fresh    = flag.Bool("fresh", false, "disable descriptor recycling (one fresh descriptor per attempt)")
 		shardsF  = flag.Int("shards", 0, "partitions for sharded execution (0 = unsharded stm.Pipeline)")
 		crossF   = flag.Float64("cross", 0, "fraction of transactions spanning two shards (sharded mode)")
@@ -254,6 +253,7 @@ func main() {
 	if *metrAddr != "" && !*obsOn {
 		fatal(fmt.Errorf("-metrics-addr requires -obs"))
 	}
+	ctx := context.Background()
 	var reg *obs.Registry
 	if *obsOn {
 		reg = obs.NewRegistry()
@@ -354,10 +354,10 @@ func main() {
 		switch {
 		case *typed && walw != nil:
 			submitOne = func(st *txnState) (waiter, error) {
-				return stm.SubmitPayloadT[*txnPayload, uint64](p, st.payload())
+				return stm.SubmitEncodedT[*txnPayload, uint64](ctx, p, st.encodeWire())
 			}
 		case *typed:
-			submitOne = func(st *txnState) (waiter, error) { return stm.SubmitFunc(p, st.fnT) }
+			submitOne = func(st *txnState) (waiter, error) { return stm.SubmitFunc(ctx, p, st.fnT) }
 		case walw != nil:
 			submitOne = func(st *txnState) (waiter, error) { return p.SubmitEncoded(st.encodeWire()) }
 		default:
@@ -368,16 +368,16 @@ func main() {
 			var err error
 			switch {
 			case *typed && walw != nil:
-				tk, err = stm.SubmitPayloadT[*txnPayload, uint64](p, &txnPayload{op: opWarmAll})
+				tk, err = stm.SubmitEncodedT[*txnPayload, uint64](ctx, p, mustEncode(txnPayload{op: opWarmAll}))
 			case *typed:
-				tk, err = stm.SubmitFunc(p, func(tx stm.Tx, _ int) uint64 {
+				tk, err = stm.SubmitFunc(ctx, p, func(tx stm.Tx, _ int) uint64 {
 					for i := range tAccounts {
 						stm.ReadT(tx, &tAccounts[i])
 					}
 					return 0
 				})
 			case walw != nil:
-				tk, err = p.SubmitPayload(txnPayload{op: opWarmAll})
+				tk, err = p.SubmitEncoded(mustEncode(txnPayload{op: opWarmAll}))
 			default:
 				tk, err = p.Submit(func(tx stm.Tx, _ int) {
 					for i := range accounts {
@@ -393,21 +393,15 @@ func main() {
 			}
 		}
 		submitMany = func(sts []*txnState, ws []waiter, sc *scratch) ([]waiter, error) {
-			var tks []*stm.Ticket
-			var err error
-			if walw != nil {
-				sc.payloads = sc.payloads[:0]
-				for _, st := range sts {
-					sc.payloads = append(sc.payloads, st.payload())
+			sc.preqs = sc.preqs[:0]
+			for _, st := range sts {
+				if walw != nil {
+					sc.preqs = append(sc.preqs, stm.Request{Encoded: st.encodeWire()})
+				} else {
+					sc.preqs = append(sc.preqs, stm.Request{Body: st.body})
 				}
-				tks, err = p.SubmitPayloadBatch(sc.payloads)
-			} else {
-				sc.bodies = sc.bodies[:0]
-				for _, st := range sts {
-					sc.bodies = append(sc.bodies, st.body)
-				}
-				tks, err = p.SubmitBatch(sc.bodies)
 			}
+			tks, err := p.SubmitBatch(ctx, sc.preqs)
 			for _, tk := range tks {
 				ws = append(ws, tk)
 			}
@@ -478,7 +472,7 @@ func main() {
 		switch {
 		case *typed:
 			submitOne = func(st *txnState) (waiter, error) {
-				return shard.SubmitFunc(sp, st.declareTyped(), st.fnT)
+				return shard.SubmitFunc(ctx, sp, st.declareTyped(), st.fnT)
 			}
 		case walw != nil:
 			submitOne = func(st *txnState) (waiter, error) {
@@ -500,14 +494,14 @@ func main() {
 					for i, idx := range bk {
 						vs[i] = tHandles[idx]
 					}
-					tk, err = shard.SubmitFunc(sp, stm.Touches(vs...), func(tx stm.Tx, _ int) uint64 {
+					tk, err = shard.SubmitFunc(ctx, sp, stm.Touches(vs...), func(tx stm.Tx, _ int) uint64 {
 						for _, idx := range bk {
 							stm.ReadT(tx, &tAccounts[idx])
 						}
 						return 0
 					})
 				case walw != nil:
-					tk, err = sp.SubmitPayload(txnPayload{op: opWarmShard, shard: uint16(s)})
+					tk, err = sp.SubmitEncoded(mustEncode(txnPayload{op: opWarmShard, shard: uint16(s)}))
 				default:
 					bk := buckets[s]
 					vs := make([]*stm.Var, len(bk))
@@ -533,7 +527,7 @@ func main() {
 			for _, st := range sts {
 				sc.reqs = append(sc.reqs, shard.Request{Access: st.declare(), Body: st.body})
 			}
-			tks, err := sp.SubmitBatch(sc.reqs)
+			tks, err := sp.SubmitBatch(ctx, sc.reqs)
 			for _, tk := range tks {
 				if tk != nil {
 					ws = append(ws, tk)
@@ -682,8 +676,8 @@ func main() {
 			}
 			ws := make([]waiter, 0, *batch)
 			sc := &scratch{
-				bodies: make([]stm.Body, 0, *batch),
-				reqs:   make([]shard.Request, 0, *batch),
+				preqs: make([]stm.Request, 0, *batch),
+				reqs:  make([]shard.Request, 0, *batch),
 			}
 			for done := 0; done < perClient; {
 				n := *batch

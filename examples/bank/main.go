@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -40,6 +41,7 @@ func transferFn(balances []stm.TVar[uint64], age int) stm.Func[uint64] {
 }
 
 func main() {
+	ctx := context.Background()
 	balances := stm.NewTVars[uint64](accounts)
 
 	var refState []uint64
@@ -54,7 +56,7 @@ func main() {
 		}
 		tickets := make([]*stm.TicketOf[uint64], nTx)
 		for age := 0; age < nTx; age++ {
-			if tickets[age], err = stm.SubmitFunc(p, transferFn(balances, age)); err != nil {
+			if tickets[age], err = stm.SubmitFunc(ctx, p, transferFn(balances, age)); err != nil {
 				log.Fatal(err)
 			}
 		}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -36,6 +37,7 @@ func main() {
 	}
 
 	const n = 10000
+	ctx := context.Background()
 
 	// Reference: the same transactions executed sequentially.
 	seq, err := stm.NewPipeline(stm.Config{Algorithm: stm.Sequential})
@@ -44,7 +46,7 @@ func main() {
 	}
 	want := make([]uint64, n)
 	for age := 0; age < n; age++ {
-		t, err := stm.SubmitFunc(seq, fnFor(age))
+		t, err := stm.SubmitFunc(ctx, seq, fnFor(age))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -71,7 +73,7 @@ func main() {
 	}
 	tickets := make([]*stm.TicketOf[uint64], n)
 	for age := 0; age < n; age++ {
-		if tickets[age], err = stm.SubmitFunc(p, fnFor(age)); err != nil {
+		if tickets[age], err = stm.SubmitFunc(ctx, p, fnFor(age)); err != nil {
 			log.Fatal(err)
 		}
 	}

@@ -1,7 +1,7 @@
 // Command recovery demonstrates the *typed* durable ordered-commit
 // pipeline surviving a real crash: the program re-executes itself as
 // a child process that streams typed bank-transfer requests into a
-// WAL-backed pipeline (stm.CodecOf + SubmitPayloadT — each
+// WAL-backed pipeline (stm.CodecOf + SubmitEncodedT — each
 // acknowledged request carries a typed reply, the sender's new
 // balance) and is killed mid-stream (os.Exit — no flushing, no
 // goodbye). The parent then recovers the log, truncates the torn
@@ -19,6 +19,7 @@
 package main
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"os"
@@ -59,17 +60,27 @@ const (
 // the transaction is decoded, both live and at recovery.
 type request struct{ from, to uint32 }
 
+// encode is the request's 8-byte wire form.
+func (r request) encode() []byte {
+	var b [8]byte
+	binary.LittleEndian.PutUint32(b[0:4], r.from)
+	binary.LittleEndian.PutUint32(b[4:8], r.to)
+	return b[:]
+}
+
+// submit hands p the encoded request. Live submissions and recovery
+// replay both enter through SubmitEncodedT, so both run the handler
+// built from the decoded bytes.
+func submit(p *stm.Pipeline, r request) (*stm.TicketOf[uint64], error) {
+	return stm.SubmitEncodedT[request, uint64](context.Background(), p, r.encode())
+}
+
 // codec builds the application's typed codec: an 8-byte wire form,
 // decoded into a deterministic transfer whose typed result is the
 // sender's post-transfer balance.
 func codec(pool []stm.TVar[uint64]) *stm.TypedCodec[request, uint64] {
 	return stm.CodecOf(
-		func(r request) ([]byte, error) {
-			var b [8]byte
-			binary.LittleEndian.PutUint32(b[0:4], r.from)
-			binary.LittleEndian.PutUint32(b[4:8], r.to)
-			return b[:], nil
-		},
+		func(r request) ([]byte, error) { return r.encode(), nil },
 		func(data []byte) (request, error) {
 			if len(data) != 8 {
 				return request{}, fmt.Errorf("bad payload length %d", len(data))
@@ -153,7 +164,7 @@ func child(dir string) {
 	})
 	check(err)
 	for age := uint64(0); ; age++ {
-		tk, err := stm.SubmitPayloadT[request, uint64](p, transferFor(age))
+		tk, err := submit(p, transferFor(age))
 		check(err)
 		if age == 3_000 {
 			// An acknowledged transfer is durable — and its typed reply
@@ -229,7 +240,7 @@ func main() {
 	replies := make([]uint64, 0, rec.Count())
 	tks := make([]*stm.TicketOf[uint64], 0, rec.Count())
 	check(rec.Replay(func(age uint64, data []byte) error {
-		tk, err := stm.SubmitEncodedT[request, uint64](p, data)
+		tk, err := stm.SubmitEncodedT[request, uint64](context.Background(), p, data)
 		if err == nil {
 			tks = append(tks, tk)
 		}
@@ -273,7 +284,7 @@ func main() {
 		accounts, len(replies), total)
 
 	fmt.Println("phase 5: the recovered pipeline keeps serving — submit new typed work")
-	tk, err := stm.SubmitPayloadT[request, uint64](p, transferFor(rec.Next()))
+	tk, err := submit(p, transferFor(rec.Next()))
 	check(err)
 	reply, err := tk.Value()
 	check(err)
@@ -282,7 +293,7 @@ func main() {
 	fmt.Println("phase 6: checkpoint — freeze a snapshot at the frontier and truncate the log below it")
 	var last *stm.TicketOf[uint64]
 	for i := 0; i < 3_000; i++ {
-		last, err = stm.SubmitPayloadT[request, uint64](p, transferFor(w.Next()+uint64(i)))
+		last, err = submit(p, transferFor(w.Next()+uint64(i)))
 		check(err)
 	}
 	_, err = last.Value() // drain: the checkpoint should cover the whole stream

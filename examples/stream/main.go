@@ -163,7 +163,7 @@ func main() {
 	start := time.Now()
 	for c := range consensus {
 		cmds = append(cmds, c)
-		tk, err := stm.SubmitFunc(p, apply(c, store))
+		tk, err := stm.SubmitFunc(context.Background(), p, apply(c, store))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -190,7 +190,7 @@ func main() {
 		log.Fatal(err)
 	}
 	for slot, c := range cmds {
-		tk, err := stm.SubmitFunc(seq, apply(c, leader))
+		tk, err := stm.SubmitFunc(context.Background(), seq, apply(c, leader))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -294,7 +294,7 @@ func Run(cfg Config) (Result, error) {
 		}
 		for g := uint64(0); g < uint64(cfg.Txns); g++ {
 			from, to := st.transferFor(g)
-			tk, err := sp.SubmitPayload(encodeTransfer(from, to))
+			tk, err := sp.SubmitEncoded(encodeTransfer(from, to))
 			if err != nil {
 				break
 			}
@@ -318,7 +318,7 @@ func Run(cfg Config) (Result, error) {
 		}
 		for g := uint64(0); g < uint64(cfg.Txns); g++ {
 			from, to := st.transferFor(g)
-			tk, err := p.SubmitPayload(encodeTransfer(from, to))
+			tk, err := p.SubmitEncoded(encodeTransfer(from, to))
 			if err != nil {
 				break
 			}

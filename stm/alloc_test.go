@@ -7,6 +7,7 @@
 package stm_test
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -56,12 +57,12 @@ func TestSubmitAllocs(t *testing.T) {
 		t.Errorf("Submit: %v allocations per transaction, want 1 (the ticket)", n)
 	}
 
-	burst := make([][]byte, 8)
+	burst := make([]stm.Request, 8)
 	for i := range burst {
-		burst[i] = []byte{byte(i)}
+		burst[i] = stm.Request{Encoded: []byte{byte(i)}}
 	}
 	if n := testing.AllocsPerRun(500, func() {
-		tks, err := p.SubmitEncodedBatch(burst)
+		tks, err := p.SubmitBatch(context.Background(), burst)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,6 +71,6 @@ func TestSubmitAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}); n > 2 {
-		t.Errorf("SubmitEncodedBatch of %d: %v allocations per batch, want at most 2 beyond the Codec's own (ticket block, pointer slice)", len(burst), n)
+		t.Errorf("SubmitBatch of %d encoded requests: %v allocations per batch, want at most 2 beyond the Codec's own (ticket block, pointer slice)", len(burst), n)
 	}
 }

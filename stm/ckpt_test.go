@@ -96,7 +96,7 @@ func runCheckpointedStream(t *testing.T, alg stm.Algorithm, dir, snapDir string,
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		tk, err := p.SubmitPayload(transferFor(uint64(i)))
+		tk, err := p.SubmitEncoded(transferFor(uint64(i)).encode())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -293,7 +293,7 @@ func TestManualCheckpoint(t *testing.T) {
 		t.Helper()
 		var wg sync.WaitGroup
 		for i := lo; i < hi; i++ {
-			tk, err := p.SubmitPayload(transferFor(uint64(i)))
+			tk, err := p.SubmitEncoded(transferFor(uint64(i)).encode())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -152,11 +152,12 @@ type burstLog interface {
 	AppendMore(age uint64, payload []byte, more bool) error
 }
 
-// ErrPayloadRequired is returned by Submit and SubmitBatch on a
-// pipeline configured with a WAL: opaque bodies cannot be replayed
-// after a crash, so every durable submission must come in through
-// SubmitPayload/SubmitEncoded, which capture the input the log needs.
-var ErrPayloadRequired = errors.New("stm: durable pipeline requires SubmitPayload (a body alone cannot be re-created at recovery)")
+// ErrPayloadRequired refuses a Body request (Submit, SubmitFunc, a
+// Request with Body set) on a pipeline configured with a WAL: opaque
+// bodies cannot be replayed after a crash, so every durable
+// submission must arrive encoded, which captures the input the log
+// needs.
+var ErrPayloadRequired = errors.New("stm: durable pipeline requires encoded submissions (a body alone cannot be re-created at recovery)")
 
 // DurabilityError wraps a write-ahead log failure. Once the log
 // fails, the in-memory pipeline keeps its ordering guarantees but can

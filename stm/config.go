@@ -75,15 +75,14 @@ type Config struct {
 	// WAL attaches a write-ahead log (stm/wal.Writer, or any
 	// DurableLog): as the commit frontier advances, the pipeline
 	// appends each committed age's encoded input payload to the log in
-	// age order. A WAL-backed pipeline only accepts submissions that
-	// carry a payload (SubmitPayload/SubmitEncoded); see Codec. When
+	// age order. A WAL-backed pipeline only accepts encoded
+	// submissions (SubmitEncoded, Request.Encoded); see Codec. When
 	// recovering, set FirstAge to the recovery's First() and replay
 	// the surviving records through SubmitEncoded before submitting
 	// new work — re-appends of recovered ages are no-ops.
 	WAL DurableLog
-	// Codec encodes durable submission payloads and decodes them back
-	// into bodies, both live and at recovery. Required when WAL is
-	// set.
+	// Codec decodes encoded submissions into bodies, both live and at
+	// recovery. Required when WAL is set.
 	Codec Codec
 	// WaitDurable defers ticket resolution until the transaction's age
 	// is durable (on stable storage), not merely committed in memory.

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -32,11 +33,11 @@ func (c ctrCodec) Decode(data []byte) (stm.Body, error) {
 	return func(tx stm.Tx, _ int) { tx.Write(v, tx.Read(v)+n) }, nil
 }
 
-// TestSubmitEncodedCtx: the encoded single-submit honors its context
-// exactly like SubmitCtx — a pre-canceled context refuses the
-// submission before an age is assigned, a live one accepts it, and the
-// decoded body's effect lands.
-func TestSubmitEncodedCtx(t *testing.T) {
+// TestSubmitCtxEncoded: an encoded request honors its context exactly
+// like a body — a pre-canceled context refuses the submission before
+// an age is assigned, a live one accepts it, and the decoded body's
+// effect lands.
+func TestSubmitCtxEncoded(t *testing.T) {
 	counter := stm.NewVar(0)
 	p, err := stm.NewPipeline(stm.Config{Algorithm: stm.OWB, Workers: 2, Codec: ctrCodec{counter}})
 	if err != nil {
@@ -49,14 +50,14 @@ func TestSubmitEncodedCtx(t *testing.T) {
 
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := p.SubmitEncodedCtx(canceled, data); !errors.Is(err, stm.ErrCanceled) {
+	if _, err := p.SubmitCtx(canceled, stm.Request{Encoded: data}); !errors.Is(err, stm.ErrCanceled) {
 		t.Fatalf("pre-canceled ctx: got %v, want ErrCanceled", err)
 	}
 	if got := p.Submitted(); got != 0 {
 		t.Fatalf("refused submission consumed an age: %d", got)
 	}
 
-	tk, err := p.SubmitEncodedCtx(context.Background(), data)
+	tk, err := p.SubmitCtx(context.Background(), stm.Request{Encoded: data})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,12 +75,12 @@ func TestSubmitEncodedCtx(t *testing.T) {
 	}
 }
 
-// TestSubmitBatchCtxCancelDuringBackpressure: a batch parked in the
+// TestSubmitBatchCancelDuringBackpressure: a batch parked in the
 // backpressure wait is cut short by cancellation — the tickets for the
 // prefix that made it in before the park are returned alongside the
 // wrapped ErrCanceled, the unposted suffix consumes no ages, and the
 // stream keeps working afterwards.
-func TestSubmitBatchCtxCancelDuringBackpressure(t *testing.T) {
+func TestSubmitBatchCancelDuringBackpressure(t *testing.T) {
 	p, gate := gatePipeline(t, 2)
 	capacity := p.Config().Capacity
 	var tks []*stm.Ticket
@@ -94,9 +95,9 @@ func TestSubmitBatchCtxCancelDuringBackpressure(t *testing.T) {
 	}
 	submitted := p.Submitted()
 
-	batch := make([]stm.Body, 5)
+	batch := make([]stm.Request, 5)
 	for i := range batch {
-		batch[i] = func(stm.Tx, int) {}
+		batch[i] = stm.Request{Body: func(stm.Tx, int) {}}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	type res struct {
@@ -105,12 +106,12 @@ func TestSubmitBatchCtxCancelDuringBackpressure(t *testing.T) {
 	}
 	done := make(chan res, 1)
 	go func() {
-		out, err := p.SubmitBatchCtx(ctx, batch)
+		out, err := p.SubmitBatch(ctx, batch)
 		done <- res{out, err}
 	}()
 	select {
 	case r := <-done:
-		t.Fatalf("SubmitBatchCtx returned (%d tickets, %v) while the pipeline was full", len(r.tks), r.err)
+		t.Fatalf("SubmitBatch returned (%d tickets, %v) while the pipeline was full", len(r.tks), r.err)
 	case <-time.After(50 * time.Millisecond):
 	}
 	cancel()
@@ -118,7 +119,7 @@ func TestSubmitBatchCtxCancelDuringBackpressure(t *testing.T) {
 	select {
 	case r = <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("canceled SubmitBatchCtx did not return")
+		t.Fatal("canceled SubmitBatch did not return")
 	}
 	if !errors.Is(r.err, stm.ErrCanceled) || !errors.Is(r.err, context.Canceled) {
 		t.Fatalf("canceled batch returned %v, want ErrCanceled wrapping context.Canceled", r.err)
@@ -139,7 +140,7 @@ func TestSubmitBatchCtxCancelDuringBackpressure(t *testing.T) {
 		}
 	}
 	// And the stream still accepts a full batch.
-	out, err := p.SubmitBatchCtx(context.Background(), batch)
+	out, err := p.SubmitBatch(context.Background(), batch)
 	if err != nil || len(out) != len(batch) {
 		t.Fatalf("post-cancel batch: %d tickets, %v", len(out), err)
 	}
@@ -153,33 +154,33 @@ func TestSubmitBatchCtxCancelDuringBackpressure(t *testing.T) {
 	}
 }
 
-// TestSubmitEncodedBatchCtx: the encoded batch decodes every element
-// up front, preserves element order in age order, and a pre-canceled
+// TestSubmitBatchEncoded: an encoded batch decodes every element up
+// front, preserves element order in age order, and a pre-canceled
 // context refuses the whole batch with no ages consumed.
-func TestSubmitEncodedBatchCtx(t *testing.T) {
+func TestSubmitBatchEncoded(t *testing.T) {
 	counter := stm.NewVar(0)
 	p, err := stm.NewPipeline(stm.Config{Algorithm: stm.OWB, Workers: 2, Codec: ctrCodec{counter}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	const n = 32
-	datas := make([][]byte, n)
+	reqs := make([]stm.Request, n)
 	var want uint64
-	for i := range datas {
-		datas[i] = binary.LittleEndian.AppendUint32(nil, uint32(i+1))
+	for i := range reqs {
+		reqs[i] = stm.Request{Encoded: binary.LittleEndian.AppendUint32(nil, uint32(i+1))}
 		want += uint64(i + 1)
 	}
 
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if out, err := p.SubmitEncodedBatchCtx(canceled, datas); !errors.Is(err, stm.ErrCanceled) || len(out) != 0 {
+	if out, err := p.SubmitBatch(canceled, reqs); !errors.Is(err, stm.ErrCanceled) || len(out) != 0 {
 		t.Fatalf("pre-canceled batch: %d tickets, %v", len(out), err)
 	}
 	if got := p.Submitted(); got != 0 {
 		t.Fatalf("refused batch consumed ages: %d", got)
 	}
 
-	out, err := p.SubmitEncodedBatchCtx(context.Background(), datas)
+	out, err := p.SubmitBatch(context.Background(), reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,5 +205,50 @@ func TestSubmitEncodedBatchCtx(t *testing.T) {
 	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRequestForm: a Request sets exactly one of Body and Encoded. A
+// malformed request is refused before any age is assigned — alone,
+// or anywhere in a batch, which it then refuses whole.
+func TestRequestForm(t *testing.T) {
+	counter := stm.NewVar(0)
+	p, err := stm.NewPipeline(stm.Config{Algorithm: stm.OWB, Workers: 2, Codec: ctrCodec{counter}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	body := func(stm.Tx, int) {}
+	data := binary.LittleEndian.AppendUint32(nil, 1)
+	ctx := context.Background()
+	for name, r := range map[string]stm.Request{
+		"neither": {},
+		"both":    {Body: body, Encoded: data},
+	} {
+		if tk, err := p.SubmitCtx(ctx, r); err == nil || tk != nil {
+			t.Errorf("SubmitCtx of a request with %s set: (%v, %v), want a refusal", name, tk, err)
+		}
+		batch := []stm.Request{{Body: body}, r, {Encoded: data}}
+		if out, err := p.SubmitBatch(ctx, batch); err == nil || len(out) != 0 {
+			t.Errorf("SubmitBatch holding a request with %s set: (%d tickets, %v), want the whole batch refused", name, len(out), err)
+		}
+	}
+	if got := p.Submitted(); got != 0 {
+		t.Fatalf("refused requests consumed %d ages", got)
+	}
+	// Both forms are accepted side by side, and an empty payload is a
+	// set one: the codec sees it (and refuses it, for this codec).
+	out, err := p.SubmitBatch(ctx, []stm.Request{{Body: body}, {Encoded: data}})
+	if err != nil || len(out) != 2 {
+		t.Fatalf("well-formed batch: %d tickets, %v", len(out), err)
+	}
+	if _, err := p.SubmitCtx(ctx, stm.Request{Encoded: []byte{}}); err == nil || !strings.Contains(err.Error(), "bad payload length 0") {
+		t.Fatalf("empty Encoded: %v, want the codec's refusal", err)
+	}
+	if err := out[1].Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if got := counter.Load(); got != 1 {
+		t.Fatalf("counter = %d, want 1", got)
 	}
 }

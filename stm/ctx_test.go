@@ -47,7 +47,7 @@ func TestSubmitCtxCancelDuringBackpressure(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := p.SubmitCtx(ctx, func(stm.Tx, int) {})
+		_, err := p.SubmitCtx(ctx, stm.Request{Body: func(stm.Tx, int) {}})
 		done <- err
 	}()
 	// The submit must be parked (capacity full, frontier gated), not
@@ -77,10 +77,10 @@ func TestSubmitCtxCancelDuringBackpressure(t *testing.T) {
 	// new submissions (ctx already canceled ⇒ refused; fresh ctx ⇒
 	// accepted) behave.
 	close(gate)
-	if _, err := p.SubmitCtx(ctx, func(stm.Tx, int) {}); !errors.Is(err, stm.ErrCanceled) {
+	if _, err := p.SubmitCtx(ctx, stm.Request{Body: func(stm.Tx, int) {}}); !errors.Is(err, stm.ErrCanceled) {
 		t.Fatalf("pre-canceled ctx must refuse submission, got %v", err)
 	}
-	tk, err := p.SubmitCtx(context.Background(), func(stm.Tx, int) {})
+	tk, err := p.SubmitCtx(context.Background(), stm.Request{Body: func(stm.Tx, int) {}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestSubmitCtxCancelDuringBackpressure(t *testing.T) {
 // resolves with the real commit outcome and the latched typed value.
 func TestWaitCtxCancelAfterAgeAssignment(t *testing.T) {
 	p, gate := gatePipeline(t, 2)
-	tk, err := stm.SubmitFunc(p, func(tx stm.Tx, age int) uint64 { return uint64(age) * 2 })
+	tk, err := stm.SubmitFunc(context.Background(), p, func(tx stm.Tx, age int) uint64 { return uint64(age) * 2 })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,8 +138,9 @@ func TestWaitCtxCancelAfterAgeAssignment(t *testing.T) {
 	}
 }
 
-// TestSubmitCtxRace hammers SubmitCtx from many goroutines with
-// randomly timed cancellations while the frontier stalls and resumes;
+// TestSubmitCtxRace hammers the ctx-first submit core (through the
+// typed SubmitFunc) from many goroutines with randomly timed
+// cancellations while the frontier stalls and resumes;
 // run under -race this checks the cancellation paths are data-race
 // free and every accepted ticket resolves exactly once. The final
 // counter must equal the number of accepted submissions — a withdrawn
@@ -161,7 +162,7 @@ func TestSubmitCtxRace(t *testing.T) {
 			defer accepted.Done()
 			for i := 0; i < rounds; i++ {
 				ctx, cancel := context.WithTimeout(context.Background(), time.Duration(i%5)*50*time.Microsecond)
-				tk, err := stm.SubmitFuncCtx(ctx, p, func(tx stm.Tx, _ int) uint64 {
+				tk, err := stm.SubmitFunc(ctx, p, func(tx stm.Tx, _ int) uint64 {
 					nv := stm.ReadT(tx, counter) + 1
 					stm.WriteT(tx, counter, nv)
 					return nv

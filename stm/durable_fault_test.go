@@ -74,7 +74,7 @@ func TestCloseWithInFlightSyncFailureExactlyOnce(t *testing.T) {
 	tickets := make([]*stm.Ticket, 0, n)
 	submit := func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			tk, err := p.SubmitPayload(transferFor(uint64(i)))
+			tk, err := p.SubmitEncoded(transferFor(uint64(i)).encode())
 			if err != nil {
 				t.Fatalf("submit %d: %v", i, err)
 			}
@@ -177,7 +177,7 @@ func TestCloseSyncFailureWithoutNotifyResolvesDurabilityError(t *testing.T) {
 	}
 	tickets := make([]*stm.Ticket, 0, 8)
 	for i := 0; i < 8; i++ {
-		tk, err := p.SubmitPayload(transferFor(uint64(i)))
+		tk, err := p.SubmitEncoded(transferFor(uint64(i)).encode())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,7 +223,7 @@ func TestAppendFailureFailsParkedTicketsFast(t *testing.T) {
 	}
 	tickets := make([]*stm.Ticket, 0, 64)
 	for i := 0; i < 64; i++ {
-		tk, err := p.SubmitPayload(transferFor(uint64(i)))
+		tk, err := p.SubmitEncoded(transferFor(uint64(i)).encode())
 		if err != nil {
 			break
 		}
@@ -274,7 +274,7 @@ func TestDegradeFailsTicketsFastAndKeepsCommitting(t *testing.T) {
 	var acked []uint64 // ages acknowledged durable (ticket resolved nil)
 	var degradedSeen bool
 	for i := 0; i < n; i++ {
-		tk, err := p.SubmitPayload(transferFor(uint64(i)))
+		tk, err := p.SubmitEncoded(transferFor(uint64(i)).encode())
 		if err != nil {
 			t.Fatalf("submit %d rejected (%v): volatile commits must keep flowing after degrade", i, err)
 		}

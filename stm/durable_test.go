@@ -1,6 +1,7 @@
 package stm_test
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -21,6 +22,15 @@ import (
 // holds.
 type transfer struct{ from, to uint32 }
 
+// encode is the transfer's 8-byte wire form, what a durable pipeline
+// is handed and its log stores.
+func (t transfer) encode() []byte {
+	var b [8]byte
+	binary.LittleEndian.PutUint32(b[0:4], t.from)
+	binary.LittleEndian.PutUint32(b[4:8], t.to)
+	return b[:]
+}
+
 // tfCodec encodes transfers and decodes them into bodies over a fixed
 // account slice — the application half of the durability contract.
 type tfCodec struct{ accounts []stm.Var }
@@ -30,10 +40,7 @@ func (c tfCodec) Encode(payload any) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("unexpected payload %T", payload)
 	}
-	var b [8]byte
-	binary.LittleEndian.PutUint32(b[0:4], t.from)
-	binary.LittleEndian.PutUint32(b[4:8], t.to)
-	return b[:], nil
+	return t.encode(), nil
 }
 
 func (c tfCodec) Decode(data []byte) (stm.Body, error) {
@@ -133,7 +140,7 @@ func runDurableStream(t *testing.T, alg stm.Algorithm, dir string, n int, waitDu
 		go func(c int) {
 			defer wg.Done()
 			for i := c; i < n; i += producers {
-				tk, err := p.SubmitPayload(transferFor(uint64(i)))
+				tk, err := p.SubmitEncoded(transferFor(uint64(i)).encode())
 				if err != nil {
 					t.Errorf("submit: %v", err)
 					return
@@ -255,7 +262,7 @@ func TestCrashPrefixEveryOrderedEngine(t *testing.T) {
 			snapDir := t.TempDir()
 			var once sync.Once
 			for i := 0; i < n; i++ {
-				tk, err := p.SubmitPayload(transferFor(uint64(i)))
+				tk, err := p.SubmitEncoded(transferFor(uint64(i)).encode())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -365,7 +372,7 @@ func TestRecoveredPipelineContinues(t *testing.T) {
 		t.Fatal("replayed state diverges from pre-crash state")
 	}
 	for i := n1; i < n1+n2; i++ {
-		tk, err := p.SubmitPayload(transferFor(uint64(i)))
+		tk, err := p.SubmitEncoded(transferFor(uint64(i)).encode())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -392,7 +399,8 @@ func TestRecoveredPipelineContinues(t *testing.T) {
 }
 
 // TestDurablePipelineRejectsOpaqueBodies: a WAL-backed pipeline must
-// not accept submissions it cannot replay.
+// not accept submissions it cannot replay — a Body request through any
+// entry point, alone or inside a batch — and a refusal consumes no age.
 func TestDurablePipelineRejectsOpaqueBodies(t *testing.T) {
 	dir := t.TempDir()
 	w, err := wal.Create(dir, 0, wal.Options{})
@@ -410,11 +418,22 @@ func TestDurablePipelineRejectsOpaqueBodies(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	if _, err := p.Submit(func(stm.Tx, int) {}); !errors.Is(err, stm.ErrPayloadRequired) {
+	body := func(stm.Tx, int) {}
+	if _, err := p.Submit(body); !errors.Is(err, stm.ErrPayloadRequired) {
 		t.Fatalf("Submit err = %v, want ErrPayloadRequired", err)
 	}
-	if _, err := p.SubmitBatch([]stm.Body{func(stm.Tx, int) {}}); !errors.Is(err, stm.ErrPayloadRequired) {
-		t.Fatalf("SubmitBatch err = %v, want ErrPayloadRequired", err)
+	if _, err := p.SubmitCtx(context.Background(), stm.Request{Body: body}); !errors.Is(err, stm.ErrPayloadRequired) {
+		t.Fatalf("SubmitCtx err = %v, want ErrPayloadRequired", err)
+	}
+	batch := []stm.Request{{Encoded: transferFor(0).encode()}, {Body: body}}
+	if out, err := p.SubmitBatch(context.Background(), batch); !errors.Is(err, stm.ErrPayloadRequired) || len(out) != 0 {
+		t.Fatalf("SubmitBatch = (%d tickets, %v), want ErrPayloadRequired for the whole batch", len(out), err)
+	}
+	if _, err := stm.SubmitFunc(context.Background(), p, func(stm.Tx, int) uint64 { return 0 }); !errors.Is(err, stm.ErrPayloadRequired) {
+		t.Fatalf("SubmitFunc err = %v, want ErrPayloadRequired", err)
+	}
+	if got := p.Submitted(); got != 0 {
+		t.Fatalf("refused submissions consumed %d ages", got)
 	}
 }
 
@@ -439,7 +458,7 @@ func TestWaitDurableDefersUntilSync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tk, err := p.SubmitPayload(transferFor(0))
+	tk, err := p.SubmitEncoded(transferFor(0).encode())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -508,7 +527,7 @@ func TestLogFailureCommitStillAcknowledged(t *testing.T) {
 		t.Fatal(err)
 	}
 	log.breakNow()
-	tk, err := p.SubmitPayload(transferFor(0))
+	tk, err := p.SubmitEncoded(transferFor(0).encode())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -537,7 +556,7 @@ func TestLogFailureSurfacesOnTickets(t *testing.T) {
 		t.Fatal(err)
 	}
 	log.breakNow()
-	tk, err := p.SubmitPayload(transferFor(0))
+	tk, err := p.SubmitEncoded(transferFor(0).encode())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -550,9 +569,10 @@ func TestLogFailureSurfacesOnTickets(t *testing.T) {
 	}
 }
 
-// TestSubmitPayloadBatch: the batched durable producer path yields
-// the same log and state as one-at-a-time submission.
-func TestSubmitPayloadBatch(t *testing.T) {
+// TestSubmitBatchDurable: the batched durable producer path (encoded
+// requests under WaitDurable) yields the same log and state as
+// one-at-a-time submission.
+func TestSubmitBatchDurable(t *testing.T) {
 	const n = 96
 	dir := t.TempDir()
 	accounts := newAccounts(durableAccounts, 1000)
@@ -570,13 +590,13 @@ func TestSubmitPayloadBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := make([]any, 0, 16)
+	batch := make([]stm.Request, 0, 16)
 	for i := 0; i < n; i += 16 {
 		batch = batch[:0]
 		for j := i; j < i+16; j++ {
-			batch = append(batch, transferFor(uint64(j)))
+			batch = append(batch, stm.Request{Encoded: transferFor(uint64(j)).encode()})
 		}
-		tks, err := p.SubmitPayloadBatch(batch)
+		tks, err := p.SubmitBatch(context.Background(), batch)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -66,22 +66,15 @@ func (t *TicketOf[R]) ValueCtx(ctx context.Context) (R, error) {
 // SubmitFunc submits a value-returning transaction to the pipeline:
 // fn is executed under the same predefined-order guarantees as a
 // Submit body, and the returned TicketOf resolves when its age
-// commits, carrying the committing attempt's result. (A free function
-// rather than a method because Go methods cannot introduce type
-// parameters.)
+// commits, carrying the committing attempt's result. ctx bounds the
+// backpressure wait with SubmitCtx's withdrawal rule (a nil ctx never
+// cancels). (A free function rather than a method because Go methods
+// cannot introduce type parameters.)
 //
 // On a pipeline configured with a WAL it returns ErrPayloadRequired —
-// opaque funcs cannot be replayed; use SubmitPayloadT with a typed
-// codec instead.
-func SubmitFunc[R any](p *Pipeline, fn Func[R]) (*TicketOf[R], error) {
-	return SubmitFuncCtx[R](nil, p, fn)
-}
-
-// SubmitFuncCtx is SubmitFunc with SubmitCtx's cancellable
-// backpressure wait: a nil ctx never cancels; a cancellation before
-// an age is assigned withdraws the submission with an error wrapping
-// ErrCanceled.
-func SubmitFuncCtx[R any](ctx context.Context, p *Pipeline, fn Func[R]) (*TicketOf[R], error) {
+// opaque funcs cannot be replayed; encode the request with a
+// TypedCodec and submit it with SubmitEncodedT instead.
+func SubmitFunc[R any](ctx context.Context, p *Pipeline, fn Func[R]) (*TicketOf[R], error) {
 	if fn == nil {
 		return nil, errors.New("stm: nil func")
 	}

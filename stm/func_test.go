@@ -1,6 +1,7 @@
 package stm_test
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -60,7 +61,7 @@ func TestSubmitFuncTypedDeterminism(t *testing.T) {
 			}
 			tickets := make([]*stm.TicketOf[uint64], n)
 			for age := 0; age < n; age++ {
-				tk, err := stm.SubmitFunc(p, fnFor(vars, age))
+				tk, err := stm.SubmitFunc(context.Background(), p, fnFor(vars, age))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -118,7 +119,7 @@ func TestValueLatchDiscardsAbortedAttempts(t *testing.T) {
 	vals := make([]uint64, n)
 	tks := make([]*stm.TicketOf[uint64], n)
 	for i := 0; i < n; i++ {
-		tk, err := stm.SubmitFunc(p, fn)
+		tk, err := stm.SubmitFunc(context.Background(), p, fn)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,7 +159,7 @@ func TestTicketOfErrAndDone(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	tk, err := stm.SubmitFunc(p, func(tx stm.Tx, age int) int64 { return int64(age) + 40 })
+	tk, err := stm.SubmitFunc(context.Background(), p, func(tx stm.Tx, age int) int64 { return int64(age) + 40 })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,26 +183,28 @@ func TestStoppedSentinel(t *testing.T) {
 		t.Fatal(err)
 	}
 	gate := make(chan struct{})
-	// A bystander parked behind the faulting age (its body blocks until
-	// the fault has landed, so it cannot commit first).
-	bystander, err := stm.SubmitFunc(p, func(tx stm.Tx, age int) uint64 {
+	boom := errors.New("boom")
+	// The faulting age holds its panic until the bystander is in, so
+	// the stop cannot refuse the bystander's submission.
+	faulty, err := p.Submit(func(tx stm.Tx, age int) {
 		<-gate
-		return 1
+		panic(boom)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	boom := errors.New("boom")
-	faulty, err := p.Submit(func(tx stm.Tx, age int) { panic(boom) })
+	// A bystander above the faulting age: it can only commit after the
+	// age below it, which never commits.
+	bystander, err := stm.SubmitFunc(context.Background(), p, func(tx stm.Tx, age int) uint64 { return 1 })
 	if err != nil {
 		t.Fatal(err)
 	}
+	close(gate)
 	ferr := faulty.Wait()
 	var f *stm.Fault
 	if !errors.As(ferr, &f) {
 		t.Fatalf("faulting ticket resolved with %v, want *Fault", ferr)
 	}
-	close(gate)
 
 	// The bystander resolves with *Stopped; Done closes and Err peeks
 	// without blocking.

@@ -31,14 +31,19 @@ import (
 // whole-stream totals.
 //
 // Faults: a body panic the sandbox cannot attribute to speculation
-// stops the pipeline, exactly as it stops Executor.Run. The faulting
-// ticket resolves with the *Fault; every other unresolved ticket
-// resolves with a *Stopped error. A *Stopped transaction has not
-// committed, with one narrow exception: an attempt already inside
-// its commit step when the fault landed may still complete
-// concurrently with the stop (commits racing the halt are possible
-// in every mode; waiters parked on the order are cancelled). Submit
-// and Close report the fault afterwards.
+// stops the pipeline, exactly as it stops Executor.Run — but, as in
+// the sequential fold, only once the panicking age is reachable: a
+// panic at an age whose predecessors have not all committed is
+// abandoned and retried after they have, so every lower age commits
+// before the fault lands. The faulting ticket resolves with the
+// *Fault; every other unresolved ticket — an age above it — resolves
+// with a *Stopped error. A *Stopped transaction has not committed,
+// with one narrow exception: an attempt already inside its commit
+// step when the fault landed may still complete concurrently with the
+// stop (commits racing the halt are possible in every mode; waiters
+// parked on the order are cancelled). Submit and Close report the
+// fault afterwards. Stop, by contrast, cuts the stream wherever the
+// frontier is.
 //
 // Submit and SubmitBatch may be called from any number of goroutines.
 // Close is idempotent. A Pipeline must be Closed to release its
@@ -66,7 +71,7 @@ type Pipeline struct {
 	ckptN    uint64 // checkpoints committed
 	ckptErr  error  // first checkpoint failure; auto-checkpointing stops
 
-	bodies sync.Pool // *[]Body scratch of SubmitEncodedBatchCtx
+	bodies sync.Pool // *[]Body scratch of SubmitBatch
 
 	closeOnce sync.Once
 	closeErr  error
@@ -182,97 +187,92 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 // Config returns the pipeline's effective configuration.
 func (p *Pipeline) Config() Config { return p.cfg }
 
-// Submit hands the pipeline the next transaction of the stream. It
+// Request is one transaction handed to a Pipeline. Exactly one of Body
+// and Encoded is set; a Request with both or neither is refused.
+type Request struct {
+	// Body is the transaction itself. A durable pipeline (Config.WAL
+	// set) refuses it with ErrPayloadRequired: the log must receive an
+	// input recovery can replay, and a body alone cannot be re-created.
+	Body Body
+	// Encoded is the transaction's wire form. The pipeline decodes it
+	// through Config.Codec and runs the decoded body, so live execution
+	// and recovery replay share one code path by construction; a
+	// durable pipeline logs these bytes once the age commits. The
+	// pipeline retains them only until the ticket resolves, after which
+	// the caller may reuse the backing array — a closed-loop producer
+	// can recycle one encode buffer. A nil Encoded counts as unset, so
+	// an empty payload is a non-nil zero-length slice.
+	Encoded []byte
+}
+
+// Submit is SubmitCtx without a context, for a body: the shortcut of a
+// volatile pipeline.
+func (p *Pipeline) Submit(body Body) (*Ticket, error) {
+	return p.SubmitCtx(nil, Request{Body: body})
+}
+
+// SubmitEncoded is SubmitCtx without a context, for an encoded
+// payload: the shortcut of a durable pipeline and of recovery replay
+// (wal.Recovery.Replay hands each surviving record here).
+func (p *Pipeline) SubmitEncoded(data []byte) (*Ticket, error) {
+	body, err := p.decode(data)
+	if err != nil {
+		return nil, err
+	}
+	return p.submit(nil, body, data)
+}
+
+// SubmitCtx hands the pipeline the next transaction of the stream. It
 // assigns the next age, blocks while Capacity submissions are already
 // in flight, and returns a Ticket resolving when that age commits.
-// After Close it returns ErrClosed; after a fault it returns the
-// *Stopped error. On a pipeline configured with a WAL, Submit returns
-// ErrPayloadRequired — use SubmitPayload or SubmitEncoded so the log
-// receives a replayable input.
-func (p *Pipeline) Submit(body Body) (*Ticket, error) {
-	if p.s.dur != nil {
-		return nil, ErrPayloadRequired
-	}
-	return p.submit(nil, body, nil)
-}
-
-// SubmitCtx is Submit with a cancellable backpressure wait: while the
-// pipeline is at Capacity the call parks exactly like Submit, but a
-// context cancellation withdraws the submission and returns an error
-// wrapping ErrCanceled (and ctx's error). Cancellation is only
-// observed before an age is assigned — once SubmitCtx returns a
-// Ticket the transaction owns its position in the predefined order
-// and will commit regardless of what happens to ctx (use
-// Ticket.WaitCtx to bound the wait instead).
-func (p *Pipeline) SubmitCtx(ctx context.Context, body Body) (*Ticket, error) {
-	if p.s.dur != nil {
-		return nil, ErrPayloadRequired
-	}
-	return p.submit(ctx, body, nil)
-}
-
-// SubmitPayload encodes payload through the configured Codec, decodes
-// it back into the body that will run (live execution and recovery
-// replay share the decoded path by construction), and submits it.
-// The encoded form is what the WAL stores once the age commits.
-func (p *Pipeline) SubmitPayload(payload any) (*Ticket, error) {
-	return p.submitPayload(nil, payload)
-}
-
-// SubmitPayloadCtx is SubmitPayload with SubmitCtx's cancellable
-// backpressure wait and withdrawal semantics.
-func (p *Pipeline) SubmitPayloadCtx(ctx context.Context, payload any) (*Ticket, error) {
-	return p.submitPayload(ctx, payload)
-}
-
-// submitPayload is the shared encode → decode → submit sequence; ctx
-// (nil for the uncancellable entry point) bounds the backpressure
-// wait.
-func (p *Pipeline) submitPayload(ctx context.Context, payload any) (*Ticket, error) {
-	if p.cfg.Codec == nil {
-		return nil, errors.New("stm: SubmitPayload requires Config.Codec")
-	}
-	data, err := p.cfg.Codec.Encode(payload)
-	if err != nil {
-		return nil, fmt.Errorf("stm: encode payload: %w", err)
-	}
-	body, err := p.cfg.Codec.Decode(data)
-	if err != nil {
-		return nil, fmt.Errorf("stm: decode payload: %w", err)
-	}
-	return p.submit(ctx, body, data)
-}
-
-// SubmitEncoded submits a payload already in its wire form — the
-// recovery-replay entry point (wal.Recovery.Replay hands surviving
-// records here), also usable by feeders that hold pre-encoded inputs.
+// After Close it returns ErrClosed; after a fault, the *Stopped error.
 //
-// The pipeline retains data only until the transaction commits (the
-// log copies it as the commit frontier passes); once the submission's
-// ticket has resolved, the caller may reuse the backing array. A
-// closed-loop producer can therefore run the durable submit path with
-// a recycled encode buffer instead of a fresh slice per transaction.
-func (p *Pipeline) SubmitEncoded(data []byte) (*Ticket, error) {
-	return p.SubmitEncodedCtx(nil, data)
+// A context cancellation during the backpressure wait withdraws the
+// submission and returns an error wrapping ErrCanceled (and ctx's
+// error); a nil ctx never cancels. Cancellation is only observed
+// before an age is assigned — once SubmitCtx returns a Ticket the
+// transaction owns its position in the predefined order and will
+// commit regardless of what happens to ctx (bound the wait with
+// Ticket.WaitCtx instead).
+func (p *Pipeline) SubmitCtx(ctx context.Context, r Request) (*Ticket, error) {
+	body, err := p.bodyOf(r)
+	if err != nil {
+		return nil, err
+	}
+	return p.submit(ctx, body, r.Encoded)
 }
 
-// SubmitEncodedCtx is SubmitEncoded with SubmitCtx's cancellable
-// backpressure wait and withdrawal semantics — the ingress path for
-// servers that hold a per-request context: cancellation while the
-// pipeline is at Capacity withdraws the submission; once a Ticket is
-// returned the age is owned and will commit.
-func (p *Pipeline) SubmitEncodedCtx(ctx context.Context, data []byte) (*Ticket, error) {
+// bodyOf checks a request's form and returns the body it runs.
+func (p *Pipeline) bodyOf(r Request) (Body, error) {
+	switch {
+	case (r.Body == nil) == (r.Encoded == nil):
+		return nil, errRequestForm
+	case r.Encoded != nil:
+		return p.decode(r.Encoded)
+	case p.s.dur != nil:
+		return nil, ErrPayloadRequired
+	}
+	return r.Body, nil
+}
+
+var errRequestForm = errors.New("stm: a Request sets exactly one of Body and Encoded")
+
+// decode turns an encoded payload into the body that runs.
+func (p *Pipeline) decode(data []byte) (Body, error) {
 	if p.cfg.Codec == nil {
-		return nil, errors.New("stm: SubmitEncoded requires Config.Codec")
+		return nil, errors.New("stm: an encoded submission requires Config.Codec")
 	}
 	body, err := p.cfg.Codec.Decode(data)
 	if err != nil {
 		return nil, fmt.Errorf("stm: decode payload: %w", err)
 	}
-	return p.submit(ctx, body, data)
+	if body == nil {
+		return nil, errors.New("stm: Codec decoded a nil body")
+	}
+	return body, nil
 }
 
-// submit is the shared submission core over a freshly allocated
+// submit is the single-transaction core over a freshly allocated
 // ticket — the transaction's one allocation; ctx (nil for the
 // uncancellable entry points) bounds the backpressure wait.
 func (p *Pipeline) submit(ctx context.Context, body Body, payload []byte) (*Ticket, error) {
@@ -293,9 +293,6 @@ func (p *Pipeline) submit(ctx context.Context, body Body, payload []byte) (*Tick
 // submission with an error wrapping ErrCanceled; after assignment the
 // context is not consulted, so an accepted age is never lost.
 func (p *Pipeline) submitWith(ctx context.Context, t *Ticket, body Body, payload []byte) error {
-	if body == nil {
-		return errors.New("stm: nil body")
-	}
 	s := p.s
 	var unwatch func() bool
 	defer func() {
@@ -351,115 +348,48 @@ func (p *Pipeline) submitWith(ctx context.Context, t *Ticket, body Body, payload
 	return nil
 }
 
-// SubmitBatch submits the bodies as consecutive ages of the stream,
+// SubmitBatch submits the requests as consecutive ages of the stream,
 // taking the stream lock once for the whole batch instead of once per
-// transaction — the batched producer path for high-throughput feeders
-// (and the shard router, which otherwise serializes every submission
-// through the global sequencer twice). Backpressure applies inside the
-// batch: once Capacity submissions are in flight, the call blocks
-// until the commit frontier advances, exactly as consecutive Submit
-// calls would.
+// transaction — the batched producer path for high-throughput feeders,
+// servers and the shard router. Every request is checked (and decoded)
+// before any age is assigned, so a malformed request refuses the whole
+// batch. Backpressure applies inside the batch: once Capacity
+// submissions are in flight, the call blocks until the commit frontier
+// advances, exactly as consecutive SubmitCtx calls would.
 //
-// It returns one Ticket per accepted body, in order. On a fault or
-// after Close, submission stops at the first rejected body: the
-// returned slice holds the tickets of the bodies accepted before it
-// (they remain valid and resolve normally) and the error reports why
-// the rest were refused.
-func (p *Pipeline) SubmitBatch(bodies []Body) ([]*Ticket, error) {
-	return p.SubmitBatchCtx(nil, bodies)
-}
-
-// SubmitBatchCtx is SubmitBatch with a cancellable backpressure wait:
-// a context cancellation while the batch is parked at Capacity stops
-// submission at the first body that has not yet been assigned an age.
-// The returned slice holds the tickets of the bodies accepted before
-// the cancellation (they own their ages and resolve normally) and the
-// error wraps ErrCanceled. As with SubmitCtx, an accepted age is never
-// withdrawn.
-func (p *Pipeline) SubmitBatchCtx(ctx context.Context, bodies []Body) ([]*Ticket, error) {
-	if p.s.dur != nil {
-		return nil, ErrPayloadRequired
-	}
-	return p.submitBatch(ctx, bodies, nil)
-}
-
-// SubmitPayloadBatch is SubmitBatch for durable pipelines: each
-// payload is encoded, decoded into its body, and the batch submitted
-// as consecutive ages under one stream lock, with the same
-// partial-acceptance semantics as SubmitBatch.
-func (p *Pipeline) SubmitPayloadBatch(payloads []any) ([]*Ticket, error) {
-	return p.SubmitPayloadBatchCtx(nil, payloads)
-}
-
-// SubmitPayloadBatchCtx is SubmitPayloadBatch with SubmitBatchCtx's
-// cancellable backpressure wait and partial-acceptance semantics.
-func (p *Pipeline) SubmitPayloadBatchCtx(ctx context.Context, payloads []any) ([]*Ticket, error) {
-	if p.cfg.Codec == nil {
-		return nil, errors.New("stm: SubmitPayloadBatch requires Config.Codec")
-	}
-	bodies := make([]Body, len(payloads))
-	datas := make([][]byte, len(payloads))
-	for i, pl := range payloads {
-		data, err := p.cfg.Codec.Encode(pl)
-		if err != nil {
-			return nil, fmt.Errorf("stm: encode payload %d: %w", i, err)
-		}
-		body, err := p.cfg.Codec.Decode(data)
-		if err != nil {
-			return nil, fmt.Errorf("stm: decode payload %d: %w", i, err)
-		}
-		bodies[i], datas[i] = body, data
-	}
-	return p.submitBatch(ctx, bodies, datas)
-}
-
-// SubmitEncodedBatch is SubmitEncoded's batched form: each element is
-// decoded through the Codec and the batch submitted as consecutive
-// ages under one stream lock. Buffer reuse follows SubmitEncoded's
-// rule per element — the pipeline retains datas[i] only until ticket
-// i resolves.
-func (p *Pipeline) SubmitEncodedBatch(datas [][]byte) ([]*Ticket, error) {
-	return p.SubmitEncodedBatchCtx(nil, datas)
-}
-
-// SubmitEncodedBatchCtx is SubmitEncodedBatch with SubmitBatchCtx's
-// cancellable backpressure wait and partial-acceptance semantics —
-// the batched ingress path for servers feeding pre-encoded request
-// frames under a connection context.
-func (p *Pipeline) SubmitEncodedBatchCtx(ctx context.Context, datas [][]byte) ([]*Ticket, error) {
-	if p.cfg.Codec == nil {
-		return nil, errors.New("stm: SubmitEncodedBatch requires Config.Codec")
-	}
-	// The decoded bodies only bridge Decode and post (the submission
-	// ring holds them from there), so the slice is borrowed, not made
-	// per call.
+// It returns one Ticket per accepted request, in order. On a fault,
+// after Close, or on a cancellation of ctx while the batch is parked
+// at Capacity, submission stops at the first request not yet assigned
+// an age: the returned slice holds the tickets of the requests
+// accepted before it (they own their ages and resolve normally) and
+// the error reports why the rest were refused. As with SubmitCtx, an
+// accepted age is never withdrawn.
+func (p *Pipeline) SubmitBatch(ctx context.Context, reqs []Request) ([]*Ticket, error) {
+	// The bodies only bridge decoding and post (the submission ring
+	// holds them from there), so the slice is borrowed, not made per
+	// call.
 	scratch := p.bodies.Get().(*[]Body)
 	defer func() {
 		clear(*scratch)
 		*scratch = (*scratch)[:0]
 		p.bodies.Put(scratch)
 	}()
-	for i, data := range datas {
-		body, err := p.cfg.Codec.Decode(data)
+	for i, r := range reqs {
+		body, err := p.bodyOf(r)
 		if err != nil {
-			return nil, fmt.Errorf("stm: decode payload %d: %w", i, err)
+			return nil, fmt.Errorf("stm: request %d of the batch: %w", i, err)
 		}
 		*scratch = append(*scratch, body)
 	}
-	return p.submitBatch(ctx, *scratch, datas)
+	return p.submitBatch(ctx, *scratch, reqs)
 }
 
-// submitBatch is the shared batched core; payloads is nil for
-// non-durable pipelines, else parallel to bodies. A non-nil ctx makes
-// the per-body backpressure wait cancellable with SubmitCtx's
+// submitBatch is the batched core: bodies[i] runs as reqs[i], whose
+// Encoded bytes a durable pipeline retains. A non-nil ctx makes the
+// per-request backpressure wait cancellable with SubmitCtx's
 // withdrawal rule: cancellation stops the batch before the next age
 // assignment, never after one.
-func (p *Pipeline) submitBatch(ctx context.Context, bodies []Body, payloads [][]byte) ([]*Ticket, error) {
-	for _, b := range bodies {
-		if b == nil {
-			return nil, errors.New("stm: nil body")
-		}
-	}
+func (p *Pipeline) submitBatch(ctx context.Context, bodies []Body, reqs []Request) ([]*Ticket, error) {
 	if len(bodies) == 0 {
 		return nil, nil
 	}
@@ -521,12 +451,8 @@ func (p *Pipeline) submitBatch(ctx context.Context, bodies []Body, payloads [][]
 		if waitT0 != 0 {
 			p.po.submitWait.Observe(time.Now().UnixNano() - waitT0)
 		}
-		var data []byte
-		if payloads != nil {
-			data = payloads[i]
-		}
 		t := &block[i]
-		s.post(t, body, data)
+		s.post(t, body, reqs[i].Encoded)
 		out = append(out, t)
 	}
 	s.cond.Broadcast() // wake claim-blocked workers

@@ -8,6 +8,7 @@ import (
 
 	"github.com/orderedstm/ostm/internal/rng"
 	"github.com/orderedstm/ostm/stm"
+	"github.com/orderedstm/ostm/stm/wal"
 )
 
 // streamCmd is one heterogeneous transaction of a randomized
@@ -161,9 +162,10 @@ func TestPipelineStreamingEquivalence(t *testing.T) {
 	}
 }
 
-// TestPipelineFaultSemantics: a deterministic panic stops the stream;
-// the faulting ticket resolves with the *Fault, later tickets with
-// *Stopped, and Submit/Close report the fault.
+// TestPipelineFaultSemantics: a deterministic panic stops the stream
+// once every lower age has committed; the faulting ticket resolves
+// with the *Fault, later tickets with *Stopped, and Submit/Close
+// report the fault.
 func TestPipelineFaultSemantics(t *testing.T) {
 	for _, alg := range []stm.Algorithm{stm.Sequential, stm.OUL, stm.OWB, stm.OrderedTL2} {
 		t.Run(alg.String(), func(t *testing.T) {
@@ -201,6 +203,9 @@ func TestPipelineFaultSemantics(t *testing.T) {
 					continue
 				}
 				werr := tk.Wait() // must not hang
+				if i < 37 && werr != nil {
+					t.Fatalf("ticket %d below the fault resolved with %v", i, werr)
+				}
 				var st *stm.Stopped
 				if errors.As(werr, &st) {
 					sawStopped = true
@@ -214,6 +219,72 @@ func TestPipelineFaultSemantics(t *testing.T) {
 			}
 			if _, err := p.Submit(func(tx stm.Tx, age int) {}); err == nil {
 				t.Fatal("Submit after fault succeeded")
+			}
+		})
+	}
+}
+
+// faultCodec is tfCodec plus the payload 0xFD, which decodes into a
+// body that panics at once: stm/serve's wire fault, without the wire.
+type faultCodec struct{ tfCodec }
+
+func (c faultCodec) Decode(data []byte) (stm.Body, error) {
+	if len(data) == 1 && data[0] == 0xFD {
+		return func(stm.Tx, int) { panic("fault") }, nil
+	}
+	return c.tfCodec.Decode(data)
+}
+
+// TestFaultWaitsForLowerAges is stm/serve's TestServeFaultMapping
+// without the wire: five transfers, then a body that panics at once.
+// However far ahead of the frontier the panicking attempt first runs,
+// its panic is the fault only at a reachable age — so the five commit,
+// the sixth resolves with the *Fault, and memory holds exactly the
+// sequential fold of the five.
+func TestFaultWaitsForLowerAges(t *testing.T) {
+	for _, alg := range []stm.Algorithm{stm.OWB, stm.OrderedTL2, stm.OrderedNOrec, stm.Sequential} {
+		t.Run(alg.String(), func(t *testing.T) {
+			accounts := newAccounts(durableAccounts, 1000)
+			p, err := stm.NewPipeline(stm.Config{Algorithm: alg, Workers: 4, Codec: faultCodec{tfCodec{accounts}}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var tks []*stm.Ticket
+			var recs []wal.Record
+			for age := uint64(0); age < 5; age++ {
+				data := transferFor(age).encode()
+				tk, err := p.SubmitEncoded(data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tks = append(tks, tk)
+				recs = append(recs, wal.Record{Age: age, Payload: data})
+			}
+			boom, err := p.SubmitEncoded([]byte{0xFD})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for age, tk := range tks {
+				if err := tk.Wait(); err != nil {
+					t.Fatalf("age %d below the fault: %v", age, err)
+				}
+			}
+			var f *stm.Fault
+			if err := boom.Wait(); !errors.As(err, &f) || f.Age != 5 {
+				t.Fatalf("faulting age resolved with %v, want the *Fault at age 5", err)
+			}
+			if err := p.Close(); !errors.As(err, &f) || f.Age != 5 {
+				t.Fatalf("Close = %v, want the *Fault at age 5", err)
+			}
+			model := make([]uint64, durableAccounts)
+			for i := range model {
+				model[i] = 1000
+			}
+			if err := applyTransfers(model, recs, 0); err != nil {
+				t.Fatal(err)
+			}
+			if !equalState(snapshot(accounts), model) {
+				t.Fatal("memory differs from the sequential fold of the ages below the fault")
 			}
 		})
 	}

@@ -1,13 +1,59 @@
 package stm_test
 
 import (
+	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"github.com/orderedstm/ostm/internal/rng"
 	"github.com/orderedstm/ostm/stm"
 )
+
+// readTrace records, per age, the values the committing attempt read.
+// Every attempt restarts its age's slot and the attempt that commits
+// runs last (DESIGN.md §10), so after a run each slot holds what the
+// committed transaction saw — comparable, age by age, with the
+// sequential run's.
+type readTrace [][]uint64
+
+// record wraps body so that each attempt's reads land in its slot.
+func (tr readTrace) record(body stm.Body) stm.Body {
+	return func(tx stm.Tx, age int) {
+		tr[age] = tr[age][:0]
+		body(tracingTx{tx, &tr[age]}, age)
+	}
+}
+
+type tracingTx struct {
+	stm.Tx
+	reads *[]uint64
+}
+
+func (t tracingTx) Read(v *stm.Var) uint64 {
+	x := t.Tx.Read(v)
+	*t.reads = append(*t.reads, x)
+	return x
+}
+
+// divergence compares a run against the sequential one: it names the
+// lowest age whose committed reads differ, or — when every age read
+// what it read sequentially — the first variable left different. It
+// returns "" when the run matches.
+func (tr readTrace) divergence(seq readTrace, got, want []uint64) string {
+	for age := range seq {
+		if !slices.Equal(tr[age], seq[age]) {
+			return fmt.Sprintf("lowest divergent age %d read %v, sequentially %v", age, tr[age], seq[age])
+		}
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			return fmt.Sprintf("every age read its sequential values, yet var %d = %#x, want %#x", i, got[i], want[i])
+		}
+	}
+	return ""
+}
 
 // TestQuickACOEquivalence is the property-based form of the central
 // oracle: for arbitrary seeds, a random transactional program run by
@@ -18,21 +64,20 @@ func TestQuickACOEquivalence(t *testing.T) {
 	prop := func(seed uint64, algPick, workerPick uint8) bool {
 		alg := ordered[int(algPick)%len(ordered)]
 		workers := []int{2, 3, 5, 8}[workerPick%4]
+		const n = 60
 		vars := stm.NewVars(10)
 		body := yieldingBody(seed, vars, 6)
 
-		mustRun(t, stm.Config{Algorithm: stm.Sequential}, 60, body)
+		seq := make(readTrace, n)
+		mustRun(t, stm.Config{Algorithm: stm.Sequential}, n, seq.record(body))
 		want := snapshot(vars)
 
 		resetVars(vars)
-		mustRun(t, stm.Config{Algorithm: alg, Workers: workers}, 60, body)
-		got := snapshot(vars)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Logf("alg=%v workers=%d seed=%d: var %d %#x != %#x",
-					alg, workers, seed, i, got[i], want[i])
-				return false
-			}
+		tr := make(readTrace, n)
+		mustRun(t, stm.Config{Algorithm: alg, Workers: workers}, n, tr.record(body))
+		if d := tr.divergence(seq, snapshot(vars), want); d != "" {
+			t.Logf("%v seed=%d workers=%d: %s", alg, seed, workers, d)
+			return false
 		}
 		return true
 	}
@@ -46,20 +91,28 @@ func TestQuickACOEquivalence(t *testing.T) {
 func TestQuickMonotonicCounter(t *testing.T) {
 	ordered := stm.OrderedAlgorithms()
 	prop := func(seed uint64, algPick uint8) bool {
+		const workers = 4
 		alg := ordered[int(algPick)%len(ordered)]
 		v := stm.NewVar(0)
 		r := rng.New(seed)
 		increments := make([]uint64, 80)
+		seq := make(readTrace, len(increments))
 		var want uint64
 		for i := range increments {
 			increments[i] = r.Uint64n(1000)
+			seq[i] = []uint64{want} // the sequential fold reads the running sum
 			want += increments[i]
 		}
-		mustRun(t, stm.Config{Algorithm: alg, Workers: 4}, len(increments), func(tx stm.Tx, age int) {
+		tr := make(readTrace, len(increments))
+		mustRun(t, stm.Config{Algorithm: alg, Workers: workers}, len(increments), tr.record(func(tx stm.Tx, age int) {
 			tx.Write(v, tx.Read(v)+increments[age])
 			runtime.Gosched()
-		})
-		return v.Load() == want
+		}))
+		if d := tr.divergence(seq, []uint64{v.Load()}, []uint64{want}); d != "" {
+			t.Logf("%v seed=%d workers=%d: %s", alg, seed, workers, d)
+			return false
+		}
+		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
@@ -71,10 +124,12 @@ func TestQuickMonotonicCounter(t *testing.T) {
 // arrangement must match the sequential order.
 func TestQuickSwapChain(t *testing.T) {
 	prop := func(seed uint64) bool {
-		const nVars, nTx = 8, 100
+		const nVars, nTx, workers = 8, 100, 6
 		vars := stm.NewVars(nVars)
-		for i := range vars {
-			vars[i].Store(uint64(i) * 111)
+		reset := func() {
+			for i := range vars {
+				vars[i].Store(uint64(i) * 111)
+			}
 		}
 		body := func(tx stm.Tx, age int) {
 			r := rng.New(seed ^ rng.Mix64(uint64(age)))
@@ -84,18 +139,17 @@ func TestQuickSwapChain(t *testing.T) {
 			tx.Write(&vars[j], a)
 			runtime.Gosched()
 		}
-		mustRun(t, stm.Config{Algorithm: stm.Sequential}, nTx, body)
+		reset()
+		seq := make(readTrace, nTx)
+		mustRun(t, stm.Config{Algorithm: stm.Sequential}, nTx, seq.record(body))
 		want := snapshot(vars)
 		for _, alg := range []stm.Algorithm{stm.OWB, stm.OUL, stm.OULSteal} {
-			for i := range vars {
-				vars[i].Store(uint64(i) * 111)
-			}
-			mustRun(t, stm.Config{Algorithm: alg, Workers: 6}, nTx, body)
-			got := snapshot(vars)
-			for k := range want {
-				if got[k] != want[k] {
-					return false
-				}
+			reset()
+			tr := make(readTrace, nTx)
+			mustRun(t, stm.Config{Algorithm: alg, Workers: workers}, nTx, tr.record(body))
+			if d := tr.divergence(seq, snapshot(vars), want); d != "" {
+				t.Logf("%v seed=%d workers=%d: %s", alg, seed, workers, d)
+				return false
 			}
 		}
 		return true
@@ -161,20 +215,20 @@ func TestOrderedCommitOrderObserved(t *testing.T) {
 // TestHugeWindowAndTinyTable: extreme configurations must still be
 // correct.
 func TestHugeWindowAndTinyTable(t *testing.T) {
+	const seed, n, workers = 3, 150, 4
 	vars := stm.NewVars(16)
-	body := yieldingBody(3, vars, 5)
-	mustRun(t, stm.Config{Algorithm: stm.Sequential}, 150, body)
+	body := yieldingBody(seed, vars, 5)
+	seq := make(readTrace, n)
+	mustRun(t, stm.Config{Algorithm: stm.Sequential}, n, seq.record(body))
 	want := snapshot(vars)
 	for _, alg := range []stm.Algorithm{stm.OWB, stm.OUL, stm.OULSteal} {
 		resetVars(vars)
+		tr := make(readTrace, n)
 		mustRun(t, stm.Config{
-			Algorithm: alg, Workers: 4, Window: 10000, TableBits: 4, SpinBudget: 2,
-		}, 150, body)
-		got := snapshot(vars)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%v: diverged at var %d", alg, i)
-			}
+			Algorithm: alg, Workers: workers, Window: 10000, TableBits: 4, SpinBudget: 2,
+		}, n, tr.record(body))
+		if d := tr.divergence(seq, snapshot(vars), want); d != "" {
+			t.Errorf("%v seed=%d workers=%d: %s", alg, seed, workers, d)
 		}
 	}
 }

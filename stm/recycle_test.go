@@ -1,6 +1,7 @@
 package stm_test
 
 import (
+	"context"
 	"testing"
 
 	"github.com/orderedstm/ostm/stm"
@@ -50,17 +51,17 @@ func TestRecyclingDeterminism(t *testing.T) {
 				tickets := make([]*stm.Ticket, 0, n)
 				if batched {
 					const chunk = 32
-					bodies := make([]stm.Body, 0, chunk)
+					reqs := make([]stm.Request, 0, chunk)
 					for at := 0; at < n; at += chunk {
 						end := at + chunk
 						if end > n {
 							end = n
 						}
-						bodies = bodies[:0]
+						reqs = reqs[:0]
 						for i := at; i < end; i++ {
-							bodies = append(bodies, streamBody(cmds[i], accounts, results, i))
+							reqs = append(reqs, stm.Request{Body: streamBody(cmds[i], accounts, results, i)})
 						}
-						tks, err := p.SubmitBatch(bodies)
+						tks, err := p.SubmitBatch(context.Background(), reqs)
 						if err != nil {
 							t.Fatalf("SubmitBatch at %d: %v", at, err)
 						}

@@ -71,6 +71,9 @@ type ringSlot struct {
 type wctx struct {
 	src  meta.TxnPool
 	cell *meta.StatsCell
+	// unreached marks an attempt abandoned on a panic at an age the
+	// order could not yet reach; the retry first waits for that age.
+	unreached bool
 }
 
 // freshSource is the no-recycling descriptor source: one fresh
@@ -280,6 +283,11 @@ func (l *loop) runOne(w *wctx, age uint64, body Body) bool {
 			switch {
 			case l.mode == meta.ModeUnordered:
 				// no order to wait on
+			case w.unreached:
+				// The last attempt panicked before its age was
+				// reachable; this one runs where a panic is genuine.
+				w.unreached = false
+				l.order.WaitReachable(age, l.stopf)
 			case l.mode == meta.ModeLite:
 				// A denied STMLite transaction re-executes right at
 				// the commit frontier: grants are in age order anyway,
@@ -321,9 +329,13 @@ func (l *loop) runOne(w *wctx, age uint64, body Body) bool {
 }
 
 // sandbox runs the body, containing speculative faults: an abort
-// signal or a doomed/invalid snapshot leads to a retry; anything else
-// is a genuine fault and stops the loop. Abandoned attempts are
-// retired into the calling goroutine's pool.
+// signal or a doomed/invalid snapshot leads to a retry. So does any
+// panic at an age the order cannot reach yet: in the sequential fold
+// every lower age commits before this one runs, so the panic is the
+// fault only once it recurs at a reachable age (runOne waits for that
+// before the retry). Anything else is a genuine fault and stops the
+// loop. Abandoned attempts are retired into the calling goroutine's
+// pool.
 func (l *loop) sandbox(w *wctx, txn meta.Txn, body Body) (ok bool) {
 	w.cell.Start()
 	defer func() {
@@ -342,6 +354,12 @@ func (l *loop) sandbox(w *wctx, txn meta.Txn, body Body) (ok bool) {
 		if rv, can := txn.(meta.Revalidator); can && !rv.ReadSetValid() {
 			txn.AbandonAttempt()
 			w.src.Retire(txn)
+			return
+		}
+		if l.mode != meta.ModeUnordered && !l.order.Reachable(txn.Age()) {
+			txn.AbandonAttempt()
+			w.src.Retire(txn)
+			w.unreached = true
 			return
 		}
 		if l.cfg.RetryUnknownPanics {

@@ -26,44 +26,62 @@ type ticket interface {
 	WaitCtx(ctx context.Context) error
 }
 
-// backend abstracts the two pipeline shapes behind the encoded-submit
-// entry points the wire carries. batch appends the accepted tickets to
-// out (the caller's scratch) and returns it.
+// backend abstracts the two pipeline shapes behind the encoded
+// requests the wire carries. Each stream owns one, so its request
+// scratch is per connection and a burst allocates nothing new. batch
+// appends the accepted tickets to out (the caller's scratch) and
+// returns it.
 type backend interface {
 	one(ctx context.Context, data []byte) (ticket, error)
 	batch(ctx context.Context, datas [][]byte, out []ticket) ([]ticket, error)
 }
 
-type pipeBackend struct{ p *stm.Pipeline }
+type pipeBackend struct {
+	p    *stm.Pipeline
+	reqs []stm.Request
+}
 
-func (b pipeBackend) one(ctx context.Context, data []byte) (ticket, error) {
-	t, err := b.p.SubmitEncodedCtx(ctx, data)
+func (b *pipeBackend) one(ctx context.Context, data []byte) (ticket, error) {
+	t, err := b.p.SubmitCtx(ctx, stm.Request{Encoded: data})
 	if t == nil {
 		return nil, err
 	}
 	return t, err
 }
 
-func (b pipeBackend) batch(ctx context.Context, datas [][]byte, out []ticket) ([]ticket, error) {
-	lts, err := b.p.SubmitEncodedBatchCtx(ctx, datas)
+func (b *pipeBackend) batch(ctx context.Context, datas [][]byte, out []ticket) ([]ticket, error) {
+	for _, data := range datas {
+		b.reqs = append(b.reqs, stm.Request{Encoded: data})
+	}
+	lts, err := b.p.SubmitBatch(ctx, b.reqs)
+	clear(b.reqs)
+	b.reqs = b.reqs[:0]
 	for _, t := range lts {
 		out = append(out, t)
 	}
 	return out, err
 }
 
-type shardBackend struct{ sp *shard.ShardedPipeline }
+type shardBackend struct {
+	sp   *shard.ShardedPipeline
+	reqs []shard.Request
+}
 
-func (b shardBackend) one(ctx context.Context, data []byte) (ticket, error) {
-	t, err := b.sp.SubmitEncodedCtx(ctx, data)
+func (b *shardBackend) one(ctx context.Context, data []byte) (ticket, error) {
+	t, err := b.sp.SubmitCtx(ctx, shard.Request{Encoded: data})
 	if t == nil {
 		return nil, err
 	}
 	return t, err
 }
 
-func (b shardBackend) batch(ctx context.Context, datas [][]byte, out []ticket) ([]ticket, error) {
-	lts, err := b.sp.SubmitEncodedBatchCtx(ctx, datas)
+func (b *shardBackend) batch(ctx context.Context, datas [][]byte, out []ticket) ([]ticket, error) {
+	for _, data := range datas {
+		b.reqs = append(b.reqs, shard.Request{Encoded: data})
+	}
+	lts, err := b.sp.SubmitBatch(ctx, b.reqs)
+	clear(b.reqs)
+	b.reqs = b.reqs[:0]
 	for _, t := range lts {
 		var tk ticket // stays nil for a refused request: positions align with datas
 		if t != nil {
@@ -79,7 +97,7 @@ type Config struct {
 	// Pipeline or Sharded is the engine behind the wire; exactly one
 	// must be set. Either way it must be configured with the Codec
 	// that decodes the request payloads (the server submits the raw
-	// frame payloads through SubmitEncoded*).
+	// frame payloads as encoded requests).
 	Pipeline *stm.Pipeline
 	Sharded  *shard.ShardedPipeline
 
@@ -114,7 +132,7 @@ type Config struct {
 	// DefaultMaxFrame).
 	MaxFrame int
 	// MaxBatch caps how many already-buffered frames ingress
-	// coalesces into one SubmitEncodedBatch call (default 64).
+	// coalesces into one SubmitBatch call (default 64).
 	MaxBatch int
 }
 
@@ -124,7 +142,6 @@ type Config struct {
 // order. Create with NewServer, start with Start, stop with Shutdown.
 type Server struct {
 	cfg Config
-	b   backend
 	hs  *http.Server
 	ln  net.Listener
 
@@ -145,11 +162,6 @@ func NewServer(cfg Config) (*Server, error) {
 		cfg.MaxBatch = 64
 	}
 	s := &Server{cfg: cfg}
-	if cfg.Pipeline != nil {
-		s.b = pipeBackend{cfg.Pipeline}
-	} else {
-		s.b = shardBackend{cfg.Sharded}
-	}
 	var mux *http.ServeMux
 	if cfg.Obs != nil {
 		mux = obs.NewMux(cfg.Obs) // /metrics, /debug/vars, /debug/pprof/*
@@ -238,7 +250,7 @@ func (s *Server) gateErr() error {
 // no allocation; whatever does not fit goes to the heap.
 //
 // Lifetime rule. The pipeline keeps a submitted payload until its
-// ticket resolves — the SubmitEncoded contract: the body may alias it
+// ticket resolves — the Request.Encoded contract: the body may alias it
 // until commit, the log copies it at the commit frontier, and under
 // WaitDurable resolution waits for the fsync — so a buffer is released
 // only after its ticket resolved. Responses are written in submission
@@ -329,10 +341,16 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// which is what makes the response stream's commit-order contract
 	// hold.
 	var (
+		b       backend
 		runData [][]byte // the run being collected: its payloads,
 		run     []entry  // and its entries, outcome still to be filled in
 		tickets []ticket // scratch of backend.batch
 	)
+	if s.cfg.Pipeline != nil {
+		b = &pipeBackend{p: s.cfg.Pipeline}
+	} else {
+		b = &shardBackend{sp: s.cfg.Sharded}
+	}
 	flushRun := func() {
 		if len(run) == 0 {
 			return
@@ -340,7 +358,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		tickets = tickets[:0]
 		err := s.gateErr()
 		if err == nil {
-			tickets, err = s.b.batch(ctx, runData, tickets)
+			tickets, err = b.batch(ctx, runData, tickets)
 		}
 		for i, e := range run {
 			if i < len(tickets) && tickets[i] != nil {
@@ -382,7 +400,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		dctx, cancel := context.WithTimeout(ctx, time.Duration(deadlineMS)*time.Millisecond)
-		t, serr := s.b.one(dctx, payload)
+		t, serr := b.one(dctx, payload)
 		if serr != nil {
 			cancel()
 			queue <- entry{id: id, err: serr, mark: ar.Mark()}

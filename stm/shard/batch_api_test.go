@@ -2,6 +2,7 @@ package shard_test
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"sync"
 	"testing"
@@ -12,12 +13,14 @@ import (
 	"github.com/orderedstm/ostm/stm/wal"
 )
 
-// TestShardSubmitPayloadBatchDurable: the batched durable submit path
-// (payload and encoded forms, heavy cross-shard traffic, WaitDurable)
-// produces the same state as the sequential fold of its WAL, and a
-// fresh router replaying that WAL rebuilds it — i.e. the batch path
-// writes exactly the same log the one-at-a-time path would.
-func TestShardSubmitPayloadBatchDurable(t *testing.T) {
+// TestShardSubmitBatchDurable: the batched durable submit path
+// (encoded requests, heavy cross-shard traffic, WaitDurable) produces
+// the same state as the sequential fold of its WAL, and a fresh router
+// replaying that WAL rebuilds it — i.e. the batch path writes exactly
+// the same log the one-at-a-time path would. Half the producers
+// overwrite their encode buffers as soon as SubmitBatch returns, which
+// the router's copy of every encoded request allows.
+func TestShardSubmitBatchDurable(t *testing.T) {
 	const n, shards, batch = 384, 2, 16
 	dir := t.TempDir()
 	accounts := newDurAccounts()
@@ -59,30 +62,28 @@ func TestShardSubmitPayloadBatchDurable(t *testing.T) {
 		go func(c int) {
 			defer wg.Done()
 			mine := payloads[c*per : (c+1)*per]
+			reuse := c%2 == 1
+			reqs := make([]shard.Request, batch)
 			for off := 0; off < len(mine); off += batch {
 				end := off + batch
 				if end > len(mine) {
 					end = len(mine)
 				}
-				var tks []*shard.Ticket
-				var err error
-				if c%2 == 0 {
-					chunk := make([]any, end-off)
-					for i := range chunk {
-						chunk[i] = mine[off+i]
+				reqs = reqs[:end-off]
+				for i := range reqs {
+					if reuse && reqs[i].Encoded != nil {
+						x := mine[off+i]
+						binary.LittleEndian.PutUint32(reqs[i].Encoded[0:4], x.from)
+						binary.LittleEndian.PutUint32(reqs[i].Encoded[4:8], x.to)
+					} else {
+						reqs[i] = shard.Request{Encoded: mine[off+i].encode()}
 					}
-					tks, err = sp.SubmitPayloadBatch(chunk)
-				} else {
-					// The encoded form: pre-encode through the same codec.
-					datas := make([][]byte, end-off)
-					for i := range datas {
-						datas[i], err = xferCodec{}.Encode(mine[off+i])
-						if err != nil {
-							t.Errorf("encode: %v", err)
-							return
-						}
+				}
+				tks, err := sp.SubmitBatch(context.Background(), reqs)
+				if reuse {
+					for i := range reqs {
+						clear(reqs[i].Encoded) // the router holds its own copies
 					}
-					tks, err = sp.SubmitEncodedBatch(datas)
 				}
 				if err != nil {
 					t.Errorf("batch submit: %v", err)
@@ -138,10 +139,10 @@ func TestShardSubmitPayloadBatchDurable(t *testing.T) {
 	}
 }
 
-// TestShardSubmitBatchCtxCanceled: a pre-canceled context refuses the
-// whole batch before any age is assigned, and the router stays fully
-// usable afterwards.
-func TestShardSubmitBatchCtxCanceled(t *testing.T) {
+// TestShardSubmitBatchCanceled: a pre-canceled context refuses the
+// whole batch (and a single encoded request) before any age is
+// assigned, and the router stays fully usable afterwards.
+func TestShardSubmitBatchCanceled(t *testing.T) {
 	dir := t.TempDir()
 	accounts := newDurAccounts()
 	w, err := wal.Create(dir, 0, wal.Options{})
@@ -162,23 +163,24 @@ func TestShardSubmitBatchCtxCanceled(t *testing.T) {
 	cancel()
 	// The sharded batch result is index-preserving: refused positions
 	// are nil in a full-length slice. Pre-canceled ⇒ all nil.
-	out, err := sp.SubmitPayloadBatchCtx(ctx, []any{xferFor(0), xferFor(1)})
+	reqs := []shard.Request{{Encoded: xferFor(0).encode()}, {Encoded: xferFor(1).encode()}}
+	out, err := sp.SubmitBatch(ctx, reqs)
 	if !errors.Is(err, stm.ErrCanceled) {
-		t.Fatalf("pre-canceled payload batch: %v", err)
+		t.Fatalf("pre-canceled batch: %v", err)
 	}
 	for i, tk := range out {
 		if tk != nil {
 			t.Fatalf("pre-canceled batch accepted request %d", i)
 		}
 	}
-	if _, err := sp.SubmitPayloadCtx(ctx, xferFor(0)); !errors.Is(err, stm.ErrCanceled) {
-		t.Fatalf("pre-canceled SubmitPayloadCtx: %v", err)
+	if _, err := sp.SubmitCtx(ctx, shard.Request{Encoded: xferFor(0).encode()}); !errors.Is(err, stm.ErrCanceled) {
+		t.Fatalf("pre-canceled SubmitCtx: %v", err)
 	}
 	if got := sp.Submitted(); got != 0 {
 		t.Fatalf("refused submissions consumed ages: %d", got)
 	}
 
-	tks, err := sp.SubmitPayloadBatchCtx(context.Background(), []any{xferFor(0), xferFor(1), xferFor(2)})
+	tks, err := sp.SubmitBatch(context.Background(), append(reqs, shard.Request{Encoded: xferFor(2).encode()}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -132,7 +132,7 @@ func TestShardedCheckpointCrashRecovery(t *testing.T) {
 			}
 			payloads := crossPayloads(sp, accounts, n)
 			for i := 0; i < n; i++ {
-				tk, err := sp.SubmitPayload(payloads[i])
+				tk, err := sp.SubmitEncoded(payloads[i].encode())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -200,7 +200,7 @@ func TestShardedCleanCloseCheckpointAndContinue(t *testing.T) {
 	}
 	payloads := crossPayloads(sp, accounts, n1+n2)
 	for i := 0; i < n1; i++ {
-		tk, err := sp.SubmitPayload(payloads[i])
+		tk, err := sp.SubmitEncoded(payloads[i].encode())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -261,7 +261,7 @@ func TestShardedCleanCloseCheckpointAndContinue(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := n1; i < n1+n2; i++ {
-		tk, err := sp2.SubmitPayload(payloads[i])
+		tk, err := sp2.SubmitEncoded(payloads[i].encode())
 		if err != nil {
 			t.Fatal(err)
 		}

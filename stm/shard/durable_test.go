@@ -1,6 +1,7 @@
 package shard_test
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -23,6 +24,15 @@ const durAccounts = 96
 // transactions are genuinely cross-shard and exercise fence recovery.
 type xfer struct{ from, to uint32 }
 
+// encode is the transfer's 8-byte wire form, what a durable router
+// is handed and its log stores.
+func (x xfer) encode() []byte {
+	var b [8]byte
+	binary.LittleEndian.PutUint32(b[0:4], x.from)
+	binary.LittleEndian.PutUint32(b[4:8], x.to)
+	return b[:]
+}
+
 func xferFor(g uint64) xfer {
 	return xfer{
 		from: uint32((g * 7) % durAccounts),
@@ -39,10 +49,7 @@ func (c xferCodec) Encode(payload any) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("unexpected payload %T", payload)
 	}
-	var b [8]byte
-	binary.LittleEndian.PutUint32(b[0:4], x.from)
-	binary.LittleEndian.PutUint32(b[4:8], x.to)
-	return b[:], nil
+	return x.encode(), nil
 }
 
 func (c xferCodec) Decode(data []byte) (stm.Access, stm.Body, error) {
@@ -211,7 +218,7 @@ func TestShardedDurableDeterminismEveryOrderedEngine(t *testing.T) {
 				go func(c int) {
 					defer wg.Done()
 					for i := c; i < n; i += producers {
-						tk, err := sp.SubmitPayload(payloads[i])
+						tk, err := sp.SubmitEncoded(payloads[i].encode())
 						if err != nil {
 							t.Errorf("submit: %v", err)
 							return
@@ -283,7 +290,7 @@ func TestShardedCrashPrefix(t *testing.T) {
 			}
 			snapDir := t.TempDir()
 			for i := 0; i < n; i++ {
-				tk, err := sp.SubmitPayload(xferFor(uint64(i)))
+				tk, err := sp.SubmitEncoded(xferFor(uint64(i)).encode())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -362,8 +369,83 @@ func TestShardedDurableRejectsOpaqueBodies(t *testing.T) {
 	if _, err := sp.Submit(stm.Touches(&accounts[0]), body); !errors.Is(err, stm.ErrPayloadRequired) {
 		t.Fatalf("Submit err = %v, want ErrPayloadRequired", err)
 	}
-	if _, err := sp.SubmitBatch([]shard.Request{{Access: stm.Touches(&accounts[0]), Body: body}}); !errors.Is(err, stm.ErrPayloadRequired) {
-		t.Fatalf("SubmitBatch err = %v, want ErrPayloadRequired", err)
+	ctx := context.Background()
+	if _, err := sp.SubmitCtx(ctx, shard.Request{Access: stm.Touches(&accounts[0]), Body: body}); !errors.Is(err, stm.ErrPayloadRequired) {
+		t.Fatalf("SubmitCtx err = %v, want ErrPayloadRequired", err)
+	}
+	batch := []shard.Request{{Encoded: xferFor(0).encode()}, {Access: stm.Touches(&accounts[0]), Body: body}}
+	if out, err := sp.SubmitBatch(ctx, batch); !errors.Is(err, stm.ErrPayloadRequired) || len(out) != 0 {
+		t.Fatalf("SubmitBatch = (%d tickets, %v), want ErrPayloadRequired for the whole batch", len(out), err)
+	}
+	if _, err := shard.SubmitFunc(ctx, sp, stm.Touches(&accounts[0]), func(stm.Tx, int) uint64 { return 0 }); !errors.Is(err, stm.ErrPayloadRequired) {
+		t.Fatalf("SubmitFunc err = %v, want ErrPayloadRequired", err)
+	}
+	if got := sp.Submitted(); got != 0 {
+		t.Fatalf("refused submissions consumed %d ages", got)
+	}
+}
+
+// TestShardRequestForm: a Request sets exactly one of Body and
+// Encoded, and an Encoded request leaves Access to the Codec. A
+// malformed request is refused before any global age is assigned —
+// alone, or anywhere in a batch, which it then refuses whole.
+func TestShardRequestForm(t *testing.T) {
+	dir := t.TempDir()
+	w, err := wal.Create(dir, 0, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	accounts := newDurAccounts()
+	sp, err := shard.New(shard.Config{
+		Shards:   2,
+		Pipeline: stm.Config{Algorithm: stm.OWB},
+		WAL:      w,
+		Codec:    xferCodec{accounts: accounts},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sp.Close()
+	ctx := context.Background()
+	data := xferFor(0).encode()
+	for name, r := range map[string]shard.Request{
+		"neither Body nor Encoded": {},
+		"both Body and Encoded":    {Body: func(stm.Tx, int) {}, Encoded: data},
+		"Encoded and Access":       {Access: stm.Touches(&accounts[0]), Encoded: data},
+	} {
+		if tk, err := sp.SubmitCtx(ctx, r); err == nil || tk != nil {
+			t.Errorf("SubmitCtx of a request with %s: (%v, %v), want a refusal", name, tk, err)
+		}
+		if out, err := sp.SubmitBatch(ctx, []shard.Request{{Encoded: data}, r}); err == nil || len(out) != 0 {
+			t.Errorf("SubmitBatch holding a request with %s: (%d tickets, %v), want the whole batch refused", name, len(out), err)
+		}
+	}
+	if got := sp.Submitted(); got != 0 {
+		t.Fatalf("refused requests consumed %d ages", got)
+	}
+	// The router copies an encoded request: clobbering the caller's
+	// buffer right after submission changes nothing.
+	tk, err := sp.SubmitCtx(ctx, shard.Request{Encoded: data})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clear(data)
+	if err := tk.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sp.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := wal.Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if recs := rec.Records(); len(recs) != 1 || string(recs[0].Payload) != string(xferFor(0).encode()) {
+		t.Fatalf("log holds %v, want the one transfer as submitted", recs)
 	}
 }
 
@@ -401,7 +483,7 @@ func TestShardedWaitDurableDefersUntilSync(t *testing.T) {
 	if !found {
 		t.Fatal("no cross-shard pair found")
 	}
-	tk, err := sp.SubmitPayload(cross)
+	tk, err := sp.SubmitEncoded(cross.encode())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,7 +564,7 @@ func TestShardedWaitDurableCrossFault(t *testing.T) {
 		case i > before:
 			x.to = uint32(bk[(i+1)%shards][0]) // cross-shard
 		}
-		tk, err := sp.SubmitPayload(x)
+		tk, err := sp.SubmitEncoded(x.encode())
 		if err != nil {
 			break // the stream stopped while we submitted
 		}
@@ -541,7 +623,7 @@ func TestShardedRecoveredRouterContinues(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < n1; i++ {
-		tk, err := sp.SubmitPayload(xferFor(uint64(i)))
+		tk, err := sp.SubmitEncoded(xferFor(uint64(i)).encode())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -592,7 +674,7 @@ func TestShardedRecoveredRouterContinues(t *testing.T) {
 		t.Fatal("replayed sharded state diverges from pre-crash state")
 	}
 	for i := n1; i < n1+n2; i++ {
-		tk, err := sp2.SubmitPayload(xferFor(uint64(i)))
+		tk, err := sp2.SubmitEncoded(xferFor(uint64(i)).encode())
 		if err != nil {
 			t.Fatal(err)
 		}

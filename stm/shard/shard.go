@@ -71,14 +71,14 @@ type Config struct {
 	// the *global* commit frontier advances (an age is done once every
 	// involved shard committed its slice), the encoded payload of each
 	// age is appended in global-age order. A WAL-backed router only
-	// accepts submissions through SubmitPayload/SubmitEncoded.
+	// accepts encoded submissions (SubmitEncoded, Request.Encoded).
 	// Recovery replays the surviving records through SubmitEncoded of
 	// a fresh router with the same Shards count — routing is
 	// deterministic in (declaration, Shards), so every shard rebuilds
 	// exactly its local sequence, cross-shard fences included.
 	WAL stm.DurableLog
-	// Codec encodes durable submission payloads and decodes them back
-	// into (access, body) pairs. Required when WAL is set.
+	// Codec decodes encoded submissions into (access, body) pairs.
+	// Required when WAL is set.
 	Codec Codec
 	// WaitDurable defers ticket resolution until the transaction's
 	// global age is durable, not merely committed on its shards.
@@ -271,113 +271,116 @@ func New(cfg Config) (*ShardedPipeline, error) {
 	return sp, nil
 }
 
-// Submit hands the sharded pipeline the next transaction of the
-// global stream. access declares the variables body may touch; body
-// receives the global age (Tx.Age is global too). Submit assigns the
-// next global age, routes the transaction to the involved shards, and
-// returns a Ticket resolving when it commits everywhere it ran.
-// After Close it returns stm.ErrClosed; after a fault, the
-// *stm.Stopped error. On a router configured with a WAL, Submit
-// returns stm.ErrPayloadRequired — use SubmitPayload or SubmitEncoded
-// so the log receives a replayable input.
+// Request is one transaction handed to a ShardedPipeline. Exactly one
+// of Body and Encoded is set; a Request with both or neither is
+// refused.
+type Request struct {
+	// Access declares the variables Body may touch. An Encoded request
+	// leaves it unset: the Codec decodes the declaration with the body.
+	Access stm.Access
+	// Body is the transaction itself; it receives the global age
+	// (Tx.Age is global too). A router configured with a WAL refuses it
+	// with stm.ErrPayloadRequired.
+	Body stm.Body
+	// Encoded is the transaction's wire form, decoded through
+	// Config.Codec; it requires Config.WAL. Unlike the unsharded
+	// Pipeline, the router may retain the payload past the ticket's
+	// resolution (the global-age log appends only once every lower
+	// global age completed, which can lag a single shard's commit), so
+	// it copies the bytes and the caller may reuse its buffer at once.
+	// Recovery replay pays that one copy per record.
+	Encoded []byte
+}
+
+// Submit is SubmitCtx without a context, for a declared body.
 func (sp *ShardedPipeline) Submit(access stm.Access, body stm.Body) (*Ticket, error) {
-	if sp.dr != nil {
-		return nil, stm.ErrPayloadRequired
-	}
-	return sp.route(nil, access, body, nil)
+	return sp.SubmitCtx(nil, Request{Access: access, Body: body})
 }
 
-// SubmitCtx is Submit with a cancellable backpressure wait, the
-// sharded equivalent of stm.Pipeline.SubmitCtx. Cancellation is only
-// observed while the submission can still be withdrawn without
-// leaving a gap in any (global or local) age sequence: before any
-// involved shard has accepted work for it. A cancellation inside that
-// window returns an error wrapping stm.ErrCanceled and the router
-// state is exactly as if the Submit never happened; past the window
-// the context is not consulted and the call completes normally, so an
-// accepted transaction never loses its position (bound the wait with
-// Ticket.WaitCtx instead).
-func (sp *ShardedPipeline) SubmitCtx(ctx context.Context, access stm.Access, body stm.Body) (*Ticket, error) {
-	if sp.dr != nil {
-		return nil, stm.ErrPayloadRequired
-	}
-	return sp.route(ctx, access, body, nil)
-}
-
-// SubmitPayload encodes payload through the configured Codec, decodes
-// it back into the (access, body) pair that will run, and submits it.
-// The encoded form is what the router's WAL stores once the global
-// age commits on every involved shard.
-func (sp *ShardedPipeline) SubmitPayload(payload any) (*Ticket, error) {
-	return sp.SubmitPayloadCtx(nil, payload)
-}
-
-// SubmitPayloadCtx is SubmitPayload with SubmitCtx's cancellable
-// backpressure wait and withdrawal semantics: cancellation inside the
-// withdrawal window (before any involved shard accepted work) returns
-// an error wrapping stm.ErrCanceled and leaves the router exactly as
-// if the submission never happened.
-func (sp *ShardedPipeline) SubmitPayloadCtx(ctx context.Context, payload any) (*Ticket, error) {
-	if sp.codec == nil {
-		return nil, errors.New("shard: SubmitPayload requires Config.Codec")
-	}
-	data, err := sp.codec.Encode(payload)
-	if err != nil {
-		return nil, fmt.Errorf("shard: encode payload: %w", err)
-	}
-	return sp.submitEncodedOwned(ctx, data)
-}
-
-// SubmitEncoded submits a payload already in its wire form — the
-// recovery-replay entry point (wal.Recovery.Replay hands surviving
-// records here). Replay requires the same Shards count the log was
-// written under; routing is then deterministic and every shard
-// rebuilds exactly its original local sequence.
-//
-// Unlike the unsharded Pipeline, the router may retain the payload
-// past this submission's ticket resolution (the global-age log
-// appends only when every lower global age completed, which can lag
-// a single shard's commit), so data is copied here and the caller may
-// reuse its buffer immediately. Recovery replay pays that one copy
-// per record — bounded by the log size, and only on the rare restart
-// path.
+// SubmitEncoded is SubmitCtx without a context, for an encoded
+// payload — the recovery-replay entry point (wal.Recovery.Replay hands
+// surviving records here). Replay requires the same Shards count the
+// log was written under; routing is then deterministic and every
+// shard rebuilds exactly its original local sequence.
 func (sp *ShardedPipeline) SubmitEncoded(data []byte) (*Ticket, error) {
-	return sp.SubmitEncodedCtx(nil, data)
-}
-
-// SubmitEncodedCtx is SubmitEncoded with SubmitCtx's cancellable
-// backpressure wait and withdrawal semantics — the ingress path for
-// servers feeding pre-encoded request frames under a per-request
-// context. Like SubmitEncoded it copies data, so the caller may reuse
-// its buffer immediately.
-func (sp *ShardedPipeline) SubmitEncodedCtx(ctx context.Context, data []byte) (*Ticket, error) {
-	return sp.submitEncodedOwned(ctx, append([]byte(nil), data...))
-}
-
-// submitEncodedOwned is SubmitEncoded for payload bytes the router
-// may keep (freshly encoded, or recovery records); ctx (nil for the
-// uncancellable entry points) bounds the shard-side backpressure wait.
-func (sp *ShardedPipeline) submitEncodedOwned(ctx context.Context, data []byte) (*Ticket, error) {
-	if sp.dr == nil {
-		return nil, errors.New("shard: SubmitEncoded requires Config.WAL")
-	}
-	access, body, err := sp.codec.Decode(data)
+	access, body, owned, err := sp.decode(data)
 	if err != nil {
-		return nil, fmt.Errorf("shard: decode payload: %w", err)
+		return nil, err
+	}
+	return sp.route(nil, access, body, owned)
+}
+
+// SubmitCtx hands the sharded pipeline the next transaction of the
+// global stream: it assigns the next global age, routes the
+// transaction to the shards its declaration involves, and returns a
+// Ticket resolving when it commits everywhere it ran. After Close it
+// returns stm.ErrClosed; after a fault, the *stm.Stopped error.
+//
+// ctx bounds the shard-side backpressure wait (a nil ctx never
+// cancels). Cancellation is only observed while the submission can
+// still be withdrawn without leaving a gap in any (global or local)
+// age sequence: before any involved shard has accepted work for it. A
+// cancellation inside that window returns an error wrapping
+// stm.ErrCanceled and the router state is exactly as if the
+// submission never happened; past the window the context is not
+// consulted and the call completes normally, so an accepted
+// transaction never loses its position (bound the wait with
+// Ticket.WaitCtx instead).
+func (sp *ShardedPipeline) SubmitCtx(ctx context.Context, r Request) (*Ticket, error) {
+	access, body, data, err := sp.resolve(r)
+	if err != nil {
+		return nil, err
 	}
 	return sp.route(ctx, access, body, data)
 }
 
-// route is the shared submission core; ctx (nil for the uncancellable
-// entry points) bounds the shard-side backpressure wait, and data is
-// nil on non-durable routers, else the encoded payload the WAL will
-// store. On cancellation the assigned global age is rolled back —
-// safe because sp.mu is held from assignment to rollback, so the age
-// was never observable.
-func (sp *ShardedPipeline) route(ctx context.Context, access stm.Access, body stm.Body, data []byte) (*Ticket, error) {
-	if body == nil {
-		return nil, errors.New("shard: nil body")
+// resolve checks a request's form and returns what routes: the
+// declaration, the body and, for an encoded request, the router's own
+// copy of the payload.
+func (sp *ShardedPipeline) resolve(r Request) (stm.Access, stm.Body, []byte, error) {
+	switch {
+	case (r.Body == nil) == (r.Encoded == nil):
+		return stm.Access{}, nil, nil, errRequestForm
+	case r.Body != nil && sp.dr != nil:
+		return stm.Access{}, nil, nil, stm.ErrPayloadRequired
+	case r.Body != nil:
+		return r.Access, r.Body, nil, nil
+	case r.Access.All() || len(r.Access.Vars()) > 0:
+		return stm.Access{}, nil, nil, errEncodedAccess
 	}
+	return sp.decode(r.Encoded)
+}
+
+var (
+	errRequestForm   = errors.New("shard: a Request sets exactly one of Body and Encoded")
+	errEncodedAccess = errors.New("shard: an Encoded request takes its access declaration from the Codec; leave Access unset")
+)
+
+// decode copies an encoded payload — the router may keep it past the
+// ticket's resolution — and decodes the copy, which the body may
+// alias.
+func (sp *ShardedPipeline) decode(data []byte) (stm.Access, stm.Body, []byte, error) {
+	if sp.dr == nil {
+		return stm.Access{}, nil, nil, errors.New("shard: an encoded submission requires Config.WAL")
+	}
+	owned := append([]byte(nil), data...)
+	access, body, err := sp.codec.Decode(owned)
+	if err != nil {
+		return stm.Access{}, nil, nil, fmt.Errorf("shard: decode payload: %w", err)
+	}
+	if body == nil {
+		return stm.Access{}, nil, nil, errors.New("shard: Codec decoded a nil body")
+	}
+	return access, body, owned, nil
+}
+
+// route is the single-transaction core; ctx (nil for the
+// uncancellable entry points) bounds the shard-side backpressure wait,
+// and data is nil on non-durable routers, else the encoded payload the
+// WAL will store. On cancellation the assigned global age is rolled
+// back — safe because sp.mu is held from assignment to rollback, so
+// the age was never observable.
+func (sp *ShardedPipeline) route(ctx context.Context, access stm.Access, body stm.Body, data []byte) (*Ticket, error) {
 	home, involved, err := sp.partitions(access)
 	if err != nil {
 		return nil, err
@@ -408,146 +411,60 @@ func (sp *ShardedPipeline) route(ctx context.Context, access stm.Access, body st
 	return t, err
 }
 
-// Request pairs a declared access set with a transaction body for
-// batched submission.
-type Request struct {
-	Access stm.Access
-	Body   stm.Body
-}
-
 // SubmitBatch submits the requests as consecutive global ages, taking
-// the router's sequencer lock once for the whole batch. Single-shard
-// runs are forwarded to their shard's Pipeline.SubmitBatch (one
-// per-shard stream lock per run instead of one per transaction);
-// cross-shard requests flush the pending runs of their involved shards
-// first, so every shard still receives its slice of the global age
-// sequence in order — the invariant the determinism argument rests on.
+// the router's sequencer lock once for the whole batch. Every request
+// is checked (and an encoded one copied and decoded) before any age is
+// assigned, so a malformed request refuses the whole batch.
+// Single-shard runs are forwarded to their shard's
+// Pipeline.SubmitBatch (one per-shard stream lock per run instead of
+// one per transaction); cross-shard requests flush the pending runs of
+// their involved shards first, so every shard still receives its
+// slice of the global age sequence in order — the invariant the
+// determinism argument rests on.
 //
-// It returns one Ticket per request. On a fault or after Close the
-// batch stops early: accepted requests keep their (valid) tickets,
-// refused positions are nil, and the error reports why. Backpressure
-// applies inside the batch exactly as for consecutive Submits. On a
-// router configured with a WAL it returns stm.ErrPayloadRequired —
-// use SubmitPayloadBatch or SubmitEncodedBatch so the log receives
-// replayable inputs.
-func (sp *ShardedPipeline) SubmitBatch(reqs []Request) ([]*Ticket, error) {
-	if sp.dr != nil {
-		return nil, stm.ErrPayloadRequired
-	}
-	return sp.submitBatch(nil, reqs, nil)
-}
-
-// SubmitBatchCtx is SubmitBatch with a cancellable wait: cancellation
-// is observed between requests — before the next global age is
-// assigned — stopping the batch there with an error wrapping
-// stm.ErrCanceled (accepted requests keep their tickets). It is not
-// consulted inside a shard's backpressure park once a flush began, so
-// an assigned age is never withdrawn.
-func (sp *ShardedPipeline) SubmitBatchCtx(ctx context.Context, reqs []Request) ([]*Ticket, error) {
-	if sp.dr != nil {
-		return nil, stm.ErrPayloadRequired
-	}
-	return sp.submitBatch(ctx, reqs, nil)
-}
-
-// SubmitPayloadBatch is SubmitBatch for durable routers: each payload
-// is encoded, decoded into its (access, body) pair, and the batch
-// submitted as consecutive global ages, with SubmitBatch's
-// partial-acceptance semantics. The encoded forms reach the WAL in
-// global-age order as the global frontier passes them.
-func (sp *ShardedPipeline) SubmitPayloadBatch(payloads []any) ([]*Ticket, error) {
-	return sp.SubmitPayloadBatchCtx(nil, payloads)
-}
-
-// SubmitPayloadBatchCtx is SubmitPayloadBatch with SubmitBatchCtx's
-// between-requests cancellation rule.
-func (sp *ShardedPipeline) SubmitPayloadBatchCtx(ctx context.Context, payloads []any) ([]*Ticket, error) {
-	if sp.codec == nil {
-		return nil, errors.New("shard: SubmitPayloadBatch requires Config.Codec")
-	}
-	datas := make([][]byte, len(payloads))
-	for i, pl := range payloads {
-		data, err := sp.codec.Encode(pl)
-		if err != nil {
-			return nil, fmt.Errorf("shard: encode payload %d: %w", i, err)
-		}
-		datas[i] = data
-	}
-	return sp.submitEncodedBatchOwned(ctx, datas)
-}
-
-// SubmitEncodedBatch is SubmitEncoded's batched form: each element is
-// decoded through the Codec and the batch submitted as consecutive
-// global ages. Like SubmitEncoded (and unlike the unsharded
-// Pipeline's SubmitEncodedBatch) every element is copied, because the
-// router may retain payloads past ticket resolution; callers may
-// reuse their buffers immediately.
-func (sp *ShardedPipeline) SubmitEncodedBatch(datas [][]byte) ([]*Ticket, error) {
-	return sp.SubmitEncodedBatchCtx(nil, datas)
-}
-
-// SubmitEncodedBatchCtx is SubmitEncodedBatch with SubmitBatchCtx's
-// between-requests cancellation rule — the batched ingress path for
-// servers feeding pre-encoded frames under a connection context.
-func (sp *ShardedPipeline) SubmitEncodedBatchCtx(ctx context.Context, datas [][]byte) ([]*Ticket, error) {
-	owned := make([][]byte, len(datas))
-	for i, d := range datas {
-		owned[i] = append([]byte(nil), d...)
-	}
-	return sp.submitEncodedBatchOwned(ctx, owned)
-}
-
-// submitEncodedBatchOwned decodes owned payload bytes into requests
-// and runs the shared batch core with the payloads attached.
-func (sp *ShardedPipeline) submitEncodedBatchOwned(ctx context.Context, datas [][]byte) ([]*Ticket, error) {
-	if sp.dr == nil {
-		return nil, errors.New("shard: SubmitEncodedBatch requires Config.WAL")
-	}
-	reqs := make([]Request, len(datas))
-	for i, data := range datas {
-		access, body, err := sp.codec.Decode(data)
-		if err != nil {
-			return nil, fmt.Errorf("shard: decode payload %d: %w", i, err)
-		}
-		reqs[i] = Request{Access: access, Body: body}
-	}
-	return sp.submitBatch(ctx, reqs, datas)
-}
-
-// submitBatch is the shared batch core; datas is nil on non-durable
-// routers, else parallel to reqs (owned encoded payloads). On durable
-// routers each single-shard request registers its global age and
-// local-age mapping at queue time — before any shard sees it — so the
-// commit hook can never observe an unmapped age, exactly like
+// It returns one Ticket per request. On a fault, after Close, or on a
+// cancellation of ctx — observed between requests, before the next
+// global age is assigned — the batch stops early: accepted requests
+// keep their (valid) tickets, refused positions are nil, and the
+// error reports why. ctx is not consulted inside a shard's
+// backpressure park once a flush began, so an assigned age is never
+// withdrawn. Backpressure applies inside the batch exactly as for
+// consecutive Submits.
+//
+// On durable routers each single-shard request registers its global
+// age and local-age mapping at queue time — before any shard sees it —
+// so the commit hook can never observe an unmapped age, exactly like
 // submitLocal; a flush refusal unwinds the registrations of the
-// refused suffix. A non-nil ctx is consulted between requests only.
-func (sp *ShardedPipeline) submitBatch(ctx context.Context, reqs []Request, datas [][]byte) ([]*Ticket, error) {
+// refused suffix.
+func (sp *ShardedPipeline) SubmitBatch(ctx context.Context, reqs []Request) ([]*Ticket, error) {
 	type routed struct {
+		body     stm.Body
+		data     []byte // the router's copy of an encoded request
 		home     int
 		involved []int // nil for a single-shard request
 	}
 	routes := make([]routed, len(reqs))
-	for i := range reqs {
-		if reqs[i].Body == nil {
-			return nil, errors.New("shard: nil body")
+	for i, r := range reqs {
+		access, body, data, err := sp.resolve(r)
+		if err == nil {
+			routes[i].home, routes[i].involved, err = sp.partitions(access)
 		}
-		home, involved, err := sp.partitions(reqs[i].Access)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("shard: request %d of the batch: %w", i, err)
 		}
-		routes[i] = routed{home, involved}
+		routes[i].body, routes[i].data = body, data
 	}
 	out := make([]*Ticket, len(reqs))
-	pend := make([][]stm.Body, sp.shards)     // per-shard run of bodies
-	pendTxn := make([][]*localTxn, sp.shards) // the submission per pending body
-	pendIdx := make([][]int, sp.shards)       // request index per pending body
+	pend := make([][]stm.Request, sp.shards)  // per-shard run of local submissions
+	pendTxn := make([][]*localTxn, sp.shards) // the submission per pending request
+	pendIdx := make([][]int, sp.shards)       // request index per pending request
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
 	flush := func(s int) error {
 		if len(pend[s]) == 0 {
 			return nil
 		}
-		lts, err := sp.pipes[s].SubmitBatch(pend[s])
+		lts, err := sp.pipes[s].SubmitBatch(nil, pend[s])
 		base := sp.localNext[s]
 		sp.localNext[s] += uint64(len(lts))
 		for k, lt := range lts {
@@ -605,12 +522,12 @@ func (sp *ShardedPipeline) submitBatch(ctx context.Context, reqs []Request, data
 		r := routes[i]
 		if r.involved == nil {
 			s := r.home
-			l := &localTxn{Ticket: Ticket{g: g, sp: sp}, body: reqs[i].Body, shard: s}
+			l := &localTxn{Ticket: Ticket{g: g, sp: sp}, body: r.body, shard: s}
 			if sp.dr != nil {
-				sp.dr.add(g, datas[i], 1, &l.Ticket)
+				sp.dr.add(g, r.data, 1, &l.Ticket)
 				sp.dr.mapLocal(s, sp.localNext[s]+uint64(len(pend[s])), g)
 			}
-			pend[s] = append(pend[s], l.run)
+			pend[s] = append(pend[s], stm.Request{Body: l.run})
 			pendTxn[s] = append(pendTxn[s], l)
 			pendIdx[s] = append(pendIdx[s], i)
 			continue
@@ -624,11 +541,7 @@ func (sp *ShardedPipeline) submitBatch(ctx context.Context, reqs []Request, data
 			}
 		}
 		sp.ncross.Add(1)
-		var data []byte
-		if datas != nil {
-			data = datas[i]
-		}
-		t, err := sp.submitCross(nil, g, r.involved, reqs[i].Body, data)
+		t, err := sp.submitCross(nil, g, r.involved, r.body, r.data)
 		if err != nil {
 			flushAll()
 			return out, batchErr(err)
@@ -694,7 +607,7 @@ func (sp *ShardedPipeline) submitLocal(ctx context.Context, g uint64, s int, bod
 		routerOwned = sp.dr.add(g, data, 1, &l.Ticket)
 		sp.dr.mapLocal(s, sp.localNext[s], g)
 	}
-	lt, err := sp.pipes[s].SubmitCtx(ctx, l.run)
+	lt, err := sp.pipes[s].SubmitCtx(ctx, stm.Request{Body: l.run})
 	if err != nil {
 		if sp.dr != nil {
 			sp.dr.unmapLocal(s, sp.localNext[s])
@@ -744,7 +657,7 @@ func (sp *ShardedPipeline) submitCross(ctx context.Context, g uint64, involved [
 		if i > 0 {
 			fctx = nil // past the withdrawal window (see above)
 		}
-		ft, err := sp.pipes[s].SubmitCtx(fctx, x.parts[i].fence)
+		ft, err := sp.pipes[s].SubmitCtx(fctx, stm.Request{Body: x.parts[i].fence})
 		if err != nil {
 			if sp.dr != nil {
 				// The refused age can never complete, so stop tracking it

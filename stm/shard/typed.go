@@ -54,14 +54,10 @@ func (t *TicketOf[R]) ValueCtx(ctx context.Context) (R, error) {
 // runs under the global predefined order exactly like a Submit body
 // (single-shard or cross-shard per the declaration), and the returned
 // TicketOf resolves when the transaction committed on every involved
-// shard, carrying the committing attempt's result.
-func SubmitFunc[R any](sp *ShardedPipeline, access stm.Access, fn stm.Func[R]) (*TicketOf[R], error) {
-	return SubmitFuncCtx[R](nil, sp, access, fn)
-}
-
-// SubmitFuncCtx is SubmitFunc with SubmitCtx's cancellable
-// backpressure wait and withdrawal semantics (nil ctx never cancels).
-func SubmitFuncCtx[R any](ctx context.Context, sp *ShardedPipeline, access stm.Access, fn stm.Func[R]) (*TicketOf[R], error) {
+// shard, carrying the committing attempt's result. ctx bounds the
+// backpressure wait with SubmitCtx's withdrawal rule (a nil ctx never
+// cancels).
+func SubmitFunc[R any](ctx context.Context, sp *ShardedPipeline, access stm.Access, fn stm.Func[R]) (*TicketOf[R], error) {
 	if fn == nil {
 		return nil, errors.New("shard: nil func")
 	}

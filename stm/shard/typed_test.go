@@ -137,7 +137,7 @@ func TestShardedTypedDeterminism(t *testing.T) {
 				}
 				tks := make([]*shard.TicketOf[uint64], n)
 				for g := 0; g < n; g++ {
-					tk, err := shard.SubmitFunc(sp, pool.access(cmds[g]), typedFn(pool, cmds[g], g))
+					tk, err := shard.SubmitFunc(context.Background(), sp, pool.access(cmds[g]), typedFn(pool, cmds[g], g))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -213,9 +213,9 @@ func TestShardedSubmitCtxCancel(t *testing.T) {
 				ctx, cancel := context.WithTimeout(context.Background(), time.Duration(r.Intn(120))*time.Microsecond)
 				// The submitted fn re-reads its age from the router (the
 				// value fold depends on the assigned global age), so the
-				// body is built only when the age is known: SubmitFuncCtx
+				// body is built only when the age is known: SubmitFunc
 				// passes it through tx/age.
-				tk, err := shard.SubmitFuncCtx(ctx, sp, pool.access(idx), func(tx stm.Tx, age int) uint64 {
+				tk, err := shard.SubmitFunc(ctx, sp, pool.access(idx), func(tx stm.Tx, age int) uint64 {
 					var sum uint64
 					for _, i := range idx {
 						sum += stm.ReadT(tx, &pool.vars[i])
@@ -317,7 +317,7 @@ func TestShardedWaitCtx(t *testing.T) {
 	single := []int{bk[0][0]}
 	cross := []int{bk[0][1], bk[1][0]}
 	for name, idx := range map[string][]int{"single": single, "cross": cross} {
-		tk, err := shard.SubmitFunc(sp, pool.access(idx), func(tx stm.Tx, age int) uint64 {
+		tk, err := shard.SubmitFunc(context.Background(), sp, pool.access(idx), func(tx stm.Tx, age int) uint64 {
 			var sum uint64
 			for _, i := range idx {
 				sum += stm.ReadT(tx, &pool.vars[i])

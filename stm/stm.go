@@ -19,7 +19,7 @@
 //
 //	balance := stm.NewTVar[uint64](100)
 //	p, _ := stm.NewPipeline(stm.Config{Algorithm: stm.OUL, Workers: 8})
-//	t, _ := stm.SubmitFunc(p, func(tx stm.Tx, age int) uint64 {
+//	t, _ := stm.SubmitFunc(ctx, p, func(tx stm.Tx, age int) uint64 {
 //	    b := stm.ReadT(tx, balance) + 1
 //	    stm.WriteT(tx, balance, b)
 //	    return b // latched at commit; speculative attempts are discarded
@@ -47,8 +47,8 @@
 // survive a crash, attach a write-ahead log (stm/wal) with Config.WAL
 // and a Codec: the pipeline logs each committed age's input payload
 // in order, and recovery deterministically replays the surviving
-// prefix (SubmitPayload/SubmitEncoded, wal.Recover; typed requests
-// and results go through CodecOf and SubmitPayloadT/SubmitEncodedT).
+// prefix (SubmitEncoded, wal.Recover; typed requests and results go
+// through CodecOf and SubmitEncodedT).
 //
 // Transaction bodies must access shared state only through the
 // transaction handle (tx.Read/tx.Write, or ReadT/WriteT over typed
@@ -58,31 +58,29 @@
 // snapshot) are sandboxed and retried; genuine faults are returned as
 // a *Fault error.
 //
-// # The submit matrix
+// # Submitting
 //
-// Every way into a Pipeline is the product of three axes — form
-// (untyped body, encoded payload, application payload), arity (one or
-// batch) and context (plain or ctx-aware) — and stm and stm/shard
-// expose the same grid:
+// A submission is a Request: a Body, or Encoded bytes the Codec
+// decodes into one. Pipeline and stm/shard's ShardedPipeline expose
+// the same four methods over it:
 //
-//	                 one                      batch
-//	body      Submit / SubmitCtx        SubmitBatch / SubmitBatchCtx
-//	payload   SubmitPayload[Ctx]        SubmitPayloadBatch[Ctx]
-//	encoded   SubmitEncoded[Ctx]        SubmitEncodedBatch[Ctx]
+//	SubmitCtx(ctx, Request)      one transaction (the core)
+//	SubmitBatch(ctx, []Request)  consecutive ages under one lock hold
+//	Submit(body)                 SubmitCtx shortcut: no context, a body
+//	SubmitEncoded(data)          SubmitCtx shortcut: no context, bytes
 //
-// The ctx variants are the canonical cores: every non-ctx name is a
-// thin wrapper passing a nil context. A context is consulted only
-// before an age is assigned (refusal wraps ErrCanceled); an accepted
-// age is never withdrawn — cancel a wait, not a commitment. Batch
-// variants assign consecutive ages under one stream-lock hold and
-// return one ticket per element; on an early stop the unsharded forms
-// return the accepted prefix, the sharded forms a full-length slice
-// with nil at refused positions (their tickets are index-addressed).
-// Durable pipelines (Config.WAL set) refuse the body forms with
-// ErrPayloadRequired — the log must receive replayable inputs. The
-// typed layer (SubmitFunc, SubmitPayloadT, ...) compiles onto the
-// same grid. Package stm/serve carries the encoded forms over the
-// network, preserving the same ordering and error contracts.
+// A context is consulted only before an age is assigned (refusal
+// wraps ErrCanceled); an accepted age is never withdrawn — cancel a
+// wait, not a commitment. SubmitBatch returns one ticket per request;
+// on an early stop the unsharded form returns the accepted prefix,
+// the sharded form a full-length slice with nil at refused positions
+// (its tickets are index-addressed). Durable pipelines (Config.WAL
+// set) refuse Body requests with ErrPayloadRequired — the log must
+// receive replayable inputs, so callers encode with their own Codec
+// and submit the bytes. The typed layer (SubmitFunc, SubmitEncodedT)
+// compiles onto the same cores. Package stm/serve carries encoded
+// requests over the network, preserving the same ordering and error
+// contracts.
 //
 // # Algorithms
 //

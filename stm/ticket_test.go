@@ -32,7 +32,7 @@ func TestTicketResolveRacesWaiters(t *testing.T) {
 		n = 300
 	}
 	for i := 0; i < n; i++ {
-		tk, err := stm.SubmitFunc(p, func(_ stm.Tx, age int) uint64 { return uint64(age)*3 + 1 })
+		tk, err := stm.SubmitFunc(context.Background(), p, func(_ stm.Tx, age int) uint64 { return uint64(age)*3 + 1 })
 		if err != nil {
 			t.Fatal(err)
 		}

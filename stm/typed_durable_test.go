@@ -1,6 +1,7 @@
 package stm_test
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"path/filepath"
@@ -17,12 +18,7 @@ import (
 // committed prefix — replay must re-derive each one exactly.
 func typedTransferCodec(accounts []stm.TVar[uint64]) *stm.TypedCodec[transfer, uint64] {
 	return stm.CodecOf(
-		func(t transfer) ([]byte, error) {
-			var b [8]byte
-			binary.LittleEndian.PutUint32(b[0:4], t.from)
-			binary.LittleEndian.PutUint32(b[4:8], t.to)
-			return b[:], nil
-		},
+		func(t transfer) ([]byte, error) { return t.encode(), nil },
 		func(data []byte) (transfer, error) {
 			if len(data) != 8 {
 				return transfer{}, fmt.Errorf("bad transfer payload length %d", len(data))
@@ -90,7 +86,7 @@ func typedState(accounts []stm.TVar[uint64]) []uint64 {
 }
 
 // TestTypedDurableRoundTrip, for every ordered algorithm: stream
-// typed requests through SubmitPayloadT into a WAL while concurrently
+// encoded typed requests through SubmitEncodedT into a WAL while concurrently
 // snapshotting the directory mid-stream (the crash image), check
 // every live typed result against the sequential fold, then recover
 // the snapshot and replay it through SubmitEncodedT of a fresh
@@ -124,7 +120,7 @@ func TestTypedDurableRoundTrip(t *testing.T) {
 			var snap sync.Once
 			tks := make([]*stm.TicketOf[uint64], n)
 			for age := 0; age < n; age++ {
-				tk, err := stm.SubmitPayloadT[transfer, uint64](p, transferFor(uint64(age)))
+				tk, err := stm.SubmitEncodedT[transfer, uint64](context.Background(), p, transferFor(uint64(age)).encode())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -176,7 +172,7 @@ func TestTypedDurableRoundTrip(t *testing.T) {
 			}
 			rtks := make([]*stm.TicketOf[uint64], 0, rec.Count())
 			if err := rec.Replay(func(age uint64, payload []byte) error {
-				tk, err := stm.SubmitEncodedT[transfer, uint64](rp, payload)
+				tk, err := stm.SubmitEncodedT[transfer, uint64](context.Background(), rp, payload)
 				if err == nil {
 					rtks = append(rtks, tk)
 				}
@@ -204,10 +200,10 @@ func TestTypedDurableRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSubmitPayloadTCodecMismatch: the typed submission entry points
-// must reject a pipeline whose codec is not the matching TypedCodec
+// TestSubmitEncodedTCodecMismatch: the typed encoded submission must
+// reject a pipeline whose codec is not the matching TypedCodec
 // instantiation, and SubmitFunc must reject durable pipelines.
-func TestSubmitPayloadTCodecMismatch(t *testing.T) {
+func TestSubmitEncodedTCodecMismatch(t *testing.T) {
 	accounts := newAccounts(durableAccounts, 1000)
 	dir := filepath.Join(t.TempDir(), "wal")
 	w, err := wal.Create(dir, 0, wal.Options{})
@@ -223,13 +219,11 @@ func TestSubmitPayloadTCodecMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	if _, err := stm.SubmitPayloadT[transfer, uint64](p, transferFor(0)); err == nil {
-		t.Fatal("SubmitPayloadT must reject a non-TypedCodec pipeline")
-	}
-	if _, err := stm.SubmitEncodedT[transfer, uint64](p, make([]byte, 8)); err == nil {
+	ctx := context.Background()
+	if _, err := stm.SubmitEncodedT[transfer, uint64](ctx, p, transferFor(0).encode()); err == nil {
 		t.Fatal("SubmitEncodedT must reject a non-TypedCodec pipeline")
 	}
-	if _, err := stm.SubmitFunc(p, func(stm.Tx, int) uint64 { return 0 }); err != stm.ErrPayloadRequired {
+	if _, err := stm.SubmitFunc(ctx, p, func(stm.Tx, int) uint64 { return 0 }); err != stm.ErrPayloadRequired {
 		t.Fatalf("SubmitFunc on a durable pipeline returned %v, want ErrPayloadRequired", err)
 	}
 }

@@ -7,11 +7,11 @@ import (
 
 // TypedCodec is the typed durability bridge: it adapts a Req
 // marshaler pair and a typed handler into the pipeline's Codec, so a
-// WAL-backed pipeline can accept typed requests (SubmitPayloadT),
-// latch their typed results (TicketOf[R]), and — because live
-// execution and recovery replay both run the handler built from the
-// decoded request — re-derive the same typed results when the log is
-// replayed after a crash (SubmitEncodedT is the typed replay entry).
+// WAL-backed pipeline can accept typed requests (encoded with Encode,
+// submitted with SubmitEncodedT), latch their typed results
+// (TicketOf[R]), and — because live execution and recovery replay both
+// run the handler built from the decoded request — re-derive the same
+// typed results when the log is replayed after a crash.
 //
 // The replay-determinism obligation carries over unchanged from
 // Codec: unmarshal must be deterministic, and the handler must build
@@ -49,9 +49,8 @@ func (c *TypedCodec[Req, R]) Encode(payload any) ([]byte, error) {
 
 // Decode implements Codec, reconstructing the transaction body from
 // the wire form. The result value is computed and discarded on this
-// untyped path (plain SubmitPayload/SubmitEncoded and the generic
-// recovery Replay driver); use SubmitPayloadT/SubmitEncodedT to
-// capture it.
+// untyped path (SubmitEncoded, SubmitCtx and the generic recovery
+// Replay driver); use SubmitEncodedT to capture it.
 func (c *TypedCodec[Req, R]) Decode(data []byte) (Body, error) {
 	req, err := c.dec(data)
 	if err != nil {
@@ -73,53 +72,19 @@ func typedCodecOf[Req, R any](p *Pipeline) (*TypedCodec[Req, R], error) {
 	return c, nil
 }
 
-// SubmitPayloadT is the typed durable submission: req is encoded
-// through the pipeline's TypedCodec (the encoded form is what the WAL
-// stores once the age commits), the handler's Func runs as the
-// transaction — live execution and recovery replay share the decoded
-// path by construction — and the returned TicketOf latches the typed
-// result at commit. The pipeline's Config.Codec must be the matching
-// *TypedCodec[Req, R].
-func SubmitPayloadT[Req, R any](p *Pipeline, req Req) (*TicketOf[R], error) {
-	return SubmitPayloadTCtx[Req, R](nil, p, req)
-}
-
-// SubmitPayloadTCtx is SubmitPayloadT with SubmitCtx's cancellable
-// backpressure wait (nil ctx never cancels).
-func SubmitPayloadTCtx[Req, R any](ctx context.Context, p *Pipeline, req Req) (*TicketOf[R], error) {
-	c, err := typedCodecOf[Req, R](p)
-	if err != nil {
-		return nil, err
-	}
-	data, err := c.enc(req)
-	if err != nil {
-		return nil, fmt.Errorf("stm: encode payload: %w", err)
-	}
-	// Run the handler on the *decoded* round trip, never the caller's
-	// original request: the wire form is what the WAL stores, so only
-	// the decoded request is guaranteed to be re-derivable at replay —
-	// a lossy encoder or canonicalizing decoder would otherwise make
-	// live execution and recovery diverge silently.
-	dreq, err := c.dec(data)
-	if err != nil {
-		return nil, fmt.Errorf("stm: decode payload: %w", err)
-	}
-	t := &TicketOf[R]{fn: c.handler(dreq)}
-	if err := p.submitWith(ctx, &t.Ticket, t.run, data); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// SubmitEncodedT is the typed replay entry point: it submits a
-// payload already in its wire form (a surviving WAL record) and
-// latches the typed result the re-execution derives — replaying every
-// surviving record through SubmitEncodedT of a fresh pipeline yields
-// result-for-result the same TicketOf values the original run
-// acknowledged, because both runs execute the same decoded handler at
-// the same ages over the same predefined order. SubmitEncoded's
-// buffer-retention contract applies unchanged.
-func SubmitEncodedT[Req, R any](p *Pipeline, data []byte) (*TicketOf[R], error) {
+// SubmitEncodedT is the typed submission of an encoded request — live
+// (bytes from the TypedCodec's Encode) and at recovery (a surviving
+// WAL record) alike. The handler runs on the *decoded* request, never
+// the caller's original: the wire form is what the WAL stores, so
+// only the decoded request is re-derivable at replay, and a lossy
+// encoder or canonicalizing decoder cannot make live execution and
+// recovery diverge silently. The returned TicketOf latches the typed
+// result at commit, so replaying every surviving record through
+// SubmitEncodedT of a fresh pipeline yields result-for-result the same
+// values the original run acknowledged. The pipeline's Config.Codec
+// must be the matching *TypedCodec[Req, R]; ctx and the
+// buffer-retention rule are Request.Encoded's under SubmitCtx.
+func SubmitEncodedT[Req, R any](ctx context.Context, p *Pipeline, data []byte) (*TicketOf[R], error) {
 	c, err := typedCodecOf[Req, R](p)
 	if err != nil {
 		return nil, err
@@ -129,7 +94,7 @@ func SubmitEncodedT[Req, R any](p *Pipeline, data []byte) (*TicketOf[R], error) 
 		return nil, fmt.Errorf("stm: decode payload: %w", err)
 	}
 	t := &TicketOf[R]{fn: c.handler(req)}
-	if err := p.submitWith(nil, &t.Ticket, t.run, data); err != nil {
+	if err := p.submitWith(ctx, &t.Ticket, t.run, data); err != nil {
 		return nil, err
 	}
 	return t, nil
