@@ -316,10 +316,13 @@ func BenchmarkSubmitCommit(b *testing.B) {
 			i := uint64(age) % benchPool
 			tx.Write(&vs[i], tx.Read(&vs[i])+1)
 		}
-		reqs := make([]stm.Request, 32)
+		// Caller-owned tickets, reused batch after batch once resolved.
+		tickets := make([]stm.Ticket, 32)
+		reqs := make([]stm.Request, len(tickets))
 		for i := range reqs {
-			reqs[i] = stm.Request{Body: body}
+			reqs[i] = stm.Request{Body: body, Ticket: &tickets[i]}
 		}
+		var tks []*stm.Ticket
 		b.ReportAllocs()
 		b.ResetTimer()
 		for n := 0; n < b.N; {
@@ -327,7 +330,8 @@ func BenchmarkSubmitCommit(b *testing.B) {
 			if rem := b.N - n; k > rem {
 				k = rem
 			}
-			tks, err := p.SubmitBatch(context.Background(), reqs[:k])
+			var err error
+			tks, err = p.SubmitBatch(context.Background(), reqs[:k], tks[:0])
 			if err != nil {
 				b.Fatal(err)
 			}

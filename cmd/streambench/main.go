@@ -122,7 +122,9 @@ func newTypedTxnState(tacc []stm.TVar[uint64], handles []*stm.Var, ops int) *txn
 // batched path allocates no harness slices per round either.
 type scratch struct {
 	preqs []stm.Request
+	ptks  []*stm.Ticket
 	reqs  []shard.Request
+	stks  []*shard.Ticket
 }
 
 // fillExtra rewrites the extra-read indices: ops-2 neighbors of
@@ -401,8 +403,9 @@ func main() {
 					sc.preqs = append(sc.preqs, stm.Request{Body: st.body})
 				}
 			}
-			tks, err := p.SubmitBatch(ctx, sc.preqs)
-			for _, tk := range tks {
+			var err error
+			sc.ptks, err = p.SubmitBatch(ctx, sc.preqs, sc.ptks[:0])
+			for _, tk := range sc.ptks {
 				ws = append(ws, tk)
 			}
 			return ws, err
@@ -527,8 +530,9 @@ func main() {
 			for _, st := range sts {
 				sc.reqs = append(sc.reqs, shard.Request{Access: st.declare(), Body: st.body})
 			}
-			tks, err := sp.SubmitBatch(ctx, sc.reqs)
-			for _, tk := range tks {
+			var err error
+			sc.stks, err = sp.SubmitBatch(ctx, sc.reqs, sc.stks[:0])
+			for _, tk := range sc.stks {
 				if tk != nil {
 					ws = append(ws, tk)
 				}

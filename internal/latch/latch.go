@@ -1,6 +1,6 @@
 // Package latch is the one-shot resolution latch behind stm.Ticket,
-// shard.Ticket and serve.Call: resolved exactly once, waited on by any
-// number of goroutines, and without a heap object of its own.
+// shard.Ticket and serve.Call: resolved exactly once per life, waited
+// on by any number of goroutines, and without a heap object of its own.
 //
 // Acknowledgements leave the pipeline in age order and are consumed in
 // age order, so most waits find their ticket already resolved: that
@@ -20,10 +20,12 @@ const (
 	resolved = 1 << iota // Resolve ran; the owner's outcome fields are final
 	waiting              // the waiter list is not empty
 	busy                 // a goroutine is editing the waiter list
+	armed                // Arm ran and Resolve has not yet
 )
 
 // Latch is a one-shot event. The zero value is an unresolved latch. It
-// must not be copied after first use.
+// must not be copied after first use. Arm turns a resolved latch back
+// into an unresolved one, for a new life.
 //
 // The state word carries the happens-before edge of the structure that
 // embeds the latch: everything the resolver wrote before Resolve (a
@@ -79,17 +81,32 @@ func (l *Latch) lock() bool {
 
 // unlock drops the busy bit, publishing the list.
 func (l *Latch) unlock() {
+	s := l.state.Load() & armed
 	if l.head != nil {
-		l.state.Store(waiting)
-	} else {
-		l.state.Store(0)
+		s |= waiting
 	}
+	l.state.Store(s)
 }
 
-// Resolve fires the latch. It must be called exactly once. With nobody
-// registered it is a single compare-and-swap.
+// Arm starts a life: it takes a fresh or resolved latch to unresolved
+// and armed, and reports true. It reports false, changing nothing, for
+// a latch that is armed and not yet resolved — or that anybody is
+// waiting on. A resolved latch may be armed again only once every
+// waiter of its previous life has returned: one still on its way in
+// would wait for the new life instead.
+func (l *Latch) Arm() bool {
+	s := l.state.Load()
+	return (s == 0 || s == resolved) && l.state.CompareAndSwap(s, armed)
+}
+
+// Armed reports whether the latch is armed and has not resolved: the
+// life Arm started is still in flight.
+func (l *Latch) Armed() bool { return l.state.Load()&armed != 0 }
+
+// Resolve fires the latch. It must be called exactly once per life.
+// With nobody registered it is a single compare-and-swap.
 func (l *Latch) Resolve() {
-	if l.state.CompareAndSwap(0, resolved) {
+	if s := l.state.Load(); s&^armed == 0 && l.state.CompareAndSwap(s, resolved) {
 		return
 	}
 	l.lock() // cannot report false: this is the only resolver

@@ -110,3 +110,77 @@ func TestDoneAfterResolve(t *testing.T) {
 		t.Fatalf("resolve-then-wait allocates %v times, want 0", n)
 	}
 }
+
+// TestArmRefusesALiveLatch walks one latch through several lives: Arm
+// takes a fresh or resolved latch, refuses one still in flight or
+// waited on, and each life's Done channel is its own.
+func TestArmRefusesALiveLatch(t *testing.T) {
+	var l Latch
+	if l.Armed() || !l.Arm() || !l.Armed() {
+		t.Fatal("a fresh latch did not arm")
+	}
+	if l.Arm() {
+		t.Fatal("an armed, unresolved latch armed again")
+	}
+	first := l.Done()
+	l.Resolve()
+	<-first
+	if l.Armed() || !l.Resolved() {
+		t.Fatal("Resolve left the latch armed or unresolved")
+	}
+	if !l.Arm() || l.Resolved() {
+		t.Fatal("a resolved latch did not arm for a new life")
+	}
+	second := l.Done()
+	if second == first {
+		t.Fatal("the new life handed out the previous life's channel")
+	}
+	select {
+	case <-second:
+		t.Fatal("the new life's channel is closed before Resolve")
+	default:
+	}
+	l.Resolve()
+	<-second
+
+	var watched Latch
+	watched.Done() // a waiter of an unarmed, unresolved latch
+	if watched.Arm() {
+		t.Fatal("a latch somebody is waiting on armed")
+	}
+}
+
+// TestArmedLivesRaceWaiters recycles one latch through many lives,
+// each resolved while waiters enter it; under -race this is the proof
+// that a life's outcome reaches its own waiters and that Arm, after
+// they returned, starts clean.
+func TestArmedLivesRaceWaiters(t *testing.T) {
+	var l Latch
+	outcome := 0
+	for life := 1; life <= 2000; life++ {
+		if !l.Arm() {
+			t.Fatalf("life %d: the resolved latch did not arm", life)
+		}
+		var wg sync.WaitGroup
+		for w := 0; w < 3; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				if w == 0 {
+					<-l.Done()
+				} else {
+					l.Wait()
+				}
+				if outcome != life {
+					t.Errorf("life %d: waiter %d read outcome %d", life, w, outcome)
+				}
+			}(w)
+		}
+		if life%2 == 0 {
+			runtime.Gosched()
+		}
+		outcome = life
+		l.Resolve()
+		wg.Wait()
+	}
+}

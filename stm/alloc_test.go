@@ -10,6 +10,7 @@ import (
 	"context"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"github.com/orderedstm/ostm/stm"
 )
@@ -34,8 +35,10 @@ func (c fixedCodec) Decode([]byte) (stm.Body, error) { return c.body, nil }
 
 // TestSubmitAllocs pins the acknowledgement path's allocation count:
 // Submit costs the ticket and nothing else (no channel, no queue
-// entry), and a batch costs one ticket block and the slice of
-// pointers into it however many transactions it carries.
+// entry); a batch of requests that bring their own tickets, appended
+// into a slice the caller keeps, costs nothing at all; and a batch
+// without them costs one ticket block however many transactions it
+// carries.
 func TestSubmitAllocs(t *testing.T) {
 	counter := stm.NewVar(0)
 	body := func(tx stm.Tx, _ int) { tx.Write(counter, tx.Read(counter)+1) }
@@ -57,20 +60,37 @@ func TestSubmitAllocs(t *testing.T) {
 		t.Errorf("Submit: %v allocations per transaction, want 1 (the ticket)", n)
 	}
 
-	burst := make([]stm.Request, 8)
+	tickets := make([]stm.Ticket, 8)
+	burst := make([]stm.Request, len(tickets))
 	for i := range burst {
-		burst[i] = stm.Request{Encoded: []byte{byte(i)}}
+		burst[i] = stm.Request{Encoded: []byte{byte(i)}, Ticket: &tickets[i]}
 	}
-	if n := testing.AllocsPerRun(500, func() {
-		tks, err := p.SubmitBatch(context.Background(), burst)
-		if err != nil {
+	tks := make([]*stm.Ticket, 0, len(burst))
+	batch := func() {
+		var err error
+		if tks, err = p.SubmitBatch(context.Background(), burst, tks[:0]); err != nil {
 			t.Fatal(err)
 		}
 		// Commits are in age order: the last ticket resolves last.
 		if err := spinUntilResolved(tks[len(tks)-1]); err != nil {
 			t.Fatal(err)
 		}
-	}); n > 2 {
-		t.Errorf("SubmitBatch of %d encoded requests: %v allocations per batch, want at most 2 beyond the Codec's own (ticket block, pointer slice)", len(burst), n)
+	}
+	if n := testing.AllocsPerRun(500, batch); n != 0 {
+		t.Errorf("SubmitBatch of %d encoded requests with their own tickets: %v allocations per batch, want 0 beyond the Codec's own", len(burst), n)
+	}
+	for i := range burst {
+		burst[i].Ticket = nil
+	}
+	if n := testing.AllocsPerRun(500, batch); n > 1 {
+		t.Errorf("SubmitBatch of %d encoded requests: %v allocations per batch, want at most 1 beyond the Codec's own (the ticket block)", len(burst), n)
+	}
+}
+
+// TestTicketSize pins the ticket at 32 bytes: an age, a latch and one
+// pointer to a failure, so a commit writes no error.
+func TestTicketSize(t *testing.T) {
+	if n := unsafe.Sizeof(stm.Ticket{}); n > 32 {
+		t.Fatalf("stm.Ticket is %d bytes, want at most 32", n)
 	}
 }

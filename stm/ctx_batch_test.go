@@ -106,7 +106,7 @@ func TestSubmitBatchCancelDuringBackpressure(t *testing.T) {
 	}
 	done := make(chan res, 1)
 	go func() {
-		out, err := p.SubmitBatch(ctx, batch)
+		out, err := p.SubmitBatch(ctx, batch, nil)
 		done <- res{out, err}
 	}()
 	select {
@@ -140,7 +140,7 @@ func TestSubmitBatchCancelDuringBackpressure(t *testing.T) {
 		}
 	}
 	// And the stream still accepts a full batch.
-	out, err := p.SubmitBatch(context.Background(), batch)
+	out, err := p.SubmitBatch(context.Background(), batch, nil)
 	if err != nil || len(out) != len(batch) {
 		t.Fatalf("post-cancel batch: %d tickets, %v", len(out), err)
 	}
@@ -173,14 +173,14 @@ func TestSubmitBatchEncoded(t *testing.T) {
 
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if out, err := p.SubmitBatch(canceled, reqs); !errors.Is(err, stm.ErrCanceled) || len(out) != 0 {
+	if out, err := p.SubmitBatch(canceled, reqs, nil); !errors.Is(err, stm.ErrCanceled) || len(out) != 0 {
 		t.Fatalf("pre-canceled batch: %d tickets, %v", len(out), err)
 	}
 	if got := p.Submitted(); got != 0 {
 		t.Fatalf("refused batch consumed ages: %d", got)
 	}
 
-	out, err := p.SubmitBatch(context.Background(), reqs)
+	out, err := p.SubmitBatch(context.Background(), reqs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestRequestForm(t *testing.T) {
 			t.Errorf("SubmitCtx of a request with %s set: (%v, %v), want a refusal", name, tk, err)
 		}
 		batch := []stm.Request{{Body: body}, r, {Encoded: data}}
-		if out, err := p.SubmitBatch(ctx, batch); err == nil || len(out) != 0 {
+		if out, err := p.SubmitBatch(ctx, batch, nil); err == nil || len(out) != 0 {
 			t.Errorf("SubmitBatch holding a request with %s set: (%d tickets, %v), want the whole batch refused", name, len(out), err)
 		}
 	}
@@ -238,7 +238,7 @@ func TestRequestForm(t *testing.T) {
 	}
 	// Both forms are accepted side by side, and an empty payload is a
 	// set one: the codec sees it (and refuses it, for this codec).
-	out, err := p.SubmitBatch(ctx, []stm.Request{{Body: body}, {Encoded: data}})
+	out, err := p.SubmitBatch(ctx, []stm.Request{{Body: body}, {Encoded: data}}, nil)
 	if err != nil || len(out) != 2 {
 		t.Fatalf("well-formed batch: %d tickets, %v", len(out), err)
 	}

@@ -426,7 +426,7 @@ func TestDurablePipelineRejectsOpaqueBodies(t *testing.T) {
 		t.Fatalf("SubmitCtx err = %v, want ErrPayloadRequired", err)
 	}
 	batch := []stm.Request{{Encoded: transferFor(0).encode()}, {Body: body}}
-	if out, err := p.SubmitBatch(context.Background(), batch); !errors.Is(err, stm.ErrPayloadRequired) || len(out) != 0 {
+	if out, err := p.SubmitBatch(context.Background(), batch, nil); !errors.Is(err, stm.ErrPayloadRequired) || len(out) != 0 {
 		t.Fatalf("SubmitBatch = (%d tickets, %v), want ErrPayloadRequired for the whole batch", len(out), err)
 	}
 	if _, err := stm.SubmitFunc(context.Background(), p, func(stm.Tx, int) uint64 { return 0 }); !errors.Is(err, stm.ErrPayloadRequired) {
@@ -596,7 +596,7 @@ func TestSubmitBatchDurable(t *testing.T) {
 		for j := i; j < i+16; j++ {
 			batch = append(batch, stm.Request{Encoded: transferFor(uint64(j)).encode()})
 		}
-		tks, err := p.SubmitBatch(context.Background(), batch)
+		tks, err := p.SubmitBatch(context.Background(), batch, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

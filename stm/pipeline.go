@@ -203,6 +203,13 @@ type Request struct {
 	// can recycle one encode buffer. A nil Encoded counts as unset, so
 	// an empty payload is a non-nil zero-length slice.
 	Encoded []byte
+	// Ticket is caller-owned storage for the submission's ticket: the
+	// pipeline resolves and returns it instead of allocating one. The
+	// caller may pass the same Ticket again once it has resolved and
+	// every goroutine waiting on its previous outcome has returned; a
+	// Ticket still in flight is refused, never reused. Nil means the
+	// pipeline allocates the ticket.
+	Ticket *Ticket
 }
 
 // Submit is SubmitCtx without a context, for a body: the shortcut of a
@@ -219,7 +226,7 @@ func (p *Pipeline) SubmitEncoded(data []byte) (*Ticket, error) {
 	if err != nil {
 		return nil, err
 	}
-	return p.submit(nil, body, data)
+	return p.submit(nil, nil, body, data)
 }
 
 // SubmitCtx hands the pipeline the next transaction of the stream. It
@@ -233,13 +240,14 @@ func (p *Pipeline) SubmitEncoded(data []byte) (*Ticket, error) {
 // before an age is assigned — once SubmitCtx returns a Ticket the
 // transaction owns its position in the predefined order and will
 // commit regardless of what happens to ctx (bound the wait with
-// Ticket.WaitCtx instead).
+// Ticket.WaitCtx instead). The returned Ticket is r.Ticket when the
+// request carries one.
 func (p *Pipeline) SubmitCtx(ctx context.Context, r Request) (*Ticket, error) {
 	body, err := p.bodyOf(r)
 	if err != nil {
 		return nil, err
 	}
-	return p.submit(ctx, body, r.Encoded)
+	return p.submit(ctx, r.Ticket, body, r.Encoded)
 }
 
 // bodyOf checks a request's form and returns the body it runs.
@@ -247,6 +255,8 @@ func (p *Pipeline) bodyOf(r Request) (Body, error) {
 	switch {
 	case (r.Body == nil) == (r.Encoded == nil):
 		return nil, errRequestForm
+	case r.Ticket != nil && r.Ticket.done.Armed():
+		return nil, errTicketInFlight
 	case r.Encoded != nil:
 		return p.decode(r.Encoded)
 	case p.s.dur != nil:
@@ -272,20 +282,22 @@ func (p *Pipeline) decode(data []byte) (Body, error) {
 	return body, nil
 }
 
-// submit is the single-transaction core over a freshly allocated
-// ticket — the transaction's one allocation; ctx (nil for the
-// uncancellable entry points) bounds the backpressure wait.
-func (p *Pipeline) submit(ctx context.Context, body Body, payload []byte) (*Ticket, error) {
-	t := new(Ticket)
+// submit is the single-transaction core: t is the caller's ticket, or
+// nil for a fresh one — then the transaction's one allocation; ctx (nil
+// for the uncancellable entry points) bounds the backpressure wait.
+func (p *Pipeline) submit(ctx context.Context, t *Ticket, body Body, payload []byte) (*Ticket, error) {
+	if t == nil {
+		t = new(Ticket)
+	}
 	if err := p.submitWith(ctx, t, body, payload); err != nil {
 		return nil, err
 	}
 	return t, nil
 }
 
-// submitWith posts body onto the stream through the caller-provided
-// ticket (the typed front-ends embed the Ticket inside a TicketOf so
-// submission costs one allocation for the pair, not two): it applies
+// submitWith posts body onto the stream through the given ticket (the
+// caller's Request.Ticket, a fresh one, or the Ticket a TicketOf
+// embeds, so submission costs one allocation for the pair): it applies
 // backpressure, assigns the next age, registers the ticket, and (for
 // durable pipelines) retains the payload until the commit frontier
 // hands the age to the WAL. A non-nil ctx makes the backpressure wait
@@ -342,7 +354,10 @@ func (p *Pipeline) submitWith(ctx context.Context, t *Ticket, body Body, payload
 	if waitT0 != 0 {
 		p.po.submitWait.Observe(time.Now().UnixNano() - waitT0)
 	}
-	s.post(t, body, payload)
+	if !s.post(t, body, payload) {
+		s.mu.Unlock()
+		return errTicketInFlight
+	}
 	s.cond.Broadcast() // wake claim-blocked workers
 	s.mu.Unlock()
 	return nil
@@ -357,14 +372,19 @@ func (p *Pipeline) submitWith(ctx context.Context, t *Ticket, body Body, payload
 // submissions are in flight, the call blocks until the commit frontier
 // advances, exactly as consecutive SubmitCtx calls would.
 //
-// It returns one Ticket per accepted request, in order. On a fault,
-// after Close, or on a cancellation of ctx while the batch is parked
-// at Capacity, submission stops at the first request not yet assigned
-// an age: the returned slice holds the tickets of the requests
-// accepted before it (they own their ages and resolve normally) and
-// the error reports why the rest were refused. As with SubmitCtx, an
-// accepted age is never withdrawn.
-func (p *Pipeline) SubmitBatch(ctx context.Context, reqs []Request) ([]*Ticket, error) {
+// It appends one Ticket per accepted request to out, in order, and
+// returns the extended slice; a request carrying its own Ticket
+// contributes that one. A batch whose requests all carry tickets, into
+// an out with room, allocates nothing here. On a fault, after Close,
+// or on a cancellation of ctx while the batch is parked at Capacity,
+// submission stops at the first request not yet assigned an age: the
+// tickets appended are those of the requests accepted before it (they
+// own their ages and resolve normally) and the error reports why the
+// rest were refused. As with SubmitCtx, an accepted age is never
+// withdrawn. A request whose Ticket is still in flight refuses the
+// whole batch, like a malformed one; the same Ticket twice in one batch
+// stops it at the second.
+func (p *Pipeline) SubmitBatch(ctx context.Context, reqs []Request, out []*Ticket) ([]*Ticket, error) {
 	// The bodies only bridge decoding and post (the submission ring
 	// holds them from there), so the slice is borrowed, not made per
 	// call.
@@ -374,30 +394,38 @@ func (p *Pipeline) SubmitBatch(ctx context.Context, reqs []Request) ([]*Ticket, 
 		*scratch = (*scratch)[:0]
 		p.bodies.Put(scratch)
 	}()
+	fresh := 0 // requests the pipeline makes a ticket for
 	for i, r := range reqs {
 		body, err := p.bodyOf(r)
 		if err != nil {
-			return nil, fmt.Errorf("stm: request %d of the batch: %w", i, err)
+			return out, fmt.Errorf("stm: request %d of the batch: %w", i, err)
 		}
 		*scratch = append(*scratch, body)
+		if r.Ticket == nil {
+			fresh++
+		}
 	}
-	return p.submitBatch(ctx, *scratch, reqs)
+	return p.submitBatch(ctx, *scratch, reqs, fresh, out)
 }
 
 // submitBatch is the batched core: bodies[i] runs as reqs[i], whose
-// Encoded bytes a durable pipeline retains. A non-nil ctx makes the
-// per-request backpressure wait cancellable with SubmitCtx's
+// Encoded bytes a durable pipeline retains and whose Ticket, when set,
+// is its ticket; fresh counts the requests without one. A non-nil ctx
+// makes the per-request backpressure wait cancellable with SubmitCtx's
 // withdrawal rule: cancellation stops the batch before the next age
 // assignment, never after one.
-func (p *Pipeline) submitBatch(ctx context.Context, bodies []Body, reqs []Request) ([]*Ticket, error) {
+func (p *Pipeline) submitBatch(ctx context.Context, bodies []Body, reqs []Request, fresh int, out []*Ticket) ([]*Ticket, error) {
 	if len(bodies) == 0 {
-		return nil, nil
+		return out, nil
 	}
-	// The batch is the unit of allocation: its tickets are one block,
-	// handed out by pointer (a caller holding any of them keeps the
-	// block alive, which a batch's worth of 48-byte tickets can afford).
-	block := make([]Ticket, len(bodies))
-	out := make([]*Ticket, 0, len(bodies))
+	// The batch is the unit of allocation: the tickets the pipeline
+	// makes are one block, handed out by pointer (a caller holding any of
+	// them keeps the block alive, which a batch's worth of 32-byte
+	// tickets can afford).
+	var block []Ticket
+	if fresh > 0 {
+		block = make([]Ticket, fresh)
+	}
 	s := p.s
 	var unwatch func() bool
 	defer func() {
@@ -405,23 +433,24 @@ func (p *Pipeline) submitBatch(ctx context.Context, bodies []Body, reqs []Reques
 			unwatch()
 		}
 	}()
+	var err error
 	s.mu.Lock()
+batch:
 	for i, body := range bodies {
 		var waitT0 int64
 		for {
 			if s.fault != nil {
-				f := s.fault
-				s.mu.Unlock()
-				return out, &Stopped{Fault: f}
+				err = &Stopped{Fault: s.fault}
+				break batch
 			}
 			if s.closed {
-				s.mu.Unlock()
-				return out, ErrClosed
+				err = ErrClosed
+				break batch
 			}
 			if ctx != nil {
-				if err := ctx.Err(); err != nil {
-					s.mu.Unlock()
-					return out, fmt.Errorf("%w before an age was assigned: %w", ErrCanceled, err)
+				if cerr := ctx.Err(); cerr != nil {
+					err = fmt.Errorf("%w before an age was assigned: %w", ErrCanceled, cerr)
+					break batch
 				}
 			}
 			if s.submitted-(s.base+s.ncommitted) < uint64(s.capacity) {
@@ -451,13 +480,19 @@ func (p *Pipeline) submitBatch(ctx context.Context, bodies []Body, reqs []Reques
 		if waitT0 != 0 {
 			p.po.submitWait.Observe(time.Now().UnixNano() - waitT0)
 		}
-		t := &block[i]
-		s.post(t, body, reqs[i].Encoded)
+		t := reqs[i].Ticket
+		if t == nil {
+			t, block = &block[0], block[1:]
+		}
+		if !s.post(t, body, reqs[i].Encoded) {
+			err = errTicketInFlight
+			break
+		}
 		out = append(out, t)
 	}
-	s.cond.Broadcast() // wake claim-blocked workers
+	s.cond.Broadcast() // wake claim-blocked workers for what was posted
 	s.mu.Unlock()
-	return out, nil
+	return out, err
 }
 
 // Drain blocks until every transaction submitted before the call has
@@ -791,10 +826,12 @@ type pipeEntry struct {
 // in-order engines the overflow never happens (in-flight ages span
 // less than the capacity-sized ring), so the steady-state path is an
 // age-tagged array slot instead of a map insert+delete per
-// transaction.
+// transaction. The same record parks a WaitDurable ticket between
+// commit and sync.
 type tslot struct {
 	age uint64
 	t   *Ticket
+	ts  int64 // UnixNano at age assignment; 0 unless the age is latency-sampled
 }
 
 // pslot is one slot of the durable payload ring; full distinguishes
@@ -817,8 +854,8 @@ type stream struct {
 
 	entries []pipeEntry
 	emask   uint64
-	tslots  []tslot            // ticket ring; same geometry as entries
-	tickets map[uint64]*Ticket // overflow for out-of-order commit skew
+	tslots  []tslot          // ticket ring; same geometry as entries
+	tickets map[uint64]tslot // overflow for out-of-order commit skew
 
 	base       uint64 // first age of the stream
 	capacity   int
@@ -881,17 +918,17 @@ type durState struct {
 	// point. A ticket that commits below the queue's newest age
 	// (commit-order skew) escapes to waitSkew, as tslots/tickets do.
 	waitq    ticketFIFO
-	waitSkew map[uint64]*Ticket
+	waitSkew map[uint64]tslot
 	err      error // first log failure; the durable prefix is frozen
 }
 
 // ticketFIFO is a queue of tickets in arrival order.
 type ticketFIFO struct {
-	buf  []*Ticket
+	buf  []tslot
 	head int
 }
 
-func (q *ticketFIFO) push(t *Ticket) {
+func (q *ticketFIFO) push(t tslot) {
 	if len(q.buf) == cap(q.buf) && q.head > len(q.buf)/2 {
 		// Mostly consumed: slide the live tail down instead of growing.
 		n := copy(q.buf, q.buf[q.head:])
@@ -901,24 +938,26 @@ func (q *ticketFIFO) push(t *Ticket) {
 	q.buf = append(q.buf, t)
 }
 
-// front returns the oldest ticket, nil when the queue is empty.
-func (q *ticketFIFO) front() *Ticket {
+// front returns the oldest ticket; its t is nil when the queue is
+// empty.
+func (q *ticketFIFO) front() tslot {
 	if q.head == len(q.buf) {
-		return nil
+		return tslot{}
 	}
 	return q.buf[q.head]
 }
 
-// back returns the newest ticket, nil when the queue is empty.
-func (q *ticketFIFO) back() *Ticket {
+// back returns the newest ticket; its t is nil when the queue is
+// empty.
+func (q *ticketFIFO) back() tslot {
 	if q.head == len(q.buf) {
-		return nil
+		return tslot{}
 	}
 	return q.buf[len(q.buf)-1]
 }
 
 func (q *ticketFIFO) pop() {
-	q.buf[q.head] = nil
+	q.buf[q.head] = tslot{}
 	if q.head++; q.head == len(q.buf) {
 		q.buf, q.head = q.buf[:0], 0
 	}
@@ -926,24 +965,24 @@ func (q *ticketFIFO) pop() {
 
 // deferTicket parks a committed WaitDurable ticket until durableTo
 // reaches its age.
-func (d *durState) deferTicket(t *Ticket) {
-	if b := d.waitq.back(); b != nil && b.age > t.age {
-		d.waitSkew[t.age] = t
+func (d *durState) deferTicket(sl tslot) {
+	if b := d.waitq.back(); b.t != nil && b.age > sl.age {
+		d.waitSkew[sl.age] = sl
 		return
 	}
-	d.waitq.push(t)
+	d.waitq.push(sl)
 }
 
 // failDeferred resolves every ticket still parked for durability with
 // err.
 func (d *durState) failDeferred(err error) {
-	for t := d.waitq.front(); t != nil; t = d.waitq.front() {
+	for sl := d.waitq.front(); sl.t != nil; sl = d.waitq.front() {
 		d.waitq.pop()
-		t.resolve(err)
+		sl.t.resolve(err)
 	}
-	for age, t := range d.waitSkew {
+	for age, sl := range d.waitSkew {
 		delete(d.waitSkew, age)
-		t.resolve(err)
+		sl.t.resolve(err)
 	}
 }
 
@@ -956,7 +995,7 @@ func newStream(cfg Config) *stream {
 		entries:   make([]pipeEntry, size),
 		emask:     size - 1,
 		tslots:    make([]tslot, size),
-		tickets:   make(map[uint64]*Ticket),
+		tickets:   make(map[uint64]tslot),
 		base:      cfg.FirstAge,
 		capacity:  cfg.Capacity,
 		submitted: cfg.FirstAge,
@@ -972,7 +1011,7 @@ func newStream(cfg Config) *stream {
 			pring:    make([]pslot, size),
 			overflow: make(map[uint64][]byte),
 			pend:     make(map[uint64][]byte),
-			waitSkew: make(map[uint64]*Ticket),
+			waitSkew: make(map[uint64]tslot),
 		}
 		s.dur.burst, _ = cfg.WAL.(burstLog)
 	}
@@ -980,15 +1019,19 @@ func newStream(cfg Config) *stream {
 	return s
 }
 
-// post assigns the next age to body and registers the caller's
-// ticket (and, on durable pipelines, retains the encoded payload
-// until commit). Called with mu held and room available.
-func (s *stream) post(t *Ticket, body Body, payload []byte) {
+// post assigns the next age to body and registers the ticket (and, on
+// durable pipelines, retains the encoded payload until commit). It
+// reports false, posting nothing, if the ticket is still in flight.
+// Called with mu held and room available.
+func (s *stream) post(t *Ticket, body Body, payload []byte) bool {
 	age := s.submitted
-	t.age = age
+	if !t.arm(age) {
+		return false
+	}
+	tk := tslot{age: age, t: t}
 	if po := s.po; po != nil {
 		if age&latSampleMask == 0 {
-			t.ts = time.Now().UnixNano()
+			tk.ts = time.Now().UnixNano()
 		}
 		if po.trace.Sampled(age) {
 			po.trace.Record(age, obs.StageSubmit)
@@ -1004,13 +1047,13 @@ func (s *stream) post(t *Ticket, body Body, payload []byte) {
 		}
 		sl.age, sl.p, sl.full = age, payload, true
 	}
-	sl := &s.tslots[age&s.emask]
-	if sl.t == nil {
-		sl.age, sl.t = age, t
+	if sl := &s.tslots[age&s.emask]; sl.t == nil {
+		*sl = tk
 	} else {
-		s.tickets[age] = t // ring slot still held by an unresolved age
+		s.tickets[age] = tk // ring slot still held by an unresolved age
 	}
 	s.submitted++
+	return true
 }
 
 // claim implements feed: hand out submitted ages in order, blocking
@@ -1044,15 +1087,15 @@ func (s *stream) claim(stop func() bool) (uint64, Body, bool) {
 // backpressure), and signal the janitor at epoch boundaries.
 func (s *stream) committed(age uint64) {
 	s.mu.Lock()
-	var t *Ticket
+	var tk tslot // survives the WaitDurable deferral below, for latency stamps
 	if sl := &s.tslots[age&s.emask]; sl.t != nil && sl.age == age {
-		t = sl.t
+		tk = *sl
 		sl.t = nil
-	} else if tk, ok := s.tickets[age]; ok {
+	} else if o, ok := s.tickets[age]; ok {
 		delete(s.tickets, age)
-		t = tk
+		tk = o
 	}
-	tk := t // survives the WaitDurable deferral below, for latency stamps
+	t := tk.t
 	if s.onCommit != nil {
 		s.onCommit(age)
 	}
@@ -1074,7 +1117,7 @@ func (s *stream) committed(age uint64) {
 				t.resolve(&DurabilityError{Err: d.err})
 				t = nil
 			case age >= d.log.Durable():
-				d.deferTicket(t) // resolved by durableTo at a sync point
+				d.deferTicket(tk) // resolved by durableTo at a sync point
 				t = nil
 			}
 		}
@@ -1086,7 +1129,7 @@ func (s *stream) committed(age uint64) {
 		if age&latSampleMask == 0 {
 			now := time.Now().UnixNano()
 			po.lastCommit.Store(now)
-			if tk != nil && tk.ts != 0 {
+			if tk.ts != 0 {
 				po.commitLat.Observe(now - tk.ts)
 				if t != nil {
 					po.resolveLat.Observe(now - tk.ts) // resolving at commit
@@ -1197,14 +1240,14 @@ func (s *stream) durableTo(next uint64, err error) {
 		s.mu.Unlock()
 		return
 	}
-	for t := d.waitq.front(); t != nil && t.age < next; t = d.waitq.front() {
+	for sl := d.waitq.front(); sl.t != nil && sl.age < next; sl = d.waitq.front() {
 		d.waitq.pop()
-		s.resolveDurable(t)
+		s.resolveDurable(sl)
 	}
-	for age, t := range d.waitSkew {
+	for age, sl := range d.waitSkew {
 		if age < next {
 			delete(d.waitSkew, age)
-			s.resolveDurable(t)
+			s.resolveDurable(sl)
 		}
 	}
 	s.mu.Unlock()
@@ -1212,17 +1255,17 @@ func (s *stream) durableTo(next uint64, err error) {
 
 // resolveDurable acknowledges a WaitDurable ticket whose age reached
 // stable storage. Called with mu held.
-func (s *stream) resolveDurable(t *Ticket) {
+func (s *stream) resolveDurable(sl tslot) {
 	if po := s.po; po != nil {
-		if t.ts != 0 {
-			po.resolveLat.Observe(time.Now().UnixNano() - t.ts)
+		if sl.ts != 0 {
+			po.resolveLat.Observe(time.Now().UnixNano() - sl.ts)
 		}
-		if po.trace.Sampled(t.age) {
-			po.trace.Record(t.age, obs.StageDurable)
-			po.trace.Record(t.age, obs.StageResolve)
+		if po.trace.Sampled(sl.age) {
+			po.trace.Record(sl.age, obs.StageDurable)
+			po.trace.Record(sl.age, obs.StageResolve)
 		}
 	}
-	t.resolve(nil)
+	sl.t.resolve(nil)
 }
 
 // halted implements feed: the loop stopped on a fault before draining.
@@ -1262,10 +1305,10 @@ func (s *stream) resolveOutstanding(f *Fault, from uint64) {
 			fail(sl.age, t)
 		}
 	}
-	for age, t := range s.tickets {
+	for age, sl := range s.tickets {
 		if age >= from {
 			delete(s.tickets, age)
-			fail(age, t)
+			fail(age, sl.t)
 		}
 	}
 }

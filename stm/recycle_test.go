@@ -61,7 +61,7 @@ func TestRecyclingDeterminism(t *testing.T) {
 						for i := at; i < end; i++ {
 							reqs = append(reqs, stm.Request{Body: streamBody(cmds[i], accounts, results, i)})
 						}
-						tks, err := p.SubmitBatch(context.Background(), reqs)
+						tks, err := p.SubmitBatch(context.Background(), reqs, nil)
 						if err != nil {
 							t.Fatalf("SubmitBatch at %d: %v", at, err)
 						}

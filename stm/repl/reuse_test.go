@@ -154,23 +154,28 @@ func TestFollowerBufferOutlivesItsRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A second wave, now that the ring is being released behind the
-	// frontier: it must come round to memory the first wave used.
-	for age := uint64(total); age < 2*total; age++ {
-		if err := l.w.Append(age, checkedPayload(age)); err != nil {
-			t.Fatal(err)
-		}
-		if age%64 == 0 {
-			if err := l.w.Sync(); err != nil {
+	// frontier: it must come round to memory the first wave used. It is
+	// shipped half a ring at a time, each chunk applied and logged before
+	// the next is appended. Appended all at once, it would outrun a
+	// follower on one P, fill the ring with groups not yet logged, and
+	// send the rest to the heap by design: the count below would measure
+	// scheduling, not recycling. The follower releases a group before
+	// the read after it reached the log, so a chunk must fit beside its
+	// predecessor.
+	const chunk = ringSize / checkedLen / 2
+	for start := uint64(total); start < 2*total; start += chunk {
+		for age := start; age < start+chunk; age++ {
+			if err := l.w.Append(age, checkedPayload(age)); err != nil {
 				t.Fatal(err)
 			}
 		}
-	}
-	if err := l.w.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	eventually(t, "catch-up", func() bool { return f.Frontier() == 2*total })
-	if err := p.Drain(); err != nil {
-		t.Fatal(err)
+		if err := l.w.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		eventually(t, "catch-up", func() bool { return f.Frontier() == start+chunk })
+		if err := p.Drain(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := f.Err(); err != nil {
 		t.Fatal(err)

@@ -9,6 +9,7 @@ package serve_test
 import (
 	"context"
 	"testing"
+	"unsafe"
 
 	"github.com/orderedstm/ostm/stm"
 	"github.com/orderedstm/ostm/stm/serve"
@@ -35,17 +36,18 @@ func TestCodeOfNilAllocs(t *testing.T) {
 // burst: SubmitMany, ingress batching, commit, the coalesced response
 // write, the client's read loop, and the wait for the last call.
 //
-// What this package and stm allocate for it is 5 objects per burst,
-// not per transaction: the client's Call block and pointer slice, the
-// pipeline's ticket block and pointer slice, and the channel of the
-// one Call the test parks on. No frame buffer, queue entry, ticket
-// channel or errors.As target. The rest is net/http's HTTP/2 machinery
-// on both ends of the loopback connection; the whole round trip
-// measures 9 objects per burst on go1.24. The budget of 16 leaves room
-// for another Go version's net/http and none for a per-transaction
-// object, which would add 8 per burst.
+// What this package and stm allocate for it is 3 objects per burst,
+// not per transaction: the client's Call block and pointer slice, and
+// the channel of the one Call the test parks on. The server's tickets
+// come from its per-stream ring, so the pipeline makes no ticket block
+// and no pointer slice; there is no frame buffer, queue entry, ticket
+// channel or errors.As target either. The rest is net/http's HTTP/2
+// machinery on both ends of the loopback connection; the whole round
+// trip measures 5 objects per burst on go1.24. The budget of 12 leaves
+// room for another Go version's net/http and none for a
+// per-transaction object, which would add 8 per burst.
 func TestBurstRoundTripAllocs(t *testing.T) {
-	const budget = 16
+	const budget = 12
 	counter := stm.NewVar(0)
 	body := func(tx stm.Tx, _ int) { tx.Write(counter, tx.Read(counter)+1) }
 	p, err := stm.NewPipeline(stm.Config{Algorithm: stm.OWB, Workers: 2, Codec: fixedCodec{body}})
@@ -84,5 +86,14 @@ func TestBurstRoundTripAllocs(t *testing.T) {
 	t.Logf("%v allocations per %d-frame burst", n, len(burst))
 	if n > budget {
 		t.Fatalf("round trip of a %d-frame burst: %v allocations, budget %d", len(burst), n, budget)
+	}
+}
+
+// TestCallSize pins a Call at 32 bytes: a latch, the age and one
+// pointer to a failure. The request id is the call's position in the
+// client's pending ring, not a field.
+func TestCallSize(t *testing.T) {
+	if n := unsafe.Sizeof(serve.Call{}); n > 32 {
+		t.Fatalf("serve.Call is %d bytes, want at most 32", n)
 	}
 }

@@ -16,10 +16,11 @@ import (
 // the server's response frame for it arrives (i.e. when the
 // transaction committed, or was refused/canceled).
 type Call struct {
-	id   uint64
+	// The request id is not stored: it is the call's position in the
+	// connection's pending ring.
 	done latch.Latch
 	age  uint64 // age and err are written once, before done resolves
-	err  error
+	err  *error // nil on commit
 }
 
 // Done is closed when the response arrived.
@@ -30,13 +31,17 @@ func (c *Call) Done() <-chan struct{} { return c.done.Done() }
 // matching the engine sentinels through errors.Is).
 func (c *Call) Wait() (uint64, error) {
 	c.done.Wait()
-	return c.age, c.err
+	return c.age, c.Err()
 }
 
 // resolve completes the call; whoever holds the call after taking it
 // out of the pending ring is its only resolver.
 func (c *Call) resolve(age uint64, err error) {
-	c.age, c.err = age, err
+	c.age = age
+	if err != nil {
+		c.err = new(error) // made here, so a commit allocates nothing
+		*c.err = err
+	}
 	c.done.Resolve()
 }
 
@@ -44,7 +49,12 @@ func (c *Call) resolve(age uint64, err error) {
 func (c *Call) Age() uint64 { return c.age }
 
 // Err returns the call's error; valid after Done.
-func (c *Call) Err() error { return c.err }
+func (c *Call) Err() error {
+	if c.err == nil {
+		return nil
+	}
+	return *c.err
+}
 
 // callRing is a connection's unanswered calls, indexed by id. Ids are
 // a dense per-connection counter and the server answers in order, so
@@ -55,23 +65,23 @@ type callRing struct {
 	base, next uint64
 }
 
-// put registers c, whose id is at or above every id put before.
-func (r *callRing) put(c *Call) {
+// put registers c under id, which is at or above every id put before.
+func (r *callRing) put(id uint64, c *Call) {
 	if len(r.slots) == 0 {
 		r.slots = make([]*Call, 64)
 	}
 	if r.base == r.next {
-		r.base = c.id // empty window: restart it here
+		r.base = id // empty window: restart it here
 	}
-	for c.id-r.base >= uint64(len(r.slots)) {
+	for id-r.base >= uint64(len(r.slots)) {
 		grown := make([]*Call, 2*len(r.slots))
 		for id := r.base; id < r.next; id++ {
 			grown[id&uint64(len(grown)-1)] = r.slots[id&uint64(len(r.slots)-1)]
 		}
 		r.slots = grown
 	}
-	r.slots[c.id&uint64(len(r.slots)-1)] = c
-	r.next = c.id + 1
+	r.slots[id&uint64(len(r.slots)-1)] = c
+	r.next = id + 1
 }
 
 // take removes and returns the call registered under id, nil if there
@@ -214,18 +224,18 @@ func (c *Client) SubmitMany(payloads [][]byte) ([]*Call, error) {
 	}
 	block := make([]Call, len(payloads)) // the burst is the unit of allocation
 	calls := make([]*Call, len(payloads))
+	first := c.nextID // the burst's ids are consecutive
 	c.wbuf = c.wbuf[:0]
 	c.rmu.Lock()
 	for i, pl := range payloads {
 		calls[i] = &block[i]
-		c.register(calls[i], pl)
-		c.wbuf = appendRequestFrame(c.wbuf, calls[i].id, 0, pl)
+		c.wbuf = appendRequestFrame(c.wbuf, c.register(calls[i], pl), 0, pl)
 	}
 	c.rmu.Unlock()
 	if _, err := c.pw.Write(c.wbuf); err != nil {
 		c.rmu.Lock()
-		for _, call := range calls {
-			c.unregister(call.id)
+		for i := range calls {
+			c.unregister(first + uint64(i))
 		}
 		c.rmu.Unlock()
 		c.writeEr = fmt.Errorf("serve: write frames: %w", err)
@@ -234,16 +244,17 @@ func (c *Client) SubmitMany(payloads [][]byte) ([]*Call, error) {
 	return calls, nil
 }
 
-// register assigns call the next id and enters it in the pending
-// ring, keeping a copy of the payload when a NotLeader answer would
-// have to resubmit it. Called with wmu and rmu held.
-func (c *Client) register(call *Call, payload []byte) {
-	call.id = c.nextID
+// register enters call in the pending ring under the next id, which
+// it returns, keeping a copy of the payload when a NotLeader answer
+// would have to resubmit it. Called with wmu and rmu held.
+func (c *Client) register(call *Call, payload []byte) uint64 {
+	id := c.nextID
 	c.nextID++
-	c.pending.put(call)
+	c.pending.put(id, call)
 	if c.retained != nil {
-		c.retained[call.id] = append([]byte(nil), payload...)
+		c.retained[id] = append([]byte(nil), payload...)
 	}
+	return id
 }
 
 // unregister takes id back out: its response arrived, or its frame
@@ -268,12 +279,12 @@ func (c *Client) submit(payload []byte, deadlineMS uint32) (*Call, error) {
 	}
 	call := new(Call)
 	c.rmu.Lock()
-	c.register(call, payload)
+	id := c.register(call, payload)
 	c.rmu.Unlock()
-	c.wbuf = appendRequestFrame(c.wbuf[:0], call.id, deadlineMS, payload)
+	c.wbuf = appendRequestFrame(c.wbuf[:0], id, deadlineMS, payload)
 	if _, err := c.pw.Write(c.wbuf); err != nil {
 		c.rmu.Lock()
-		c.unregister(call.id)
+		c.unregister(id)
 		c.rmu.Unlock()
 		c.writeEr = fmt.Errorf("serve: write frame: %w", err)
 		return nil, c.writeEr

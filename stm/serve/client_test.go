@@ -8,12 +8,9 @@ import "testing"
 func TestCallRing(t *testing.T) {
 	var r callRing
 	calls := make([]Call, 1000)
-	for i := range calls {
-		calls[i].id = uint64(i)
-	}
 	// Run 300 ahead of the answers: the ring must grow past 64 and 256.
 	for i := 0; i < 300; i++ {
-		r.put(&calls[i])
+		r.put(uint64(i), &calls[i])
 	}
 	if r.take(300) != nil || r.take(1<<40) != nil {
 		t.Fatal("took a call that was never put")
@@ -30,7 +27,7 @@ func TestCallRing(t *testing.T) {
 		if i != 5 && r.take(uint64(i)) != &calls[i] {
 			t.Fatalf("take(%d) missed", i)
 		}
-		r.put(&calls[300+i])
+		r.put(uint64(300+i), &calls[300+i])
 	}
 	if len(r.slots) != 512 {
 		t.Fatalf("ring holds %d slots for a window of 300", len(r.slots))
@@ -44,8 +41,8 @@ func TestCallRing(t *testing.T) {
 		t.Fatalf("window [%d, %d) after every call was answered", r.base, r.next)
 	}
 	// An id gap (a failed write never sent some ids) restarts the window.
-	late := Call{id: 5000}
-	r.put(&late)
+	var late Call
+	r.put(5000, &late)
 	if r.take(4999) != nil || r.take(5000) != &late {
 		t.Fatal("restarted window")
 	}

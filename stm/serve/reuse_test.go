@@ -176,3 +176,95 @@ func TestRequestBufferOutlivesItsTicket(t *testing.T) {
 		t.Fatalf("%d reads found a request buffer changed while its ticket was unresolved", n)
 	}
 }
+
+// TestTicketSlotOutlivesItsTicket is the ticket ring's twin of the
+// test above. It holds the commit frontier until more entries are in
+// flight than the stream's ticket ring has slots — one per queue
+// entry, four batches — so ingress must give the excess heap tickets
+// instead of a slot whose ticket has not resolved. Every response must
+// then carry its own request's age, and a slot handed out while still
+// in flight would instead be refused by the pipeline.
+func TestTicketSlotOutlivesItsTicket(t *testing.T) {
+	const (
+		maxBatch = 8
+		slots    = 4 * maxBatch
+		total    = 400
+		burst    = 8
+	)
+	var corrupt atomic.Int64
+	gate := make(chan struct{})
+	log := &checkedLog{corrupt: &corrupt}
+	p, err := stm.NewPipeline(stm.Config{
+		Algorithm: stm.OWB,
+		Workers:   2,
+		Capacity:  256,
+		Codec:     checkedCodec{counter: stm.NewVar(0), gate: gate, corrupt: &corrupt},
+		WAL:       log,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	srv, err := serve.NewServer(serve.Config{Pipeline: p, MaxBatch: maxBatch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer shutdownNow(srv)
+	c, err := serve.Dial(context.Background(), srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	var calls []*serve.Call
+	sent := make(chan error, 1)
+	go func() {
+		for seq := uint64(0); seq < total; seq += burst {
+			payloads := make([][]byte, burst)
+			for i := range payloads {
+				payloads[i] = checkedPayload(seq + uint64(i))
+			}
+			cs, err := c.SubmitMany(payloads)
+			if err != nil {
+				sent <- err
+				return
+			}
+			calls = append(calls, cs...)
+		}
+		sent <- nil
+	}()
+
+	// The writer waits on entry 0 and the queue holds the next slots
+	// entries, so ingress submits at least one more before it parks —
+	// unless the pipeline refuses it, which the calls then report.
+	var stalled uint64
+	for deadline := time.Now().Add(10 * time.Second); p.Submitted() <= slots+1; {
+		if time.Now().After(deadline) {
+			stalled = p.Submitted()
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if p.Committed() != 0 {
+		t.Fatalf("%d transactions committed behind a held frontier", p.Committed())
+	}
+	close(gate)
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
+	for i, call := range calls {
+		age, err := call.Wait()
+		if err != nil || age != uint64(i) {
+			t.Fatalf("call %d: age %d, err %v", i, age, err)
+		}
+	}
+	if stalled != 0 {
+		t.Fatalf("only %d submissions reached the pipeline behind the held frontier", stalled)
+	}
+	if n := corrupt.Load(); n != 0 {
+		t.Fatalf("%d reads found a request buffer changed while its ticket was unresolved", n)
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/orderedstm/ostm/internal/arena"
@@ -29,16 +30,19 @@ type ticket interface {
 // backend abstracts the two pipeline shapes behind the encoded
 // requests the wire carries. Each stream owns one, so its request
 // scratch is per connection and a burst allocates nothing new. batch
-// appends the accepted tickets to out (the caller's scratch) and
+// submits datas, which will be the stream's entries seq, seq+1, ...;
+// it appends the accepted tickets to out (the caller's scratch) and
 // returns it.
 type backend interface {
 	one(ctx context.Context, data []byte) (ticket, error)
-	batch(ctx context.Context, datas [][]byte, out []ticket) ([]ticket, error)
+	batch(ctx context.Context, datas [][]byte, seq uint64, out []ticket) ([]ticket, error)
 }
 
 type pipeBackend struct {
 	p    *stm.Pipeline
+	ring *ticketRing
 	reqs []stm.Request
+	lts  []*stm.Ticket
 }
 
 func (b *pipeBackend) one(ctx context.Context, data []byte) (ticket, error) {
@@ -49,22 +53,26 @@ func (b *pipeBackend) one(ctx context.Context, data []byte) (ticket, error) {
 	return t, err
 }
 
-func (b *pipeBackend) batch(ctx context.Context, datas [][]byte, out []ticket) ([]ticket, error) {
-	for _, data := range datas {
-		b.reqs = append(b.reqs, stm.Request{Encoded: data})
+func (b *pipeBackend) batch(ctx context.Context, datas [][]byte, seq uint64, out []ticket) ([]ticket, error) {
+	for i, data := range datas {
+		// A nil slot (the writer is far behind) lets the pipeline make one.
+		b.reqs = append(b.reqs, stm.Request{Encoded: data, Ticket: b.ring.slot(seq + uint64(i))})
 	}
-	lts, err := b.p.SubmitBatch(ctx, b.reqs)
+	var err error
+	b.lts, err = b.p.SubmitBatch(ctx, b.reqs, b.lts[:0])
 	clear(b.reqs)
 	b.reqs = b.reqs[:0]
-	for _, t := range lts {
+	for _, t := range b.lts {
 		out = append(out, t)
 	}
+	clear(b.lts)
 	return out, err
 }
 
 type shardBackend struct {
 	sp   *shard.ShardedPipeline
 	reqs []shard.Request
+	lts  []*shard.Ticket
 }
 
 func (b *shardBackend) one(ctx context.Context, data []byte) (ticket, error) {
@@ -75,20 +83,22 @@ func (b *shardBackend) one(ctx context.Context, data []byte) (ticket, error) {
 	return t, err
 }
 
-func (b *shardBackend) batch(ctx context.Context, datas [][]byte, out []ticket) ([]ticket, error) {
+func (b *shardBackend) batch(ctx context.Context, datas [][]byte, _ uint64, out []ticket) ([]ticket, error) {
 	for _, data := range datas {
 		b.reqs = append(b.reqs, shard.Request{Encoded: data})
 	}
-	lts, err := b.sp.SubmitBatch(ctx, b.reqs)
+	var err error
+	b.lts, err = b.sp.SubmitBatch(ctx, b.reqs, b.lts[:0])
 	clear(b.reqs)
 	b.reqs = b.reqs[:0]
-	for _, t := range lts {
+	for _, t := range b.lts {
 		var tk ticket // stays nil for a refused request: positions align with datas
 		if t != nil {
 			tk = t
 		}
 		out = append(out, tk)
 	}
+	clear(b.lts)
 	return out, err
 }
 
@@ -260,6 +270,28 @@ func (s *Server) gateErr() error {
 // precede resolution, never live here; see readRequestFrame.)
 const arenaSize = 64 << 10
 
+// ticketRing is a stream's stm.Ticket storage, kept by the payload
+// arena's rule. Ingress numbers the stream's entries in queue order and
+// entry seq may take slot seq mod len; the response writer counts the
+// entries it has answered — each resolved, its response composed — and
+// a slot is free again once the entry that last held it is counted.
+// An entry whose slot is still held, and every deadline frame, gets a
+// ticket from the pipeline instead: nothing waits for a slot. A writer
+// that loses its client stops counting, so tickets that may still be
+// unresolved are never handed out again.
+type ticketRing struct {
+	slots    []stm.Ticket // empty in front of a sharded pipeline
+	answered atomic.Uint64
+}
+
+// slot returns entry seq's ticket, nil while its slot is still held.
+func (r *ticketRing) slot(seq uint64) *stm.Ticket {
+	if seq-r.answered.Load() >= uint64(len(r.slots)) {
+		return nil
+	}
+	return &r.slots[seq%uint64(len(r.slots))]
+}
+
 // entry is one request's slot in a stream's response queue. Entries
 // travel by value: the queue's buffer is their only storage.
 type entry struct {
@@ -329,8 +361,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// Sized to a few ingress batches, so ingress can run ahead of a
 	// writer parked on an unresolved ticket without queueing unboundedly.
 	queue := make(chan entry, 4*s.cfg.MaxBatch)
+	ring := new(ticketRing)
 	writerDone := make(chan struct{})
-	go s.writeResponses(w, rc, queue, ar, writerDone)
+	go s.writeResponses(w, rc, queue, ar, ring, writerDone)
 
 	// Ingress: decode frames in arrival order. Frames that arrived
 	// together (complete in the read buffer) and carry no deadline are
@@ -342,14 +375,23 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// hold.
 	var (
 		b       backend
+		queued  uint64   // entries sent to the writer
 		runData [][]byte // the run being collected: its payloads,
 		run     []entry  // and its entries, outcome still to be filled in
 		tickets []ticket // scratch of backend.batch
 	)
 	if s.cfg.Pipeline != nil {
-		b = &pipeBackend{p: s.cfg.Pipeline}
+		// As many slots as the queue holds entries: a stream keeps more
+		// than that unanswered only while its writer waits on an old
+		// entry, and the excess takes heap tickets.
+		ring.slots = make([]stm.Ticket, cap(queue))
+		b = &pipeBackend{p: s.cfg.Pipeline, ring: ring}
 	} else {
 		b = &shardBackend{sp: s.cfg.Sharded}
+	}
+	send := func(e entry) {
+		queue <- e
+		queued++
 	}
 	flushRun := func() {
 		if len(run) == 0 {
@@ -358,7 +400,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		tickets = tickets[:0]
 		err := s.gateErr()
 		if err == nil {
-			tickets, err = b.batch(ctx, runData, tickets)
+			tickets, err = b.batch(ctx, runData, queued, tickets)
 		}
 		for i, e := range run {
 			if i < len(tickets) && tickets[i] != nil {
@@ -366,7 +408,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			} else if e.err = err; e.err == nil {
 				e.err = errors.New("serve: submission refused")
 			}
-			queue <- e
+			send(e)
 		}
 		clear(tickets)
 		runData, run = runData[:0], run[:0]
@@ -382,7 +424,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 				break
 			}
 			flushRun()
-			queue <- entry{id: id, err: bad, mark: ar.Mark()}
+			send(entry{id: id, err: bad, mark: ar.Mark()})
 			continue
 		}
 		if deadlineMS == 0 {
@@ -396,17 +438,17 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		flushRun()
 		if gerr := s.gateErr(); gerr != nil {
-			queue <- entry{id: id, err: gerr, mark: ar.Mark()}
+			send(entry{id: id, err: gerr, mark: ar.Mark()})
 			continue
 		}
 		dctx, cancel := context.WithTimeout(ctx, time.Duration(deadlineMS)*time.Millisecond)
 		t, serr := b.one(dctx, payload)
 		if serr != nil {
 			cancel()
-			queue <- entry{id: id, err: serr, mark: ar.Mark()}
+			send(entry{id: id, err: serr, mark: ar.Mark()})
 			continue
 		}
-		queue <- entry{id: id, t: t, ctx: dctx, cancel: cancel, mark: ar.Mark()}
+		send(entry{id: id, t: t, ctx: dctx, cancel: cancel, mark: ar.Mark()})
 	}
 	flushRun()
 	close(queue)
@@ -421,13 +463,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // Write and one Flush. The loop stops collecting at the first entry
 // still in flight, so a resolved response is never held back behind an
 // unresolved one: everything written is flushed before the next
-// blocking wait.
-func (s *Server) writeResponses(w http.ResponseWriter, rc *http.ResponseController, queue <-chan entry, ar *arena.Ring, done chan<- struct{}) {
+// blocking wait. Answered entries give their payload buffers back to
+// ar and their ticket slots back to ring.
+func (s *Server) writeResponses(w http.ResponseWriter, rc *http.ResponseController, queue <-chan entry, ar *arena.Ring, ring *ticketRing, done chan<- struct{}) {
 	defer close(done)
 	var (
-		buf  []byte
-		next entry // taken off the queue, found still in flight
-		held bool
+		buf      []byte
+		next     entry // taken off the queue, found still in flight
+		held     bool
+		answered uint64
 	)
 	for {
 		e := next
@@ -440,6 +484,7 @@ func (s *Server) writeResponses(w http.ResponseWriter, rc *http.ResponseControll
 		held = false
 		buf = e.appendResponse(buf[:0], e.wait())
 		mark := e.mark
+		answered++
 	run:
 		for {
 			select {
@@ -454,17 +499,21 @@ func (s *Server) writeResponses(w http.ResponseWriter, rc *http.ResponseControll
 				}
 				buf = e.appendResponse(buf, err)
 				mark = e.mark
+				answered++
 			default:
 				break run
 			}
 		}
 		// Every entry up to mark has resolved (or never lived in the
-		// arena), so the pipeline is done with those payloads.
+		// arena), so the pipeline is done with those payloads and their
+		// tickets; the responses hold what the writer still needs.
 		ar.Release(mark)
+		ring.answered.Store(answered)
 		if _, werr := w.Write(buf); werr != nil {
 			// Client gone: drain remaining entries so their tickets'
 			// deadline contexts are released, then quit. Nothing more is
-			// released to the arena — those tickets may be unresolved.
+			// released to the arena or the ticket ring — those tickets
+			// may be unresolved.
 			if held && next.cancel != nil {
 				next.cancel()
 			}

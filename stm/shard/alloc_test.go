@@ -15,9 +15,11 @@ import (
 
 // TestSubmitAllocs pins the router's per-transaction heap objects on
 // two shards. A single-shard submission costs its one submission
-// record, the body the shard pipeline runs, and that pipeline's own
-// ticket; a two-shard one adds the rendezvous record, its participant
-// and fence lists, one fence body and one fence ticket per shard.
+// record — which embeds the shard pipeline's ticket — and the body
+// that pipeline runs. A two-shard one costs the rendezvous record, its
+// participant list (each participant embeds its fence ticket), the
+// involved-shard list, one fence body per shard and the round's write
+// log.
 func TestSubmitAllocs(t *testing.T) {
 	sp, err := shard.New(shard.Config{Shards: 2, Pipeline: stm.Config{Algorithm: stm.OWB, Workers: 2}})
 	if err != nil {
@@ -52,6 +54,6 @@ func TestSubmitAllocs(t *testing.T) {
 			t.Errorf("%s Submit+Wait: %v allocations per transaction, want at most %v", name, n, budget)
 		}
 	}
-	pin("single-shard", local, bump, 3)
-	pin("two-shard", cross, move, 12)
+	pin("single-shard", local, bump, 2)
+	pin("two-shard", cross, move, 8)
 }

@@ -79,7 +79,7 @@ func TestShardSubmitBatchDurable(t *testing.T) {
 						reqs[i] = shard.Request{Encoded: mine[off+i].encode()}
 					}
 				}
-				tks, err := sp.SubmitBatch(context.Background(), reqs)
+				tks, err := sp.SubmitBatch(context.Background(), reqs, nil)
 				if reuse {
 					for i := range reqs {
 						clear(reqs[i].Encoded) // the router holds its own copies
@@ -164,7 +164,7 @@ func TestShardSubmitBatchCanceled(t *testing.T) {
 	// The sharded batch result is index-preserving: refused positions
 	// are nil in a full-length slice. Pre-canceled ⇒ all nil.
 	reqs := []shard.Request{{Encoded: xferFor(0).encode()}, {Encoded: xferFor(1).encode()}}
-	out, err := sp.SubmitBatch(ctx, reqs)
+	out, err := sp.SubmitBatch(ctx, reqs, nil)
 	if !errors.Is(err, stm.ErrCanceled) {
 		t.Fatalf("pre-canceled batch: %v", err)
 	}
@@ -180,7 +180,7 @@ func TestShardSubmitBatchCanceled(t *testing.T) {
 		t.Fatalf("refused submissions consumed ages: %d", got)
 	}
 
-	tks, err := sp.SubmitBatch(context.Background(), append(reqs, shard.Request{Encoded: xferFor(2).encode()}))
+	tks, err := sp.SubmitBatch(context.Background(), append(reqs, shard.Request{Encoded: xferFor(2).encode()}), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -374,7 +374,7 @@ func TestShardedDurableRejectsOpaqueBodies(t *testing.T) {
 		t.Fatalf("SubmitCtx err = %v, want ErrPayloadRequired", err)
 	}
 	batch := []shard.Request{{Encoded: xferFor(0).encode()}, {Access: stm.Touches(&accounts[0]), Body: body}}
-	if out, err := sp.SubmitBatch(ctx, batch); !errors.Is(err, stm.ErrPayloadRequired) || len(out) != 0 {
+	if out, err := sp.SubmitBatch(ctx, batch, nil); !errors.Is(err, stm.ErrPayloadRequired) || len(out) != 0 {
 		t.Fatalf("SubmitBatch = (%d tickets, %v), want ErrPayloadRequired for the whole batch", len(out), err)
 	}
 	if _, err := shard.SubmitFunc(ctx, sp, stm.Touches(&accounts[0]), func(stm.Tx, int) uint64 { return 0 }); !errors.Is(err, stm.ErrPayloadRequired) {
@@ -417,7 +417,7 @@ func TestShardRequestForm(t *testing.T) {
 		if tk, err := sp.SubmitCtx(ctx, r); err == nil || tk != nil {
 			t.Errorf("SubmitCtx of a request with %s: (%v, %v), want a refusal", name, tk, err)
 		}
-		if out, err := sp.SubmitBatch(ctx, []shard.Request{{Encoded: data}, r}); err == nil || len(out) != 0 {
+		if out, err := sp.SubmitBatch(ctx, []shard.Request{{Encoded: data}, r}, nil); err == nil || len(out) != 0 {
 			t.Errorf("SubmitBatch holding a request with %s: (%d tickets, %v), want the whole batch refused", name, len(out), err)
 		}
 	}

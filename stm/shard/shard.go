@@ -422,11 +422,13 @@ func (sp *ShardedPipeline) route(ctx context.Context, access stm.Access, body st
 // slice of the global age sequence in order — the invariant the
 // determinism argument rests on.
 //
-// It returns one Ticket per request. On a fault, after Close, or on a
+// It appends one Ticket per request to out, index-aligned with reqs,
+// and returns the extended slice. On a fault, after Close, or on a
 // cancellation of ctx — observed between requests, before the next
 // global age is assigned — the batch stops early: accepted requests
 // keep their (valid) tickets, refused positions are nil, and the
-// error reports why. ctx is not consulted inside a shard's
+// error reports why. A malformed request refuses the whole batch and
+// appends nothing. ctx is not consulted inside a shard's
 // backpressure park once a flush began, so an assigned age is never
 // withdrawn. Backpressure applies inside the batch exactly as for
 // consecutive Submits.
@@ -436,7 +438,7 @@ func (sp *ShardedPipeline) route(ctx context.Context, access stm.Access, body st
 // so the commit hook can never observe an unmapped age, exactly like
 // submitLocal; a flush refusal unwinds the registrations of the
 // refused suffix.
-func (sp *ShardedPipeline) SubmitBatch(ctx context.Context, reqs []Request) ([]*Ticket, error) {
+func (sp *ShardedPipeline) SubmitBatch(ctx context.Context, reqs []Request, out []*Ticket) ([]*Ticket, error) {
 	type routed struct {
 		body     stm.Body
 		data     []byte // the router's copy of an encoded request
@@ -450,21 +452,26 @@ func (sp *ShardedPipeline) SubmitBatch(ctx context.Context, reqs []Request) ([]*
 			routes[i].home, routes[i].involved, err = sp.partitions(access)
 		}
 		if err != nil {
-			return nil, fmt.Errorf("shard: request %d of the batch: %w", i, err)
+			return out, fmt.Errorf("shard: request %d of the batch: %w", i, err)
 		}
 		routes[i].body, routes[i].data = body, data
 	}
-	out := make([]*Ticket, len(reqs))
+	n := len(out)
+	out = slices.Grow(out, len(reqs))[:n+len(reqs)]
+	res := out[n:] // index-aligned with reqs
+	clear(res)
 	pend := make([][]stm.Request, sp.shards)  // per-shard run of local submissions
 	pendTxn := make([][]*localTxn, sp.shards) // the submission per pending request
 	pendIdx := make([][]int, sp.shards)       // request index per pending request
+	var lts []*stm.Ticket                     // scratch of the per-shard SubmitBatch
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
 	flush := func(s int) error {
 		if len(pend[s]) == 0 {
 			return nil
 		}
-		lts, err := sp.pipes[s].SubmitBatch(nil, pend[s])
+		var err error
+		lts, err = sp.pipes[s].SubmitBatch(nil, pend[s], lts[:0])
 		base := sp.localNext[s]
 		sp.localNext[s] += uint64(len(lts))
 		for k, lt := range lts {
@@ -472,7 +479,7 @@ func (sp *ShardedPipeline) SubmitBatch(ctx context.Context, reqs []Request) ([]*
 			if l.res == nil { // else WaitDurable: resolved by the router
 				l.local = lt
 			}
-			out[pendIdx[s][k]] = &l.Ticket
+			res[pendIdx[s][k]] = &l.Ticket
 		}
 		if sp.dr != nil {
 			// Refused suffix: those ages can never complete; unwind their
@@ -527,7 +534,7 @@ func (sp *ShardedPipeline) SubmitBatch(ctx context.Context, reqs []Request) ([]*
 				sp.dr.add(g, r.data, 1, &l.Ticket)
 				sp.dr.mapLocal(s, sp.localNext[s]+uint64(len(pend[s])), g)
 			}
-			pend[s] = append(pend[s], stm.Request{Body: l.run})
+			pend[s] = append(pend[s], stm.Request{Body: l.run, Ticket: &l.lt})
 			pendTxn[s] = append(pendTxn[s], l)
 			pendIdx[s] = append(pendIdx[s], i)
 			continue
@@ -546,7 +553,7 @@ func (sp *ShardedPipeline) SubmitBatch(ctx context.Context, reqs []Request) ([]*
 			flushAll()
 			return out, batchErr(err)
 		}
-		out[i] = t
+		res[i] = t
 	}
 	if err := flushAll(); err != nil {
 		return out, batchErr(err)
@@ -597,9 +604,10 @@ func (sp *ShardedPipeline) partitions(a stm.Access) (home int, involved []int, e
 // Submit may block on that shard's backpressure, which paces the
 // whole router — the global sequencer is intentionally the one
 // serialization point (and what makes route's cancellation rollback
-// sound). On durable routers the global age and its local mapping are
-// registered *before* the shard sees the submission, so the commit
-// hook can never observe an unmapped age.
+// sound). The shard's ticket is the one the record embeds, so the
+// submission is one object. On durable routers the global age and its
+// local mapping are registered *before* the shard sees the submission,
+// so the commit hook can never observe an unmapped age.
 func (sp *ShardedPipeline) submitLocal(ctx context.Context, g uint64, s int, body stm.Body, data []byte) (*Ticket, error) {
 	l := &localTxn{Ticket: Ticket{g: g, sp: sp}, body: body, shard: s}
 	routerOwned := false
@@ -607,7 +615,7 @@ func (sp *ShardedPipeline) submitLocal(ctx context.Context, g uint64, s int, bod
 		routerOwned = sp.dr.add(g, data, 1, &l.Ticket)
 		sp.dr.mapLocal(s, sp.localNext[s], g)
 	}
-	lt, err := sp.pipes[s].SubmitCtx(ctx, stm.Request{Body: l.run})
+	lt, err := sp.pipes[s].SubmitCtx(ctx, stm.Request{Body: l.run, Ticket: &l.lt})
 	if err != nil {
 		if sp.dr != nil {
 			sp.dr.unmapLocal(s, sp.localNext[s])
@@ -647,9 +655,9 @@ func (sp *ShardedPipeline) submitCross(ctx context.Context, g uint64, involved [
 	sp.xmu.Lock()
 	sp.xlive[g] = x
 	sp.xmu.Unlock()
-	fences := make([]*stm.Ticket, len(involved))
 	for i := range x.parts {
-		s := x.parts[i].shard
+		h := &x.parts[i]
+		s := h.shard
 		if sp.dr != nil {
 			sp.dr.mapLocal(s, sp.localNext[s], g)
 		}
@@ -657,7 +665,7 @@ func (sp *ShardedPipeline) submitCross(ctx context.Context, g uint64, involved [
 		if i > 0 {
 			fctx = nil // past the withdrawal window (see above)
 		}
-		ft, err := sp.pipes[s].SubmitCtx(fctx, stm.Request{Body: x.parts[i].fence})
+		_, err := sp.pipes[s].SubmitCtx(fctx, stm.Request{Body: h.fence, Ticket: &h.ft})
 		if err != nil {
 			if sp.dr != nil {
 				// The refused age can never complete, so stop tracking it
@@ -687,10 +695,9 @@ func (sp *ShardedPipeline) submitCross(ctx context.Context, g uint64, involved [
 			return nil, sp.translate(g, err)
 		}
 		sp.localNext[s]++
-		fences[i] = ft
 	}
 	if !routerOwned {
-		x.out.fences = fences
+		x.out.parts = x.parts
 	}
 	return &x.Ticket, nil
 }

@@ -38,11 +38,11 @@ type Ticket struct {
 // a cross-shard transaction's (the fence tickets it committed through)
 // or a WaitDurable one's (resolved by the router at durability).
 type outcome struct {
-	// fences, when set, are the cross-shard transaction's fence tickets.
-	// It has committed on every involved shard once each of them
-	// resolved, so they are the outcome: nothing else resolves it, and
-	// no goroutine waits on it unless Done asks for a channel.
-	fences  []*stm.Ticket
+	// parts, when set, are the cross-shard transaction's participants.
+	// It has committed on every involved shard once each of their fence
+	// tickets resolved, so those are the outcome: nothing else resolves
+	// it, and no goroutine waits on it unless Done asks for a channel.
+	parts   []part
 	watched atomic.Bool // Done started the fence watcher
 
 	// done resolves when the router settles a WaitDurable ticket (err
@@ -63,12 +63,12 @@ func (t *Ticket) Done() <-chan struct{} {
 		return t.local.Done()
 	}
 	o := t.res
-	if o.fences != nil && o.watched.CompareAndSwap(false, true) {
+	if o.parts != nil && o.watched.CompareAndSwap(false, true) {
 		// It exits once the last fence resolves, which every fence does
 		// by the time Close returns.
 		go func() {
-			for _, f := range o.fences {
-				f.Wait()
+			for i := range o.parts {
+				o.parts[i].ft.Wait()
 			}
 			o.done.Resolve()
 		}()
@@ -92,9 +92,9 @@ func (t *Ticket) wait(ctx context.Context) error {
 	switch o := t.res; {
 	case t.local != nil:
 		err = waitOn(ctx, t.local)
-	case o.fences != nil:
-		for _, f := range o.fences {
-			e := waitOn(ctx, f)
+	case o.parts != nil:
+		for i := range o.parts {
+			e := waitOn(ctx, &o.parts[i].ft)
 			if e != nil && errors.Is(e, stm.ErrCanceled) {
 				err = e
 				break
@@ -141,9 +141,9 @@ func (t *Ticket) Err() (err error, resolved bool) {
 		if err, resolved = t.local.Err(); !resolved {
 			return nil, false
 		}
-	case o.fences != nil:
-		for _, f := range o.fences {
-			e, ok := f.Err()
+	case o.parts != nil:
+		for i := range o.parts {
+			e, ok := o.parts[i].ft.Err()
 			if !ok {
 				return nil, false
 			}

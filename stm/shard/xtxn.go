@@ -91,16 +91,18 @@ func (s stopPanic) String() string {
 type retrySignal struct{}
 
 // part is one involved shard's participation in a cross-shard
-// transaction: the fence submitted there (its fence method), the
-// transaction handle its parked attempt contributed, and the death
-// notice the home leaves when an operation on that handle aborted.
-// Guarded by x.mu, except that the home reads the handles of a
-// running round without it: no participant arrives or leaves while a
-// round is active, other than through the home itself.
+// transaction: the fence submitted there (its fence method) and that
+// fence's ticket, the transaction handle its parked attempt
+// contributed, and the death notice the home leaves when an operation
+// on that handle aborted. Guarded by x.mu, except that the home reads
+// the handles of a running round without it: no participant arrives or
+// leaves while a round is active, other than through the home itself.
+// The fence ticket synchronizes itself.
 type part struct {
 	x     *xtxn
 	shard int
-	txn   stm.Tx // the arrived attempt's handle; nil while absent
+	ft    stm.Ticket // the fence's ticket on this shard
+	txn   stm.Tx     // the arrived attempt's handle; nil while absent
 	dead  bool
 	cause any
 }
@@ -514,13 +516,15 @@ func runProtected(tx stm.Tx, op func(stm.Tx)) (rec any) {
 }
 
 // localTxn is one single-shard submission in one record: the caller's
-// ticket, the user body, and the partition-checked Tx view every
-// attempt runs against — the record itself, whose Age (the ticket's)
-// is the global age. The shard pipeline runs its run method. Touching
-// a variable owned by another shard would bypass that shard's engine
-// entirely, so it faults instead.
+// ticket, the shard pipeline's ticket, the user body, and the
+// partition-checked Tx view every attempt runs against — the record
+// itself, whose Age (the caller's ticket's) is the global age. The
+// shard pipeline runs its run method. Touching a variable owned by
+// another shard would bypass that shard's engine entirely, so it
+// faults instead.
 type localTxn struct {
 	Ticket
+	lt    stm.Ticket // the shard pipeline's ticket for this submission
 	body  stm.Body
 	shard int
 	// tx is the running attempt's handle. Attempts of one age never

@@ -64,17 +64,27 @@
 // decodes into one. Pipeline and stm/shard's ShardedPipeline expose
 // the same four methods over it:
 //
-//	SubmitCtx(ctx, Request)      one transaction (the core)
-//	SubmitBatch(ctx, []Request)  consecutive ages under one lock hold
-//	Submit(body)                 SubmitCtx shortcut: no context, a body
-//	SubmitEncoded(data)          SubmitCtx shortcut: no context, bytes
+//	SubmitCtx(ctx, Request)            one transaction (the core)
+//	SubmitBatch(ctx, []Request, out)   consecutive ages under one lock hold
+//	Submit(body)                       SubmitCtx shortcut: no context, a body
+//	SubmitEncoded(data)                SubmitCtx shortcut: no context, bytes
 //
 // A context is consulted only before an age is assigned (refusal
 // wraps ErrCanceled); an accepted age is never withdrawn — cancel a
-// wait, not a commitment. SubmitBatch returns one ticket per request;
-// on an early stop the unsharded form returns the accepted prefix,
-// the sharded form a full-length slice with nil at refused positions
-// (its tickets are index-addressed). Durable pipelines (Config.WAL
+// wait, not a commitment. SubmitBatch appends one ticket per request
+// to out and returns the extended slice; on an early stop the
+// unsharded form appends the accepted prefix, the sharded form one
+// entry per request with nil at refused positions (its tickets are
+// index-addressed).
+//
+// The unsharded Request may carry its own Ticket: caller-owned
+// storage the pipeline resolves and returns instead of allocating one.
+// The caller owns it across submissions and may pass it again once it
+// has resolved and every goroutine waiting on its previous outcome has
+// returned; a Ticket still in flight is refused with an error, never
+// silently reused. A batch whose requests all carry tickets, appended
+// into an out with room, allocates nothing in the pipeline — stm/serve
+// recycles a ring of them per connection. Durable pipelines (Config.WAL
 // set) refuse Body requests with ErrPayloadRequired — the log must
 // receive replayable inputs, so callers encode with their own Codec
 // and submit the bytes. The typed layer (SubmitFunc, SubmitEncodedT)

@@ -57,12 +57,20 @@ func (s *Stopped) Is(target error) bool { return target == ErrStopped }
 // *Fault itself if this transaction faulted non-speculatively, or
 // with a *Stopped error if the pipeline stopped before this age could
 // commit.
+//
+// The pipeline allocates a ticket per submission unless the caller
+// brings one (Request.Ticket). A caller-owned ticket may be submitted
+// again once it has resolved and every goroutine waiting on its
+// previous outcome has returned; submitting it while it is still in
+// flight is refused.
 type Ticket struct {
 	age  uint64
 	done latch.Latch
-	err  error // written once, before done resolves
-	ts   int64 // UnixNano at age assignment; 0 unless Config.Obs is set
+	err  *error // nil on commit; set once, before done resolves, on any other outcome
 }
+
+// errTicketInFlight refuses a Request whose Ticket has not resolved.
+var errTicketInFlight = errors.New("stm: Request.Ticket is still in flight")
 
 // Age returns the commit-order position (consensus slot, loop index)
 // the pipeline assigned to this submission.
@@ -82,7 +90,7 @@ func (t *Ticket) Err() (err error, resolved bool) {
 	if !t.done.Resolved() {
 		return nil, false
 	}
-	return t.err, true
+	return t.outcome(), true
 }
 
 // Wait blocks until the ticket resolves and returns its outcome: nil
@@ -92,7 +100,7 @@ func (t *Ticket) Err() (err error, resolved bool) {
 // atomic load.
 func (t *Ticket) Wait() error {
 	t.done.Wait()
-	return t.err
+	return t.outcome()
 }
 
 // WaitCtx is Wait with a caller-side deadline: it returns the
@@ -102,20 +110,43 @@ func (t *Ticket) Wait() error {
 // resolves normally for any other waiter (and for a later Wait).
 func (t *Ticket) WaitCtx(ctx context.Context) error {
 	if t.done.Resolved() {
-		return t.err
+		return t.outcome()
 	}
 	select {
 	case <-t.done.Done():
-		return t.err
+		return t.outcome()
 	case <-ctx.Done():
 		return fmt.Errorf("%w waiting for age %d: %w", ErrCanceled, t.age, ctx.Err())
 	}
 }
 
+// outcome is the resolved ticket's error.
+func (t *Ticket) outcome() error {
+	if t.err == nil {
+		return nil
+	}
+	return *t.err
+}
+
+// arm starts the ticket's next life at age: it reports false, changing
+// nothing, while the previous life is still in flight. Called with the
+// stream's mutex held.
+func (t *Ticket) arm(age uint64) bool {
+	if !t.done.Arm() {
+		return false
+	}
+	t.age, t.err = age, nil
+	return true
+}
+
 // resolve completes the ticket. Callers serialize through the
 // stream's mutex and clear their reference afterwards, so a ticket is
-// resolved at most once.
+// resolved at most once per life. A commit stores nothing; any other
+// outcome costs the one pointer it is kept behind.
 func (t *Ticket) resolve(err error) {
-	t.err = err
+	if err != nil {
+		t.err = new(error) // made here: taking &err would move every call's err to the heap
+		*t.err = err
+	}
 	t.done.Resolve()
 }
