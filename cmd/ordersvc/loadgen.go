@@ -63,15 +63,7 @@ type record struct {
 }
 
 func fetchState(addr string) ([]byte, error) {
-	tr := &http.Transport{}
-	tr.Protocols = new(http.Protocols)
-	tr.Protocols.SetUnencryptedHTTP2(true)
-	defer tr.CloseIdleConnections()
-	req, err := http.NewRequest(http.MethodGet, "http://"+addr+"/state", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := tr.RoundTrip(req)
+	resp, err := http.Get("http://" + addr + "/state")
 	if err != nil {
 		return nil, err
 	}
@@ -105,15 +97,7 @@ func balancesEqual(a, b []uint64) bool {
 // fetchReplStatus polls GET /repl/status on a replication-enabled
 // server.
 func fetchReplStatus(addr string) (replStatus, error) {
-	tr := &http.Transport{}
-	tr.Protocols = new(http.Protocols)
-	tr.Protocols.SetUnencryptedHTTP2(true)
-	defer tr.CloseIdleConnections()
-	req, err := http.NewRequest(http.MethodGet, "http://"+addr+"/repl/status", nil)
-	if err != nil {
-		return replStatus{}, err
-	}
-	resp, err := tr.RoundTrip(req)
+	resp, err := http.Get("http://" + addr + "/repl/status")
 	if err != nil {
 		return replStatus{}, err
 	}

@@ -1,9 +1,10 @@
 // Command ordersvc runs an ordered-transaction pipeline as a network
-// service: an h2c streaming front-end (stm/serve) over an unsharded
-// or sharded engine, with WAL durability, startup recovery, periodic
-// checkpoints, /metrics + pprof on the same listener, and a graceful
-// SIGTERM drain (stop accepting, drain in flight, final checkpoint,
-// close the log, exit 0).
+// service: a streaming front-end (stm/serve: one TCP stream per
+// connection, upgraded off HTTP/1.1) over an unsharded or sharded
+// engine, with WAL durability, startup recovery, periodic checkpoints,
+// /metrics + pprof on the same listener, and a graceful SIGTERM drain
+// (stop accepting, drain in flight, final checkpoint, close the log,
+// exit 0).
 //
 // The same binary doubles as the closed-loop load generator
 // (-loadgen): N connections × K in-flight × B-frame bursts against a

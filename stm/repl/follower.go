@@ -5,12 +5,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"github.com/orderedstm/ostm/internal/arena"
+	"github.com/orderedstm/ostm/internal/upgrade"
 	"github.com/orderedstm/ostm/stm/obs"
 	"github.com/orderedstm/ostm/stm/serve"
 	"github.com/orderedstm/ostm/stm/wal"
@@ -128,8 +130,10 @@ type Follower struct {
 	stop     chan struct{}
 	stopOnce sync.Once
 	loopDone chan struct{}
-	connMu   sync.Mutex
-	cancel   context.CancelFunc // cancels the in-flight stream request
+	// ctx ends with stop: it aborts a dial in progress and closes the
+	// open stream's connection, which unblocks a read parked on it.
+	ctx    context.Context
+	cancel context.CancelFunc
 
 	errMu sync.Mutex
 	err   error // fatal stream error; the follower has stopped applying
@@ -160,46 +164,25 @@ type heldGroup struct {
 
 // streamConn is one open stream to the leader.
 type streamConn struct {
-	resp *http.Response
+	conn net.Conn
 	br   *bufio.Reader
-	tr   *http.Transport
+	stop func() bool // detaches conn from the follower's ctx
 }
 
 func (sc *streamConn) close() {
-	sc.resp.Body.Close()
-	sc.tr.CloseIdleConnections()
+	sc.stop()
+	sc.conn.Close()
 }
 
 // dialStream opens the leader's stream endpoint starting at from.
 func (f *Follower) dialStream(from uint64) (*streamConn, error) {
-	tr := &http.Transport{}
-	tr.Protocols = new(http.Protocols)
-	tr.Protocols.SetUnencryptedHTTP2(true)
-	ctx, cancel := context.WithCancel(context.Background())
-	f.connMu.Lock()
-	f.cancel = cancel
-	f.connMu.Unlock()
-	url := fmt.Sprintf("http://%s/repl/stream?from=%d", f.cfg.Leader, from)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	ctx, cancel := context.WithTimeout(f.ctx, f.cfg.DialTimeout)
+	defer cancel()
+	conn, br, err := upgrade.Dial(ctx, f.cfg.Leader, http.MethodGet, fmt.Sprintf("/repl/stream?from=%d", from), protocol, 1<<20)
 	if err != nil {
-		cancel()
-		return nil, err
-	}
-	// The dial timeout covers connect + headers; once streaming, the
-	// context stays live until stop/promotion cancels it.
-	timer := time.AfterFunc(f.cfg.DialTimeout, cancel)
-	resp, err := tr.RoundTrip(req)
-	timer.Stop()
-	if err != nil {
-		cancel()
 		return nil, fmt.Errorf("repl: dial %s: %w", f.cfg.Leader, err)
 	}
-	if resp.StatusCode != http.StatusOK {
-		resp.Body.Close()
-		cancel()
-		return nil, fmt.Errorf("repl: leader answered %s", resp.Status)
-	}
-	return &streamConn{resp: resp, br: bufio.NewReaderSize(resp.Body, 1<<20), tr: tr}, nil
+	return &streamConn{conn: conn, br: br, stop: context.AfterFunc(f.ctx, func() { conn.Close() })}, nil
 }
 
 // StartFollower recovers the local log, boots the engine through
@@ -217,6 +200,7 @@ func StartFollower(cfg FollowerConfig) (*Follower, error) {
 		return nil, err
 	}
 	f := &Follower{cfg: cfg, stop: make(chan struct{}), loopDone: make(chan struct{}), ring: arena.New(ringSize)}
+	f.ctx, f.cancel = context.WithCancel(context.Background())
 
 	boot := Boot{
 		FirstAge:    rec.First(),
@@ -582,11 +566,7 @@ func (f *Follower) Promote() error {
 // Promote and Close in any order.
 func (f *Follower) stopLoop() {
 	f.stopOnce.Do(func() { close(f.stop) })
-	f.connMu.Lock()
-	if f.cancel != nil {
-		f.cancel() // unblocks a read parked on the stream
-	}
-	f.connMu.Unlock()
+	f.cancel()
 	<-f.loopDone
 }
 

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/orderedstm/ostm/internal/upgrade"
 	"github.com/orderedstm/ostm/stm/obs"
 	"github.com/orderedstm/ostm/stm/wal"
 )
@@ -26,16 +27,14 @@ func groupPayload(age uint64) []byte {
 	return []byte(fmt.Sprintf("record-%04d", age))
 }
 
-// serveH2C serves h on a loopback listener speaking the cleartext
-// HTTP/2 the follower dials, and returns its address.
-func serveH2C(t *testing.T, h http.Handler) string {
+// serveHTTP serves h on a loopback listener and returns its address.
+func serveHTTP(t *testing.T, h http.Handler) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := &http.Server{Handler: h, Protocols: new(http.Protocols)}
-	srv.Protocols.SetUnencryptedHTTP2(true)
+	srv := &http.Server{Handler: h}
 	go srv.Serve(ln)
 	t.Cleanup(func() { srv.Close() })
 	return ln.Addr().String()
@@ -212,10 +211,14 @@ func TestGroupFrameRejections(t *testing.T) {
 			stream = append(stream, group(0, 10, l.rawFrames(0, 10))...)
 			stream = append(stream, tc.bad...)
 			stream = append(stream, group(20, 10, l.rawFrames(20, 30))...)
-			leader := serveH2C(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				w.Write(stream)
-				http.NewResponseController(w).Flush()
-				<-r.Context().Done()
+			leader := serveHTTP(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				conn, br, err := upgrade.Accept(w, r, protocol, 0)
+				if err != nil {
+					return
+				}
+				defer conn.Close()
+				conn.Write(stream)
+				io.Copy(io.Discard, br) // until the follower hangs up
 			}))
 			f, got := startStubFollower(t, leader, nil)
 			eventually(t, "the follower to stop", func() bool { return f.Err() != nil })
@@ -242,23 +245,16 @@ func flip(b []byte, at int) []byte {
 	return b
 }
 
-// openStream issues the follower's GET against a shipper and returns
+// openStream opens a follower's stream against a shipper and returns
 // a reader over the frame stream.
 func openStream(t *testing.T, addr string, from uint64) *bufio.Reader {
 	t.Helper()
-	tr := &http.Transport{Protocols: new(http.Protocols)}
-	tr.Protocols.SetUnencryptedHTTP2(true)
-	ctx, cancel := context.WithCancel(context.Background())
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, fmt.Sprintf("http://%s/repl/stream?from=%d", addr, from), nil)
+	conn, br, err := upgrade.Dial(context.Background(), addr, http.MethodGet, fmt.Sprintf("/repl/stream?from=%d", from), protocol, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := tr.RoundTrip(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cancel(); resp.Body.Close(); tr.CloseIdleConnections() })
-	return bufio.NewReader(resp.Body)
+	t.Cleanup(func() { conn.Close() })
+	return br
 }
 
 // readGroups reads frames up to the heartbeat that closes a drain and
@@ -309,7 +305,7 @@ func TestShipperStreams(t *testing.T) {
 	frame := int(wal.FrameSize(groupPayload(0)))
 	l := newLeaderLog(t, wal.Options{SegmentBytes: int64(7 * frame)})
 	ship := NewShipper(l.w, ShipperOptions{Heartbeat: time.Hour, FlushBytes: 25 * frame})
-	addr := serveH2C(t, ship.Handler())
+	addr := serveHTTP(t, ship.Handler())
 	l.fill(40)
 	if segs, _ := wal.Segments(l.w.Dir()); len(segs) < 5 {
 		t.Fatalf("want the log rolled several times, got %d segments", len(segs))
@@ -386,7 +382,7 @@ func TestShipperStreams(t *testing.T) {
 func TestSnapshotThenGroupsBootstrap(t *testing.T) {
 	frame := wal.FrameSize(groupPayload(0))
 	l := newLeaderLog(t, wal.Options{SegmentBytes: 7 * frame})
-	addr := serveH2C(t, NewShipper(l.w, ShipperOptions{}).Handler())
+	addr := serveHTTP(t, NewShipper(l.w, ShipperOptions{}).Handler())
 	l.fill(40)
 	for _, age := range []uint64{20, 30} {
 		if err := l.w.Checkpoint(age, binary.LittleEndian.AppendUint64(nil, age)); err != nil {
@@ -423,7 +419,7 @@ func TestScrapeWhileShipping(t *testing.T) {
 	reg := obs.NewRegistry()
 	l := newLeaderLog(t, wal.Options{})
 	ship := NewShipper(l.w, ShipperOptions{Obs: reg})
-	f, _ := startStubFollower(t, serveH2C(t, ship.Handler()), reg)
+	f, _ := startStubFollower(t, serveHTTP(t, ship.Handler()), reg)
 	eventually(t, "the stream to connect", func() bool { return ship.Followers() == 1 })
 
 	stop := make(chan struct{})

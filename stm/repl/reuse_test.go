@@ -103,7 +103,7 @@ func TestFollowerBufferOutlivesItsRecord(t *testing.T) {
 	if err := l.w.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	addr := serveH2C(t, NewShipper(l.w, ShipperOptions{}).Handler())
+	addr := serveHTTP(t, NewShipper(l.w, ShipperOptions{}).Handler())
 
 	var corrupt atomic.Int64
 	gate := make(chan struct{})

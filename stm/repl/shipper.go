@@ -3,12 +3,14 @@ package repl
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"github.com/orderedstm/ostm/internal/upgrade"
 	"github.com/orderedstm/ostm/stm/obs"
 	"github.com/orderedstm/ostm/stm/wal"
 )
@@ -126,8 +128,12 @@ func (s *Shipper) lagAges() uint64 {
 }
 
 // Handler returns the stream endpoint. One request = one follower
-// stream; the ?from query parameter is the age of the first record
-// the follower lacks.
+// stream, upgraded off HTTP/1.1 to a raw TCP stream; the ?from query
+// parameter is the age of the first record the follower lacks. A
+// stream ends when its follower hangs up or a write to it fails. A
+// serve.Server it is mounted on does not wait for it at Shutdown (a
+// draining leader keeps shipping what its drain commits) but closes it
+// once Shutdown's ctx expires.
 func (s *Shipper) Handler() http.Handler {
 	return http.HandlerFunc(s.serveStream)
 }
@@ -138,20 +144,27 @@ func (s *Shipper) serveStream(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "repl: bad or missing ?from", http.StatusBadRequest)
 		return
 	}
+	nc, br, err := upgrade.Accept(w, r, protocol, 0)
+	if err != nil {
+		return
+	}
+	defer nc.Close()
+	// The follower sends nothing after its request, so a read returns
+	// only once it has hung up (or the deferred Close ran).
+	gone := make(chan struct{})
+	go func() {
+		_, _ = io.Copy(io.Discard, br)
+		close(gone)
+	}()
 	conn := new(connState)
 	conn.shipped.Store(from)
 	wake := s.subscribe(conn)
 	defer s.unsubscribe(conn)
 
-	rc := http.NewResponseController(w)
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.WriteHeader(http.StatusOK)
-
 	buf := appendFrame(nil, frameHello, s.w.Durable(), s.w.Bytes(), 0, nil)
-	if _, err := w.Write(buf); err != nil {
+	if _, err := nc.Write(buf); err != nil {
 		return
 	}
-	_ = rc.Flush()
 
 	cur, err := wal.NewCursor(s.w.Dir(), from)
 	if err != nil {
@@ -203,10 +216,9 @@ func (s *Shipper) serveStream(w http.ResponseWriter, r *http.Request) {
 			if len(buf) >= s.opts.FlushBytes {
 				s.account(nrec, nbytes, cur.Segments()-segsPrev)
 				nrec, nbytes, segsPrev = 0, 0, cur.Segments()
-				if _, err := w.Write(buf); err != nil {
+				if _, err := nc.Write(buf); err != nil {
 					return
 				}
-				_ = rc.Flush()
 				buf = buf[:0]
 			}
 		}
@@ -216,14 +228,13 @@ func (s *Shipper) serveStream(w http.ResponseWriter, r *http.Request) {
 		buf = appendFrame(buf, frameHeartbeat, s.w.Durable(), s.w.Bytes(), 0, nil)
 		s.account(nrec, nbytes, cur.Segments()-segsPrev)
 		segsPrev = cur.Segments()
-		if _, err := w.Write(buf); err != nil {
+		if _, err := nc.Write(buf); err != nil {
 			return
 		}
-		_ = rc.Flush()
 		select {
 		case <-wake:
 		case <-hb.C:
-		case <-r.Context().Done():
+		case <-gone:
 			return
 		}
 	}

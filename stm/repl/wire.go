@@ -13,11 +13,12 @@
 //
 // # Shipping protocol
 //
-// A follower issues GET /repl/stream?from=N against the leader's h2c
-// listener (the same cleartext prior-knowledge HTTP/2 the submit wire
-// uses; the response body is the stream). N is the age of the first
-// record the follower lacks. The leader answers with a frame stream,
-// all integers little-endian:
+// A follower issues GET /repl/stream?from=N against the leader's
+// listener, asking to upgrade the HTTP/1.1 connection ("Connection:
+// Upgrade", "Upgrade: ostm-repl") the way the submit wire does. N is
+// the age of the first record the follower lacks. After its "101
+// Switching Protocols" the leader writes a frame stream on the raw TCP
+// connection, all integers little-endian:
 //
 //	u32 len | u8 type | u64 age | u64 aux | u32 crc | payload (len-21 bytes)
 //
@@ -79,6 +80,9 @@ import (
 
 	"github.com/orderedstm/ostm/internal/arena"
 )
+
+// protocol is the Upgrade token of a replication stream.
+const protocol = "ostm-repl"
 
 const (
 	frameHello     byte = 0

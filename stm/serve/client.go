@@ -5,11 +5,13 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"sync"
 	"time"
 
 	"github.com/orderedstm/ostm/internal/latch"
+	"github.com/orderedstm/ostm/internal/upgrade"
 )
 
 // Call is one in-flight request on a Client: a future resolving when
@@ -99,17 +101,15 @@ func (r *callRing) take(id uint64) *Call {
 	return c
 }
 
-// Client is one wire connection: a single full-duplex HTTP/2 stream
+// Client is one wire connection: a TCP stream, upgraded off HTTP/1.1,
 // carrying a request frame stream out and the commit-order response
 // stream back. Submit may be called from any number of goroutines;
 // frames are written in Submit call order, which is the order the
 // server submits (and therefore commits and answers) them. Close
 // half-closes the stream and waits for the remaining responses.
 type Client struct {
-	pw     *io.PipeWriter
-	resp   *http.Response
-	tr     *http.Transport
-	cancel context.CancelFunc
+	conn *net.TCPConn
+	br   *bufio.Reader // the response stream
 
 	wmu     sync.Mutex // serializes frame writes and id assignment
 	nextID  uint64
@@ -131,50 +131,18 @@ type Client struct {
 }
 
 // Dial opens a connection to a Server at addr ("host:port"). ctx
-// bounds the dial and header round-trip only; the stream itself lives
-// until Close.
+// bounds the connect and the upgrade handshake only; the stream itself
+// lives until Close.
 func Dial(ctx context.Context, addr string, opts ...DialOption) (*Client, error) {
 	var dc dialCfg
 	for _, o := range opts {
 		o(&dc)
 	}
-	pr, pw := io.Pipe()
-	tr := &http.Transport{}
-	// Prior-knowledge cleartext HTTP/2: only the unencrypted h2
-	// protocol is enabled, so the transport speaks h2c directly on
-	// the TCP connection (no Upgrade dance, which couldn't carry a
-	// streaming request body anyway).
-	tr.Protocols = new(http.Protocols)
-	tr.Protocols.SetUnencryptedHTTP2(true)
-	cctx, cancel := context.WithCancel(context.Background())
-	req, err := http.NewRequestWithContext(cctx, http.MethodPost, "http://"+addr+"/submit", pr)
+	conn, br, err := upgrade.Dial(ctx, addr, http.MethodPost, "/submit", protocol, 64<<10)
 	if err != nil {
-		cancel()
-		return nil, err
-	}
-	// The caller's ctx can abort the dial; once the response headers
-	// are in, the stream detaches from it and is owned by Close.
-	stop := context.AfterFunc(ctx, cancel)
-	resp, err := tr.RoundTrip(req)
-	stop()
-	if err != nil {
-		cancel()
-		pr.Close()
 		return nil, fmt.Errorf("serve: dial %s: %w", addr, err)
 	}
-	if resp.StatusCode != http.StatusOK {
-		resp.Body.Close()
-		cancel()
-		pr.Close()
-		return nil, fmt.Errorf("serve: dial %s: server answered %s", addr, resp.Status)
-	}
-	c := &Client{
-		pw:       pw,
-		resp:     resp,
-		tr:       tr,
-		cancel:   cancel,
-		readDone: make(chan struct{}),
-	}
+	c := &Client{conn: conn, br: br, readDone: make(chan struct{})}
 	if dc.redial {
 		c.rd = newRedirector(addr, dc.candidates)
 		c.retained = make(map[uint64][]byte)
@@ -232,7 +200,7 @@ func (c *Client) SubmitMany(payloads [][]byte) ([]*Call, error) {
 		c.wbuf = appendRequestFrame(c.wbuf, c.register(calls[i], pl), 0, pl)
 	}
 	c.rmu.Unlock()
-	if _, err := c.pw.Write(c.wbuf); err != nil {
+	if _, err := c.conn.Write(c.wbuf); err != nil {
 		c.rmu.Lock()
 		for i := range calls {
 			c.unregister(first + uint64(i))
@@ -282,7 +250,7 @@ func (c *Client) submit(payload []byte, deadlineMS uint32) (*Call, error) {
 	id := c.register(call, payload)
 	c.rmu.Unlock()
 	c.wbuf = appendRequestFrame(c.wbuf[:0], id, deadlineMS, payload)
-	if _, err := c.pw.Write(c.wbuf); err != nil {
+	if _, err := c.conn.Write(c.wbuf); err != nil {
 		c.rmu.Lock()
 		c.unregister(id)
 		c.rmu.Unlock()
@@ -294,9 +262,8 @@ func (c *Client) submit(payload []byte, deadlineMS uint32) (*Call, error) {
 
 func (c *Client) readLoop() {
 	defer close(c.readDone)
-	br := bufio.NewReaderSize(c.resp.Body, 64<<10)
 	for {
-		id, age, code, msg, err := readResponseFrame(br, DefaultMaxFrame)
+		id, age, code, msg, err := readResponseFrame(c.br, DefaultMaxFrame)
 		if err != nil {
 			c.finish(err)
 			return
@@ -377,13 +344,11 @@ func (c *Client) Close() error {
 	}
 	c.closed = true
 	c.wmu.Unlock()
-	c.pw.Close()
+	c.conn.CloseWrite()
 	<-c.readDone
 	if c.rd != nil {
 		c.rd.close() // all redirect goroutines were spawned by readLoop
 	}
-	c.resp.Body.Close()
-	c.cancel()
-	c.tr.CloseIdleConnections()
+	c.conn.Close()
 	return c.readErr
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"github.com/orderedstm/ostm/internal/arena"
+	"github.com/orderedstm/ostm/internal/upgrade"
 	"github.com/orderedstm/ostm/stm"
 	"github.com/orderedstm/ostm/stm/obs"
 	"github.com/orderedstm/ostm/stm/shard"
@@ -146,18 +147,23 @@ type Config struct {
 	MaxBatch int
 }
 
-// Server terminates the wire protocol: it owns an h2c listener,
-// decodes request streams, feeds the pipeline (batching frames that
-// arrived together), and writes each stream's responses in commit
-// order. Create with NewServer, start with Start, stop with Shutdown.
+// Server terminates the wire protocol: it owns an HTTP/1.1 listener,
+// upgrades each POST /submit to a raw frame stream on its TCP
+// connection, feeds the pipeline (batching frames that arrived
+// together), and writes each stream's responses in commit order. Create
+// with NewServer, start with Start, stop with Shutdown.
 type Server struct {
-	cfg Config
-	hs  *http.Server
-	ln  net.Listener
-
-	mu       sync.Mutex
-	draining bool
-	streams  sync.WaitGroup
+	cfg     Config
+	hs      *http.Server
+	ln      net.Listener
+	streams streamSet
+	// conns holds every connection upgraded off the listener: the submit
+	// streams and those of Config.Handlers routes such as /repl/stream.
+	// streamCtx is the parent of every submit stream's context. A
+	// Shutdown whose ctx expires closes the first and cancels the second.
+	conns        upgrade.Tracker
+	streamCtx    context.Context
+	cancelStream context.CancelFunc
 }
 
 // NewServer validates cfg and builds the server (not yet listening).
@@ -172,6 +178,7 @@ func NewServer(cfg Config) (*Server, error) {
 		cfg.MaxBatch = 64
 	}
 	s := &Server{cfg: cfg}
+	s.streamCtx, s.cancelStream = context.WithCancel(context.Background())
 	var mux *http.ServeMux
 	if cfg.Obs != nil {
 		mux = obs.NewMux(cfg.Obs) // /metrics, /debug/vars, /debug/pprof/*
@@ -196,14 +203,9 @@ func NewServer(cfg Config) (*Server, error) {
 			_, _ = w.Write(data)
 		})
 	}
-	s.hs = &http.Server{Handler: mux}
-	// Cleartext HTTP/2 with prior knowledge: the streaming protocol
-	// needs one full-duplex multiplexed connection per client, which
-	// HTTP/1.1 cannot carry. HTTP/1.1 stays enabled for the scrape
-	// and debug endpoints (curl without --http2-prior-knowledge).
-	s.hs.Protocols = new(http.Protocols)
+	// HTTP/1.1 only: the streams upgrade off it to plain TCP.
+	s.hs = &http.Server{Handler: mux, Protocols: new(http.Protocols), BaseContext: s.conns.BaseContext}
 	s.hs.Protocols.SetHTTP1(true)
-	s.hs.Protocols.SetUnencryptedHTTP2(true)
 	return s, nil
 }
 
@@ -228,21 +230,76 @@ func (s *Server) Addr() net.Addr {
 }
 
 // Shutdown drains the server: new submit streams are refused with 503
-// immediately, in-flight streams run until their clients half-close,
-// and the HTTP server shuts down gracefully. If ctx expires first the
-// listener is torn down hard and ctx's error returned. The pipeline
-// itself is not touched — the owner drains/checkpoints/closes it
-// after Shutdown returns (see cmd/ordersvc for the full SIGTERM
-// sequence).
+// and the listener closes; every submit stream already open is served
+// until its client half-closes, has had all its responses written, and
+// is closed. If ctx expires first, every stream still open on the
+// listener (submit streams and those of Config.Handlers routes) is
+// closed hard, so that their clients' pending calls fail, and ctx's
+// error is returned. A graceful Shutdown leaves the Handlers' streams
+// open: a draining leader keeps shipping what its drain commits. The
+// pipeline itself is not touched: the owner drains, checkpoints and
+// closes it after Shutdown returns (see cmd/ordersvc for the full
+// SIGTERM sequence).
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.mu.Lock()
-	s.draining = true
-	s.mu.Unlock()
-	if err := s.hs.Shutdown(ctx); err != nil {
-		_ = s.hs.Close()
-		return err
+	idle := s.streams.drain()
+	err := s.hs.Shutdown(ctx) // the listener and every plain HTTP request
+	if err == nil {
+		select {
+		case <-idle:
+		case <-ctx.Done():
+		}
+		err = ctx.Err()
 	}
-	return nil
+	if err != nil {
+		_ = s.hs.Close()
+		s.conns.CloseAll()
+		s.cancelStream()
+	}
+	return err
+}
+
+// streamSet counts a Server's submit streams, so that Shutdown can wait
+// for them.
+type streamSet struct {
+	mu       sync.Mutex
+	draining bool
+	open     int           // streams admitted and not yet ended
+	idle     chan struct{} // closed once draining with no stream open
+}
+
+// admit counts a new stream in; false once draining.
+func (ss *streamSet) admit() bool {
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	if ss.draining {
+		return false
+	}
+	ss.open++
+	return true
+}
+
+// end counts an admitted stream out.
+func (ss *streamSet) end() {
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	if ss.open--; ss.open == 0 && ss.draining {
+		close(ss.idle)
+	}
+}
+
+// drain stops admitting streams and returns a channel that is closed
+// once the last admitted one has ended.
+func (ss *streamSet) drain() <-chan struct{} {
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	if !ss.draining {
+		ss.draining = true
+		ss.idle = make(chan struct{})
+		if ss.open == 0 {
+			close(ss.idle)
+		}
+	}
+	return ss.idle
 }
 
 func (s *Server) gateErr() error {
@@ -341,29 +398,35 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST a frame stream", http.StatusMethodNotAllowed)
 		return
 	}
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
+	if !s.streams.admit() {
 		http.Error(w, "draining", http.StatusServiceUnavailable)
 		return
 	}
-	s.streams.Add(1)
-	s.mu.Unlock()
-	defer s.streams.Done()
+	defer s.streams.end()
+	conn, br, err := upgrade.Accept(w, r, protocol, 64<<10)
+	if err != nil {
+		return
+	}
+	defer conn.Close()
+	// The stream's submissions run under ctx until its writer loses the
+	// client or Shutdown stops the streams hard: ingress then stops, and
+	// a batch parked at the pipeline's Capacity gives up.
+	ctx, cancel := context.WithCancel(s.streamCtx)
+	defer cancel()
+	s.serveStream(ctx, cancel, conn, br)
+}
 
-	rc := http.NewResponseController(w)
-	w.WriteHeader(http.StatusOK)
-	_ = rc.Flush() // release headers so the client unblocks before its first frame
-
-	ctx := r.Context()
-	br := bufio.NewReaderSize(r.Body, 64<<10)
+// serveStream runs one upgraded stream: ingress here, responses on a
+// writer goroutine of their own. It returns once the client has
+// half-closed (or the stream broke) and every response is written.
+func (s *Server) serveStream(ctx context.Context, cancel context.CancelFunc, conn net.Conn, br *bufio.Reader) {
 	ar := arena.New(arenaSize)
 	// Sized to a few ingress batches, so ingress can run ahead of a
 	// writer parked on an unresolved ticket without queueing unboundedly.
 	queue := make(chan entry, 4*s.cfg.MaxBatch)
 	ring := new(ticketRing)
 	writerDone := make(chan struct{})
-	go s.writeResponses(w, rc, queue, ar, ring, writerDone)
+	go s.writeResponses(conn, cancel, queue, ar, ring, writerDone)
 
 	// Ingress: decode frames in arrival order. Frames that arrived
 	// together (complete in the read buffer) and carry no deadline are
@@ -413,7 +476,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		clear(tickets)
 		runData, run = runData[:0], run[:0]
 	}
+	lost := ctx.Done()
+ingress:
 	for {
+		select {
+		case <-lost:
+			break ingress // nobody is left to answer
+		default:
+		}
 		id, deadlineMS, payload, err := readRequestFrame(br, s.cfg.MaxFrame, ar)
 		if err != nil {
 			bad, ok := err.(*Error)
@@ -441,14 +511,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			send(entry{id: id, err: gerr, mark: ar.Mark()})
 			continue
 		}
-		dctx, cancel := context.WithTimeout(ctx, time.Duration(deadlineMS)*time.Millisecond)
+		dctx, dcancel := context.WithTimeout(ctx, time.Duration(deadlineMS)*time.Millisecond)
 		t, serr := b.one(dctx, payload)
 		if serr != nil {
-			cancel()
+			dcancel()
 			send(entry{id: id, err: serr, mark: ar.Mark()})
 			continue
 		}
-		send(entry{id: id, t: t, ctx: dctx, cancel: cancel, mark: ar.Mark()})
+		send(entry{id: id, t: t, ctx: dctx, cancel: dcancel, mark: ar.Mark()})
 	}
 	flushRun()
 	close(queue)
@@ -460,12 +530,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // wait for the oldest entry, then every entry behind it whose outcome
 // is already known — acknowledgements leave the pipeline in age order,
 // so they arrive here in runs — and the whole run goes out in one
-// Write and one Flush. The loop stops collecting at the first entry
+// Write on the connection. The loop stops collecting at the first entry
 // still in flight, so a resolved response is never held back behind an
-// unresolved one: everything written is flushed before the next
-// blocking wait. Answered entries give their payload buffers back to
-// ar and their ticket slots back to ring.
-func (s *Server) writeResponses(w http.ResponseWriter, rc *http.ResponseController, queue <-chan entry, ar *arena.Ring, ring *ticketRing, done chan<- struct{}) {
+// unresolved one. Answered entries give their payload buffers back to
+// ar and their ticket slots back to ring. A write that fails has lost
+// the client: the writer cancels the stream's submissions and only
+// drains the queue from then on.
+func (s *Server) writeResponses(conn net.Conn, cancel context.CancelFunc, queue <-chan entry, ar *arena.Ring, ring *ticketRing, done chan<- struct{}) {
 	defer close(done)
 	var (
 		buf      []byte
@@ -509,11 +580,12 @@ func (s *Server) writeResponses(w http.ResponseWriter, rc *http.ResponseControll
 		// tickets; the responses hold what the writer still needs.
 		ar.Release(mark)
 		ring.answered.Store(answered)
-		if _, werr := w.Write(buf); werr != nil {
-			// Client gone: drain remaining entries so their tickets'
-			// deadline contexts are released, then quit. Nothing more is
-			// released to the arena or the ticket ring — those tickets
-			// may be unresolved.
+		if _, werr := conn.Write(buf); werr != nil {
+			// Client gone: stop ingress, drain remaining entries so their
+			// tickets' deadline contexts are released, then quit. Nothing
+			// more is released to the arena or the ticket ring — those
+			// tickets may be unresolved.
+			cancel()
 			if held && next.cancel != nil {
 				next.cancel()
 			}
@@ -524,6 +596,5 @@ func (s *Server) writeResponses(w http.ResponseWriter, rc *http.ResponseControll
 			}
 			return
 		}
-		_ = rc.Flush()
 	}
 }

@@ -1,16 +1,26 @@
 // Package serve is the process boundary for an ordered-transaction
-// pipeline: a reusable HTTP/2 (h2c, cleartext prior-knowledge)
-// streaming server and client speaking a minimal length-prefixed
-// framing, with the engine's predefined commit order as the externally
-// visible contract — each connection's responses resolve in commit
-// order.
+// pipeline: a streaming server and client speaking a minimal
+// length-prefixed framing over one TCP connection each, with the
+// engine's predefined commit order as the externally visible contract
+// — each connection's responses resolve in commit order.
 //
 // # Wire protocol
 //
-// A connection is one HTTP/2 stream: the client POSTs to /submit and
-// keeps the request body open; request frames flow client→server on
-// the request body and response frames server→client on the response
-// body, full duplex. All integers are little-endian, matching the
+// A connection starts as HTTP/1.1 and upgrades to a raw byte stream.
+// The client sends
+//
+//	POST /submit HTTP/1.1
+//	Host: <host:port>
+//	Connection: Upgrade
+//	Upgrade: ostm-submit
+//
+// and the server answers "HTTP/1.1 101 Switching Protocols" with
+// "Connection: Upgrade" and "Upgrade: ostm-submit" (a POST without the
+// upgrade gets 426 Upgrade Required, a draining server 503). From then
+// on request frames flow client→server and response frames
+// server→client on the same socket, full duplex. The client ends its
+// side by half-closing the connection; the server answers everything
+// in flight and closes. All integers are little-endian, matching the
 // engine's WAL record layout.
 //
 // Request frame:
@@ -55,6 +65,9 @@ import (
 
 	"github.com/orderedstm/ostm/internal/arena"
 )
+
+// protocol is the Upgrade token of a submit stream.
+const protocol = "ostm-submit"
 
 // DefaultMaxFrame bounds the length prefix accepted by both sides
 // (requests and responses) unless overridden in Config.
