@@ -11,8 +11,9 @@
 // whose TicketOf[R] futures latch the committed result, context-aware
 // submission and waits, and typed durable codecs that replay through
 // the write-ahead log. Package stm/serve carries the submit surface
-// over the network (an HTTP/2 cleartext streaming front-end answering
-// in commit order), and cmd/ordersvc runs it as a standalone service
+// over the network (a streaming front-end answering in commit order,
+// one TCP stream per connection upgraded off HTTP/1.1), and
+// cmd/ordersvc runs it as a standalone service
 // with recovery, drain and a load generator. The benchmarks in
 // bench_test.go and the cmd tools regenerate the paper's evaluation.
 //

@@ -1,7 +1,8 @@
 // Ordersvc client: speak to a running cmd/ordersvc over the wire.
 // Where every other example embeds the engine, this one is a pure
-// network client — serve.Dial opens one h2c stream, Submit pipelines
-// transfers up it, and the responses come back in commit order, each
+// network client — serve.Dial opens one TCP stream (an HTTP/1.1
+// upgrade), Submit pipelines transfers up it, and the responses come
+// back in commit order, each
 // carrying the transaction's global age and a typed error that still
 // matches the engine's sentinels through errors.Is.
 //

@@ -1,6 +1,6 @@
 // Command repl demonstrates WAL-shipping replication and leader
 // hand-off, all in one process: a durable ordered-commit leader
-// serves clients over h2c while a Shipper streams its log — closed
+// serves clients over the wire while a Shipper streams its log — closed
 // segments and the live tail — to a hot-standby Follower that applies
 // every record through its own pipeline into its own local WAL. The
 // leader's listener is then torn down mid-flight (the in-process

@@ -116,6 +116,8 @@ func TestShutdownAnswersOpenStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer c.Close()
+	defer release() // before Close, which waits for the stream's answers
 	calls, err := c.SubmitMany([][]byte{{'b'}, {'x'}})
 	if err != nil {
 		t.Fatal(err)
@@ -143,12 +145,13 @@ func TestShutdownAnswersOpenStream(t *testing.T) {
 // ctx expires the streams still open are closed, so a client's pending
 // call fails instead of waiting for a commit that is not coming.
 func TestShutdownDeadlineClosesStreams(t *testing.T) {
-	srv, _, _ := startGateServer(t)
+	srv, _, release := startGateServer(t)
 	c, err := serve.Dial(context.Background(), srv.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	defer release() // before Close, which waits for the stream's answers
 	call, err := c.Submit([]byte{'b'})
 	if err != nil {
 		t.Fatal(err)
