@@ -34,6 +34,10 @@ const (
 	OpRemove
 	OpTruncate
 	OpSyncDir
+	// OpZero is a write of nothing but zero bytes: the WAL's zero-ahead
+	// fill of its live segment. It is counted apart from OpWrite, so an
+	// OpWrite schedule's N-th write is the N-th write of records.
+	OpZero
 	numOps
 )
 
@@ -53,6 +57,8 @@ func (o Op) String() string {
 		return "truncate"
 	case OpSyncDir:
 		return "dirsync"
+	case OpZero:
+		return "zero"
 	default:
 		return fmt.Sprintf("Op(%d)", int(o))
 	}
@@ -74,7 +80,7 @@ type Plan struct {
 	// path contains it (e.g. "CHECKPOINT" to fail only the manifest
 	// rename).
 	Path string
-	// Short, on OpWrite, writes half the buffer through before
+	// Short, on OpWrite or OpZero, writes half the buffer through before
 	// reporting Err — a short write with real bytes on disk, the
 	// torn-record shape recovery must cut.
 	Short bool
@@ -236,11 +242,18 @@ type file struct {
 	f    wal.File
 }
 
-func (f *file) Write(p []byte) (int, error) {
-	_, short, err := f.fs.check(OpWrite, f.name)
+func (f *file) WriteAt(p []byte, off int64) (int, error) {
+	op := OpZero
+	for _, b := range p {
+		if b != 0 {
+			op = OpWrite
+			break
+		}
+	}
+	_, short, err := f.fs.check(op, f.name)
 	if err != nil {
 		if short && len(p) > 1 {
-			n, werr := f.f.Write(p[: len(p)/2 : len(p)/2])
+			n, werr := f.f.WriteAt(p[:len(p)/2], off)
 			if werr != nil {
 				return n, werr
 			}
@@ -248,7 +261,7 @@ func (f *file) Write(p []byte) (int, error) {
 		}
 		return 0, &os.PathError{Op: "write", Path: f.name, Err: err}
 	}
-	return f.f.Write(p)
+	return f.f.WriteAt(p, off)
 }
 
 func (f *file) Fdatasync() error {

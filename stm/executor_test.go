@@ -3,6 +3,7 @@ package stm_test
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/orderedstm/ostm/internal/rng"
@@ -70,7 +71,8 @@ func TestACOEquivalence(t *testing.T) {
 		body := randomBody(seed, vars, ops)
 
 		resetVars(vars)
-		mustRun(t, stm.Config{Algorithm: stm.Sequential}, nTx, body)
+		seq := make(readTrace, nTx)
+		mustRun(t, stm.Config{Algorithm: stm.Sequential}, nTx, seq.record(body))
 		want := snapshot(vars)
 
 		for _, alg := range stm.OrderedAlgorithms() {
@@ -78,16 +80,13 @@ func TestACOEquivalence(t *testing.T) {
 				name := fmt.Sprintf("%v/w%d/seed%d", alg, workers, seed)
 				t.Run(name, func(t *testing.T) {
 					resetVars(vars)
-					res := mustRun(t, stm.Config{Algorithm: alg, Workers: workers}, nTx, body)
+					tr := make(readTrace, nTx)
+					res := mustRun(t, stm.Config{Algorithm: alg, Workers: workers}, nTx, tr.record(body))
 					if res.N != nTx {
 						t.Fatalf("committed %d of %d", res.N, nTx)
 					}
-					got := snapshot(vars)
-					for i := range want {
-						if got[i] != want[i] {
-							t.Fatalf("memory diverged at var %d: got %#x want %#x (stats: %v)",
-								i, got[i], want[i], res.Stats)
-						}
+					if got := snapshot(vars); !slices.Equal(got, want) {
+						t.Fatalf("%v seed=%d workers=%d: %s (stats: %v)", alg, seed, workers, tr.divergence(seq, got, want), res.Stats)
 					}
 				})
 			}
@@ -100,27 +99,27 @@ func TestACOEquivalence(t *testing.T) {
 // cascading aborts).
 func TestACOEquivalenceHighContention(t *testing.T) {
 	const (
-		nVars = 4
-		nTx   = 250
-		ops   = 10
+		seed    = 7
+		nVars   = 4
+		nTx     = 250
+		ops     = 10
+		workers = 8
 	)
 	vars := stm.NewVars(nVars)
-	body := randomBody(7, vars, ops)
+	body := randomBody(seed, vars, ops)
 
 	resetVars(vars)
-	mustRun(t, stm.Config{Algorithm: stm.Sequential}, nTx, body)
+	seq := make(readTrace, nTx)
+	mustRun(t, stm.Config{Algorithm: stm.Sequential}, nTx, seq.record(body))
 	want := snapshot(vars)
 
 	for _, alg := range stm.OrderedAlgorithms() {
 		t.Run(alg.String(), func(t *testing.T) {
 			resetVars(vars)
-			res := mustRun(t, stm.Config{Algorithm: alg, Workers: 8}, nTx, body)
-			got := snapshot(vars)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("memory diverged at var %d: got %#x want %#x (stats: %v)",
-						i, got[i], want[i], res.Stats)
-				}
+			tr := make(readTrace, nTx)
+			res := mustRun(t, stm.Config{Algorithm: alg, Workers: workers}, nTx, tr.record(body))
+			if got := snapshot(vars); !slices.Equal(got, want) {
+				t.Fatalf("%v seed=%d workers=%d: %s (stats: %v)", alg, seed, workers, tr.divergence(seq, got, want), res.Stats)
 			}
 		})
 	}

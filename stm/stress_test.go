@@ -2,6 +2,7 @@ package stm_test
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -46,19 +47,17 @@ func TestACOEquivalenceInterleaved(t *testing.T) {
 		body := yieldingBody(seed, vars, ops)
 
 		resetVars(vars)
-		mustRun(t, stm.Config{Algorithm: stm.Sequential}, nTx, body)
+		seq := make(readTrace, nTx)
+		mustRun(t, stm.Config{Algorithm: stm.Sequential}, nTx, seq.record(body))
 		want := snapshot(vars)
 
 		for _, alg := range stm.OrderedAlgorithms() {
 			for _, workers := range []int{2, 4, 8, 16} {
 				resetVars(vars)
-				res := mustRun(t, stm.Config{Algorithm: alg, Workers: workers}, nTx, body)
-				got := snapshot(vars)
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("%v w=%d seed=%d: var %d got %#x want %#x (stats: %v)",
-							alg, workers, seed, i, got[i], want[i], res.Stats)
-					}
+				tr := make(readTrace, nTx)
+				res := mustRun(t, stm.Config{Algorithm: alg, Workers: workers}, nTx, tr.record(body))
+				if got := snapshot(vars); !slices.Equal(got, want) {
+					t.Fatalf("%v seed=%d workers=%d: %s (stats: %v)", alg, seed, workers, tr.divergence(seq, got, want), res.Stats)
 				}
 			}
 		}

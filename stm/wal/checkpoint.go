@@ -64,7 +64,7 @@ func writeFileAtomic(fs FS, dir, name string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	if _, err := tmp.Write(data); err != nil {
+	if _, err := tmp.WriteAt(data, 0); err != nil {
 		tmp.Close()
 		return err
 	}

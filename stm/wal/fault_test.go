@@ -381,3 +381,83 @@ func TestExhaustedShortWriteLeavesRecoverableTornTail(t *testing.T) {
 		t.Fatalf("recovery claims %d records, writer only accepted %d", r.Next(), accepted)
 	}
 }
+
+// TestFailedZeroFill: the writer keeps its live segment zero-filled a
+// chunk ahead of the records, and that fill can fail like any write.
+// Records of 64 KiB, one sync each, bring the third fill — the first
+// past the segment's opening two chunks — at the sync of record 16.
+// Transient failures, plain or short, are retried away. A terminal one
+// latches the log under FailStop and detaches it under Degrade; either
+// way every acknowledged record recovers and the log ends at a record
+// boundary, never in a torn record.
+func TestFailedZeroFill(t *testing.T) {
+	big := func(age uint64) []byte { return bytes.Repeat([]byte{byte(age) | 1}, 64<<10) }
+	for _, tc := range []struct {
+		name   string
+		plan   faultfs.Plan
+		onFail wal.FailPolicy
+		dies   bool
+	}{
+		{"transient", faultfs.Plan{Op: faultfs.OpZero, N: 3, Err: syscall.EIO, Count: 1}, wal.FailStop, false},
+		{"transient-short", faultfs.Plan{Op: faultfs.OpZero, N: 3, Err: syscall.EIO, Short: true, Count: 1}, wal.FailStop, false},
+		{"failstop", faultfs.Plan{Op: faultfs.OpZero, N: 3, Err: syscall.EIO, Count: -1}, wal.FailStop, true},
+		{"failstop-short", faultfs.Plan{Op: faultfs.OpZero, N: 3, Err: syscall.EIO, Short: true, Count: -1}, wal.FailStop, true},
+		{"degrade", faultfs.Plan{Op: faultfs.OpZero, N: 3, Err: syscall.EIO, Count: -1}, wal.Degrade, true},
+		{"degrade-short", faultfs.Plan{Op: faultfs.OpZero, N: 3, Err: syscall.EIO, Short: true, Count: -1}, wal.Degrade, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			fs := faultfs.New(nil, tc.plan)
+			w, err := wal.Create(dir, 0, wal.Options{
+				FS:     fs,
+				OnFail: tc.onFail,
+				Retry:  wal.RetryPolicy{Max: 1, Backoff: time.Microsecond},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			const n = 32
+			var acked uint64
+			var failed error
+			for age := uint64(0); age < n && failed == nil; age++ {
+				if failed = w.Append(age, big(age)); failed == nil {
+					if failed = w.Sync(); failed == nil {
+						acked = age + 1
+					}
+				}
+			}
+			if fs.Injected() == 0 {
+				t.Fatal("the zero-fill plan never fired")
+			}
+			switch {
+			case !tc.dies && failed != nil:
+				t.Fatalf("a transient zero-fill failure was not retried away: %v", failed)
+			case tc.dies && tc.onFail == wal.FailStop && !errors.Is(failed, syscall.EIO):
+				t.Fatalf("terminal zero-fill failure under FailStop = %v, want EIO", failed)
+			case tc.dies && tc.onFail == wal.Degrade && (!errors.Is(failed, wal.ErrDegraded) || !w.Degraded()):
+				t.Fatalf("terminal zero-fill failure under Degrade = %v (degraded %v), want ErrDegraded", failed, w.Degraded())
+			}
+			if tc.dies {
+				if acked < 10 || acked >= n {
+					t.Fatalf("%d records acknowledged before the failure; the plan should strike mid-run", acked)
+				}
+				if err := w.Append(acked+1, big(acked+1)); err == nil {
+					t.Fatal("the log took an append after a terminal failure")
+				}
+			}
+			w.Close()
+			r, err := wal.Recover(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.Next() < acked || r.Truncated() {
+				t.Fatalf("recovered next %d (truncated %v) after %d acknowledged", r.Next(), r.Truncated(), acked)
+			}
+			for i, rec := range r.Records() {
+				if rec.Age != uint64(i) || !bytes.Equal(rec.Payload, big(rec.Age)) {
+					t.Fatalf("recovered record %d: age %d, payload mismatch", i, rec.Age)
+				}
+			}
+		})
+	}
+}

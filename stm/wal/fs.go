@@ -5,10 +5,13 @@ import "os"
 // File is the writable-file surface of the durable path: segment and
 // checkpoint files are written, made durable, and closed through it.
 type File interface {
-	Write(p []byte) (n int, err error)
-	// Fdatasync flushes the file's appended data (and the metadata
-	// needed to retrieve it, i.e. the size extension) to stable
-	// storage. Implementations without fdatasync use a full fsync.
+	// WriteAt writes p at offset off, as io.WriterAt does: a write
+	// shorter than p returns an error. The writer places every record
+	// and every zero-fill by offset.
+	WriteAt(p []byte, off int64) (n int, err error)
+	// Fdatasync flushes the file's written data (and the metadata
+	// needed to retrieve it, i.e. a size change) to stable storage.
+	// Implementations without fdatasync use a full fsync.
 	Fdatasync() error
 	Close() error
 }

@@ -24,7 +24,11 @@ type SegmentInfo struct {
 	// Path is the segment file's full path.
 	Path string
 	// Size is the file's current size in bytes. For the tail segment
-	// of a live log this is a snapshot: the writer may be appending.
+	// of a live log this is a snapshot: the writer may be appending,
+	// and the size includes the zero padding the writer keeps ahead of
+	// its records (see the package doc's Zero-ahead), so it says where
+	// the file ends, not where the log does. A finished segment's size
+	// is its records'.
 	Size int64
 }
 
@@ -113,15 +117,46 @@ var ErrCompacted = errors.New("wal: records compacted below the requested age")
 // reading the live tail safe: every byte below the durability frontier
 // was fully written to the segment file before the frontier advanced.
 //
+// The live segment's file runs on past its records in zeros (the
+// writer's zero-ahead), so a read can buffer bytes that are still
+// zeros — or a record only partly copied in — and that hold a record
+// later. The cursor therefore trusts its buffer only for records below
+// the limit it was filled under: the first record at or past that
+// limit is re-read from the file at its offset. A header of zeros that
+// is still there is the end of what the segment holds, as the end of
+// the file is.
+//
 // A Cursor is not safe for concurrent use. It holds at most one open
 // segment file; Close releases it.
 type Cursor struct {
 	dir    string
-	expect uint64 // age of the next record to return
-	f      *os.File
-	br     *bufio.Reader // reads f; kept across segment files
+	expect uint64        // age of the next record to return
+	src    segReader     // the open segment file, if any
+	br     *bufio.Reader // reads src; kept across segment files
+	off    int64         // file offset of the record at expect
+	fresh  uint64        // br holds whole records only below this age
 	opened uint64        // segment files opened over the cursor's life
 	rolled bool          // the last file ended cleanly: the next starts at expect
+}
+
+// segReader reads a segment file from off on: the offset br's buffer
+// ends at. After a refill it
+// starts small and doubles per read: at the live tail all but the
+// newest records of a read are zero padding.
+type segReader struct {
+	f   *os.File
+	off int64
+	n   int // most bytes the next read returns
+}
+
+const firstRead = 4 << 10
+
+func (r *segReader) Read(p []byte) (int, error) {
+	p = p[:min(len(p), r.n)]
+	r.n = min(2*r.n, 1<<20)
+	n, err := r.f.ReadAt(p, r.off)
+	r.off += int64(n)
+	return n, err
 }
 
 // NewCursor positions a cursor at age from in dir's log. The first
@@ -148,18 +183,19 @@ func (c *Cursor) Next(limit uint64) (age uint64, payload []byte, ok bool, err er
 		if c.expect >= limit {
 			return 0, nil, false, nil
 		}
-		if c.f == nil {
-			if err := c.open(); err != nil {
-				return 0, nil, false, err
-			}
+		if err := c.ready(limit); err != nil {
+			return 0, nil, false, err
 		}
 		// The record for c.expect is fully on disk (it is below the
-		// caller's durability limit), so a clean EOF here can only mean
+		// caller's durability limit), so a clean end here can only mean
 		// the segment ended at a roll boundary: move to the next file.
-		a, p, rerr := readRecord(c.br, int64(maxPayload)+headerSize)
+		length, crc, a, rerr := c.peek()
 		if rerr == io.EOF {
 			c.nextSegment()
 			continue
+		}
+		if rerr == nil {
+			payload, rerr = readPayload(c.br, length, crc, a)
 		}
 		if rerr != nil {
 			return 0, nil, false, fmt.Errorf("wal: cursor at age %d: %w", c.expect, rerr)
@@ -168,7 +204,8 @@ func (c *Cursor) Next(limit uint64) (age uint64, payload []byte, ok bool, err er
 			return 0, nil, false, fmt.Errorf("wal: cursor expected age %d, segment holds %d", c.expect, a)
 		}
 		c.expect = a + 1
-		return a, p, true, nil
+		c.off += headerSize + int64(length)
+		return a, payload, true, nil
 	}
 }
 
@@ -190,12 +227,10 @@ func (c *Cursor) Next(limit uint64) (age uint64, payload []byte, ok bool, err er
 func (c *Cursor) AppendFrames(dst []byte, limit uint64, budget int) (out []byte, first uint64, n int, err error) {
 	first = c.expect
 	for start := len(dst); c.expect < limit && len(dst)-start < budget; {
-		if c.f == nil {
-			if err = c.open(); err != nil {
-				break
-			}
+		if err = c.ready(limit); err != nil {
+			break
 		}
-		length, _, age, rerr := peekHeader(c.br, int64(maxPayload)+headerSize)
+		length, _, age, rerr := c.peek()
 		if rerr == io.EOF {
 			c.nextSegment()
 			continue
@@ -216,6 +251,7 @@ func (c *Cursor) AppendFrames(dst []byte, limit uint64, budget int) (out []byte,
 			break
 		}
 		c.expect++
+		c.off += headerSize + int64(length)
 		n++
 	}
 	if err != nil {
@@ -228,9 +264,41 @@ func (c *Cursor) AppendFrames(dst []byte, limit uint64, budget int) (out []byte,
 	return dst, first, n, nil
 }
 
+// ready positions the cursor to read the record at expect under
+// limit: it opens the segment holding it, or re-reads from the file
+// when the buffered bytes may predate the record.
+func (c *Cursor) ready(limit uint64) error {
+	if c.src.f == nil {
+		return c.open(limit)
+	}
+	if c.expect >= c.fresh {
+		c.refill(limit)
+	}
+	return nil
+}
+
+// refill drops the buffer; reading goes on from the file at the
+// cursor's offset, under limit.
+func (c *Cursor) refill(limit uint64) {
+	c.src.off, c.src.n = c.off, firstRead
+	c.br.Reset(&c.src)
+	c.fresh = limit
+}
+
+// peek parses the header at the cursor's position. A header of zeros
+// is the writer's padding past the last record: for a reader, the end
+// of the segment, as much as io.EOF is.
+func (c *Cursor) peek() (length, crc uint32, age uint64, err error) {
+	length, crc, age, err = peekHeader(c.br, int64(maxPayload)+headerSize)
+	if err == nil && length == 0 && crc == 0 && age == 0 {
+		err = io.EOF
+	}
+	return length, crc, age, err
+}
+
 // open locates and opens the segment containing c.expect, skipping
 // already-consumed records within it.
-func (c *Cursor) open() error {
+func (c *Cursor) open(limit uint64) error {
 	segs, err := listSegments(c.dir)
 	if err != nil {
 		return err
@@ -255,18 +323,17 @@ func (c *Cursor) open() error {
 	if err != nil {
 		return err
 	}
-	c.f = f
+	c.src.f, c.off = f, 0
 	if c.br == nil {
-		c.br = bufio.NewReaderSize(f, 1<<20)
-	} else {
-		c.br.Reset(f)
+		c.br = bufio.NewReaderSize(&c.src, 1<<20)
 	}
+	c.refill(limit)
 	c.opened++
 	// Skip records below the resume point (a cursor restarted mid-
 	// segment, or positioned at an age inside an existing segment),
 	// hopping from header to header.
 	for at := segs[idx].age; at < c.expect; at++ {
-		length, _, a, rerr := peekHeader(c.br, int64(maxPayload)+headerSize)
+		length, _, a, rerr := c.peek()
 		if rerr == nil {
 			if _, derr := c.br.Discard(headerSize + int(length)); derr != nil {
 				rerr = &tornError{reason: "short payload"}
@@ -280,14 +347,15 @@ func (c *Cursor) open() error {
 			c.closeFile()
 			return fmt.Errorf("wal: cursor skipping to age %d: segment holds %d at %d", c.expect, a, at)
 		}
+		c.off += headerSize + int64(length)
 	}
 	return nil
 }
 
 func (c *Cursor) closeFile() {
-	if c.f != nil {
-		c.f.Close()
-		c.f = nil
+	if c.src.f != nil {
+		c.src.f.Close()
+		c.src.f = nil
 	}
 }
 

@@ -183,6 +183,57 @@ func TestCursorWalksLiveLog(t *testing.T) {
 	}
 }
 
+// TestCursorRereadsTheZeroTail: a cursor that caught up with the
+// frontier has read on into the live segment's zero padding. Those
+// bytes become records once the writer appends; the cursor must read
+// them again from the file, not take the zeros it holds for the end of
+// the log — through Next and AppendFrames alike.
+func TestCursorRereadsTheZeroTail(t *testing.T) {
+	dir := t.TempDir()
+	w, err := Create(dir, 0, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	fill(t, w, 0, 10)
+
+	next, _ := NewCursor(dir, 0)
+	defer next.Close()
+	for age := uint64(0); age < 10; age++ {
+		if got, _, ok, err := next.Next(10); got != age || !ok || err != nil {
+			t.Fatalf("Next: age %d ok %v err %v, want %d", got, ok, err, age)
+		}
+	}
+	frames, _ := NewCursor(dir, 0)
+	defer frames.Close()
+	if _, _, n, err := frames.AppendFrames(nil, 10, 1<<20); n != 10 || err != nil {
+		t.Fatalf("AppendFrames: %d records, err %v; want 10", n, err)
+	}
+	for _, c := range []*Cursor{next, frames} {
+		if hdr, err := c.br.Peek(headerSize); err != nil || !allZeroBytes(hdr) {
+			t.Fatalf("the cursor holds %x (err %v) past the frontier, want buffered zero padding", hdr, err)
+		}
+	}
+
+	fill(t, w, 10, 20)
+	for age := uint64(10); age < 20; age++ {
+		if got, payload, ok, err := next.Next(w.Durable()); got != age || !ok || err != nil || payload[0] != byte(age) {
+			t.Fatalf("Next after the append: age %d ok %v err %v, want %d", got, ok, err, age)
+		}
+	}
+	raw, first, n, err := frames.AppendFrames(nil, w.Durable(), 1<<20)
+	if first != 10 || n != 10 || err != nil {
+		t.Fatalf("AppendFrames after the append: first %d, %d records, err %v; want 10 from 10", first, n, err)
+	}
+	for age := uint64(10); len(raw) > 0; age++ {
+		a, payload, rest, err := ParseFrame(raw)
+		if err != nil || a != age || payload[0] != byte(age) {
+			t.Fatalf("shipped frame %d: age %d, err %v", age, a, err)
+		}
+		raw = rest
+	}
+}
+
 func TestCursorMidLogStartAndLimit(t *testing.T) {
 	dir := t.TempDir()
 	w, err := Create(dir, 0, Options{SegmentBytes: 128})
@@ -311,13 +362,26 @@ func TestAppendFramesShipsTheSegmentBytes(t *testing.T) {
 	if err != nil || len(segs) < 3 {
 		t.Fatalf("want a log of several segments, got %d (err %v)", len(segs), err)
 	}
+	// Each segment's written prefix: the live tail runs on in zero
+	// padding, which is no part of the log.
 	var disk []byte
 	for _, s := range segs {
 		b, err := os.ReadFile(s.Path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		disk = append(disk, b...)
+		rest := b
+		for len(rest) > 0 {
+			if _, _, r, err := ParseFrame(rest); err == nil {
+				rest = r
+				continue
+			}
+			if s != segs[len(segs)-1] || !allZeroBytes(rest) {
+				t.Fatalf("segment %016x: %d bytes after its records that are not tail padding", s.FirstAge, len(rest))
+			}
+			break
+		}
+		disk = append(disk, b[:len(b)-len(rest)]...)
 	}
 	frame := int(FrameSize(make([]byte, 3)))
 
@@ -465,4 +529,13 @@ func TestAppendFramesErrorsOnlyWhenEmpty(t *testing.T) {
 	if _, _, n, err := gone.AppendFrames(nil, 5, 1<<20); !errors.Is(err, ErrCompacted) || n != 0 {
 		t.Fatalf("cursor on a log that does not hold its age: n %d, err %v", n, err)
 	}
+}
+
+func allZeroBytes(b []byte) bool {
+	for _, x := range b {
+		if x != 0 {
+			return false
+		}
+	}
+	return true
 }

@@ -100,13 +100,20 @@ func readRecord(br *bufio.Reader, remaining int64) (age uint64, payload []byte, 
 	if err != nil {
 		return 0, nil, err
 	}
+	payload, err = readPayload(br, length, crc, age)
+	return age, payload, err
+}
+
+// readPayload consumes the record whose header peekHeader just
+// parsed and returns its verified payload.
+func readPayload(br *bufio.Reader, length, crc uint32, age uint64) ([]byte, error) {
 	_, _ = br.Discard(headerSize) // cannot fail: Peek just buffered these bytes
-	payload = make([]byte, length)
+	payload := make([]byte, length)
 	if _, err := io.ReadFull(br, payload); err != nil {
-		return 0, nil, &tornError{reason: "short payload"}
+		return nil, &tornError{reason: "short payload"}
 	}
 	if recordCRC(length, age, payload) != crc {
-		return 0, nil, &tornError{reason: "checksum mismatch"}
+		return nil, &tornError{reason: "checksum mismatch"}
 	}
-	return age, payload, nil
+	return payload, nil
 }

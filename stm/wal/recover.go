@@ -87,7 +87,7 @@ func Recover(dir string) (*Recovery, error) {
 			r.truncated = true
 			break
 		}
-		n, torn, err := r.readSegment(seg, &expect)
+		n, torn, err := r.readSegment(seg, &expect, i == len(segs)-1)
 		if err != nil {
 			return nil, err
 		}
@@ -184,8 +184,10 @@ func (r *Recovery) reconcile(segFirst uint64) error {
 // r.recs; older ones only anchor the chain and are counted as skipped.
 // It returns the number of valid bytes and whether the segment was
 // torn (in which case it has been truncated on disk at the last good
-// record).
-func (r *Recovery) readSegment(seg segment, expect *uint64) (int64, bool, error) {
+// record). In the log's tail segment, a remainder of nothing but zero
+// bytes is the writer's zero padding — the log's clean end, left in
+// place; anywhere else, zeros are as torn as any other bytes.
+func (r *Recovery) readSegment(seg segment, expect *uint64, tail bool) (int64, bool, error) {
 	f, err := os.Open(seg.path)
 	if err != nil {
 		return 0, false, err
@@ -204,6 +206,15 @@ func (r *Recovery) readSegment(seg segment, expect *uint64) (int64, bool, error)
 			return offset, false, nil
 		}
 		if err != nil || age != *expect {
+			if tail {
+				zero, zerr := allZero(f, offset, size)
+				if zerr != nil {
+					return 0, false, zerr
+				}
+				if zero {
+					return offset, false, nil
+				}
+			}
 			// Torn or corrupt tail: cut at the last good record.
 			if terr := os.Truncate(seg.path, offset); terr != nil {
 				return 0, false, terr
@@ -220,6 +231,24 @@ func (r *Recovery) readSegment(seg segment, expect *uint64) (int64, bool, error)
 		*expect = age + 1
 		offset += recordSize(payload)
 	}
+}
+
+// allZero reports whether f holds only zero bytes in [from, to).
+func allZero(f *os.File, from, to int64) (bool, error) {
+	buf := make([]byte, 64<<10)
+	for from < to {
+		n, err := f.ReadAt(buf[:min(int64(len(buf)), to-from)], from)
+		for _, b := range buf[:n] {
+			if b != 0 {
+				return false, nil
+			}
+		}
+		if err != nil {
+			return false, err
+		}
+		from += int64(n)
+	}
+	return true, nil
 }
 
 // First returns the age recovery replay must start from: the
@@ -277,7 +306,8 @@ func (r *Recovery) Replay(submit func(age uint64, payload []byte) error) error {
 }
 
 // Writer reopens the log for appending at Next. The surviving tail
-// segment is extended in place while it has room; otherwise a fresh
+// segment is extended in place while it has room (or while it carries
+// zero padding, which only a roll or Close may cut); otherwise a fresh
 // segment starts at Next.
 func (r *Recovery) Writer(opts Options) (*Writer, error) {
 	if err := opts.validate(); err != nil {
@@ -295,13 +325,21 @@ func (r *Recovery) Writer(opts Options) (*Writer, error) {
 	if r.hasCkpt {
 		w.ckptAge_.Store(r.ckptAge)
 	}
-	if r.lastPath != "" && r.lastSize < opts.SegmentBytes {
-		f, err := w.fs.OpenFile(r.lastPath, os.O_WRONLY|os.O_APPEND, 0o644)
+	var length int64
+	if r.lastPath != "" {
+		st, err := os.Stat(r.lastPath)
 		if err != nil {
 			return nil, err
 		}
-		w.f = f
-		w.segSize = r.lastSize
+		length = st.Size()
+	}
+	if r.lastPath != "" && (r.lastSize < opts.SegmentBytes || length > r.lastSize) {
+		f, err := w.fs.OpenFile(r.lastPath, os.O_WRONLY, 0o644)
+		if err != nil {
+			return nil, err
+		}
+		w.f, w.path = f, r.lastPath
+		w.segSize, w.zeroEnd = r.lastSize, length
 	} else if err := w.openSegment(r.next); err != nil {
 		return nil, err
 	}

@@ -26,6 +26,18 @@
 // strictly in age order and rolls to a new segment once the current
 // one exceeds Options.SegmentBytes.
 //
+// # Zero-ahead
+//
+// The live segment's file runs on past its records in zeros: the
+// writer writes each group at the written end and keeps the file
+// zero-filled at least one chunk (1 MiB, capped at SegmentBytes) ahead
+// of it. A group-commit fdatasync then overwrites blocks the file
+// already owns and flushes data only, instead of also committing a
+// new file size; only the sync that covers a fresh chunk does that.
+// Finished segments hold exactly their records: a roll and Close cut
+// the padding off. Readers of a live log see the padding (see
+// SegmentInfo.Size and Cursor).
+//
 // # Pipelined group commit
 //
 // Append only copies the record into the current segment's buffer; an
@@ -81,7 +93,11 @@
 // garbage past the last fsync. Recover scans the segments in age
 // order and stops at the first record that is short, fails its CRC,
 // or carries an unexpected age; the log is truncated at that record's
-// start and any later segments are deleted. Everything before the cut
+// start and any later segments are deleted. The one exception is the
+// zero-ahead padding: in the tail segment, a remainder of nothing but
+// zero bytes is the log's clean end, not a torn tail, and stays. Zeros
+// anywhere else — inside a finished segment, or before records — are
+// torn like any other bytes. Everything before the cut
 // is a consistent prefix of the committed order — exactly the durable
 // state. When a valid checkpoint exists, recovery loads its state and
 // keeps only the record suffix at or above the checkpoint age (torn

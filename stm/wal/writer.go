@@ -21,6 +21,16 @@ var ErrClosed = errors.New("wal: writer closed")
 // memory.
 const flushChunk = 1 << 20
 
+// zeroChunk is the unit of zero-ahead (capped at Options.SegmentBytes):
+// the writer keeps the live segment's file zero-filled at least one
+// chunk past its written end, so a group-commit fdatasync overwrites
+// blocks the file already owns and flushes data only. Only the sync
+// that covers a freshly zeroed chunk also commits the file's new size.
+const zeroChunk = 1 << 20
+
+// zeros is the one source of every zero-fill write.
+var zeros [zeroChunk]byte
+
 // Writer appends the committed-order record stream to a segmented log.
 // It implements stm.DurableLog.
 //
@@ -49,8 +59,10 @@ type Writer struct {
 
 	mu      sync.Mutex
 	f       File
+	path    string // f's name
 	buf     []byte // framed records not yet written to f
 	segSize int64  // bytes already written to f (excludes buf)
+	zeroEnd int64  // f's length: [segSize, zeroEnd) is zero padding
 	sinceN  int    // appends since the last count-based sync kick
 	// growTimer bounds how long an adaptive group that was told more is
 	// coming may wait for it on an idle device: armed (growArmed) for
@@ -629,6 +641,20 @@ func (w *Writer) Close() error {
 		close(w.done)
 		<-w.loopDone
 	}
+	w.mu.Lock()
+	if w.err == nil && w.f != nil {
+		// The last segment keeps its records and nothing more. A crash
+		// before the cut is durable leaves zeros past the last record,
+		// which recovery reads as the log's clean end.
+		err := w.flushLocked()
+		if err == nil {
+			err = w.trimLocked()
+		}
+		if err != nil {
+			w.failLocked(err)
+		}
+	}
+	w.mu.Unlock()
 	err := w.Sync() // final sync point; in-order completion covers all earlier ones
 	w.admitMu.Lock()
 	w.admitClosed = true
@@ -690,16 +716,17 @@ func (w *Writer) syncLoop() {
 	}
 }
 
-// flushLocked writes the buffer through to the OS (no fsync),
-// retrying transient and short writes per the retry policy. Caller
-// holds mu.
+// flushLocked writes the buffer through to the OS (no fsync) at the
+// segment's written end, then keeps the file zero-filled ahead of it,
+// retrying transient and short writes per the retry policy. It is the
+// one place bytes reach a segment file. Caller holds mu.
 func (w *Writer) flushLocked() error {
 	if len(w.buf) == 0 {
 		return nil
 	}
 	buf := w.buf
 	err := w.retry(&w.ioErrs.write, func() error {
-		n, werr := w.f.Write(buf)
+		n, werr := w.f.WriteAt(buf, w.segSize)
 		w.segSize += int64(n)
 		buf = buf[n:]
 		if werr == nil && len(buf) > 0 {
@@ -707,20 +734,60 @@ func (w *Writer) flushLocked() error {
 		}
 		return werr
 	})
+	w.zeroEnd = max(w.zeroEnd, w.segSize)
 	if err != nil {
 		return err
 	}
 	w.buf = w.buf[:0]
+	if w.closed {
+		return nil // Close is about to cut the padding off
+	}
+	// Zero-ahead: once less than a chunk of padding is left, extend it
+	// to the next chunk boundary past that — a chunk at a time, so
+	// almost every fdatasync finds its blocks allocated and covered by
+	// the file's size.
+	chunk := min(zeroChunk, w.opts.SegmentBytes)
+	if w.zeroEnd >= min(w.segSize+chunk, w.opts.SegmentBytes) {
+		return nil
+	}
+	end := min((w.segSize/chunk+2)*chunk, w.opts.SegmentBytes)
+	return w.retry(&w.ioErrs.write, func() error {
+		for w.zeroEnd < end {
+			n, werr := w.f.WriteAt(zeros[:min(end-w.zeroEnd, zeroChunk)], w.zeroEnd)
+			w.zeroEnd += int64(n)
+			if werr != nil {
+				return werr
+			}
+		}
+		return nil
+	})
+}
+
+// trimLocked cuts the current segment's zero padding off, so a
+// finished segment holds exactly its records. Caller holds mu.
+func (w *Writer) trimLocked() error {
+	if w.zeroEnd == w.segSize {
+		return nil
+	}
+	if err := w.retry(&w.ioErrs.write, func() error { return w.fs.Truncate(w.path, w.segSize) }); err != nil {
+		return err
+	}
+	w.zeroEnd = w.segSize
 	return nil
 }
 
 // rollLocked finishes the current segment and opens a fresh one named
 // by the next age. Caller holds mu. The finished segment is only
-// flushed and parked on the retired list — its fsync and close happen
-// at the next sync point, so a roll on the commit path never waits on
-// stable storage.
+// flushed, cut to its records and parked on the retired list — its
+// fsync and close happen at the next sync point, before any record of
+// the new segment can count as durable, so a roll on the commit path
+// never waits on stable storage and a crash never finds padding inside
+// the log.
 func (w *Writer) rollLocked() error {
 	if err := w.flushLocked(); err != nil {
+		return err
+	}
+	if err := w.trimLocked(); err != nil {
 		return err
 	}
 	w.retired = append(w.retired, w.f)
@@ -800,8 +867,8 @@ func (w *Writer) openSegment(age uint64) error {
 	if err != nil {
 		return err
 	}
-	w.f = f
-	w.segSize = 0
+	w.f, w.path = f, segmentPath(w.dir, age)
+	w.segSize, w.zeroEnd = 0, 0
 	return nil
 }
 
