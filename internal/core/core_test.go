@@ -174,7 +174,7 @@ func TestOULForwardingVisibleReaders(t *testing.T) {
 	}
 	// Rolling back the writer kills the speculative reader and
 	// restores the value.
-	t0.abort(meta.CauseWAW)
+	t0.abort(t0.ref(), meta.CauseWAW)
 	if !t1.Doomed() {
 		t.Fatal("speculative reader survived the writer's rollback")
 	}
@@ -271,7 +271,7 @@ func TestStealTakesLockAndReturnsOnAbort(t *testing.T) {
 	}
 	// Aborting the stealer hands the lock back to the live original
 	// owner with its value.
-	t1.abort(meta.CauseRAW)
+	t1.abort(t1.ref(), meta.CauseRAW)
 	if eng.locks.Of(v).writer.Load() != t0.ref() {
 		t.Fatal("lock not returned to the original owner")
 	}
@@ -279,7 +279,7 @@ func TestStealTakesLockAndReturnsOnAbort(t *testing.T) {
 		t.Fatalf("stealer rollback restored %d, want 1", v.Load())
 	}
 	// Now aborting the original owner restores the initial value.
-	t0.abort(meta.CauseRAW)
+	t0.abort(t0.ref(), meta.CauseRAW)
 	if v.Load() != 0 {
 		t.Fatalf("original rollback restored %d, want 0", v.Load())
 	}
@@ -294,13 +294,13 @@ func TestStealChainWalkAppliesAbortedOwnersUndo(t *testing.T) {
 	t1.Write(v, 2) // steals from t0
 	// The original owner aborts while its lock is stolen: it keeps the
 	// undo entry and takes no action (the stealer owns the lock).
-	t0.abort(meta.CauseWAW)
+	t0.abort(t0.ref(), meta.CauseWAW)
 	if v.Load() != 2 {
 		t.Fatal("aborting a stolen-from owner must not revert the stealer's value")
 	}
 	// When the stealer aborts, the owner-chain walk applies t0's undo
 	// image, landing back at the pre-t0 value with a free lock.
-	t1.abort(meta.CauseWAW)
+	t1.abort(t1.ref(), meta.CauseWAW)
 	if v.Load() != 100 {
 		t.Fatalf("chain walk restored %d, want 100", v.Load())
 	}
@@ -375,7 +375,7 @@ func TestDoomedOperationsUnwind(t *testing.T) {
 	v := meta.NewVar(0)
 	tx := eng.NewTxn(2).(*OULTxn)
 	tx.Write(v, 1)
-	tx.abort(meta.CauseOrder) // externally doomed
+	tx.abort(tx.ref(), meta.CauseOrder) // externally doomed
 	if !catchAbort(func() { tx.Read(v) }) {
 		t.Fatal("doomed transaction's read did not unwind")
 	}
@@ -406,7 +406,7 @@ func TestOULRecycleScrubsFinalizedDescriptors(t *testing.T) {
 	reader.Read(v)
 	live := eng.NewTxn(1).(*OULTxn)
 	live.Read(v)
-	reader.abort(meta.CauseBusy)
+	reader.abort(reader.ref(), meta.CauseBusy)
 	reader.AbandonAttempt()
 
 	// A committed writer whose Cleanup was never run (the cleaner can

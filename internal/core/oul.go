@@ -122,7 +122,7 @@ func (p *oulPool) NewTxn(age uint64) meta.Txn {
 		t.doomed.Store(false)
 		t.aborted.Store(false)
 		t.age.Store(age)
-		t.gen = t.status.Renew()
+		t.status.Renew()
 		return t
 	}
 }
@@ -233,7 +233,6 @@ type OULTxn struct {
 	eng  *OULEngine
 	cell *meta.StatsCell // set once at allocation
 	idx  uint32          // registry index (stable across lives)
-	gen  uint64          // current life (mirror of status.Gen; owner-written)
 
 	age     atomic.Uint64 // atomic: stale-ref observers race renewal
 	status  meta.StatusWord
@@ -251,8 +250,10 @@ type OULTxn struct {
 	readRefs []oulReadRef
 }
 
-// ref returns the reference for this descriptor's current life.
-func (t *OULTxn) ref() meta.Ref { return meta.MakeRef(t.idx, t.gen) }
+// ref returns the reference for this descriptor's current life. Only
+// the life's owner may take it as its own; anyone else acts on the Ref
+// they resolved, since the descriptor may renew under them.
+func (t *OULTxn) ref() meta.Ref { return meta.MakeRef(t.idx, t.status.Gen()) }
 
 // Age implements meta.Txn.
 func (t *OULTxn) Age() uint64 { return t.age.Load() }
@@ -272,33 +273,34 @@ func oulLive(s meta.Status) bool {
 	return s == meta.StatusActive || s == meta.StatusPending
 }
 
-// abort dooms a transaction and, if it can claim the descriptor,
-// performs the rollback on the caller's thread (the paper's aborter-
-// performed rollback). Never blocks.
-func (t *OULTxn) abort(c meta.Cause) bool {
-	if t.status.Load().Final() {
+// abort dooms the life r names and, if it can claim that life while it
+// still owns its locks, performs the rollback on the caller's thread
+// (the paper's aborter-performed rollback). The claim is one CAS on the
+// packed (generation, status) word, so a life that finalized and was
+// renewed after the caller resolved r is never rolled back. The doom
+// flag is not per life: one landing just after a renewal only aborts
+// the new life spuriously. Never blocks.
+func (t *OULTxn) abort(r meta.Ref, c meta.Cause) bool {
+	if life := t.status.LoadLife(); !r.SameLife(life) || life.Status().Final() {
 		return false // already committed or aborted (Algorithm 3 line 58)
 	}
 	first := t.doomed.CompareAndSwap(false, true)
 	if first {
 		t.cell.Abort(c)
 	}
-	for {
-		s := t.status.Load()
-		if s == meta.StatusCommitted || s == meta.StatusAborted || s == meta.StatusTransient {
-			return first
-		}
-		if t.status.CAS(s, meta.StatusTransient) { // s ∈ {Active, Pending}
-			t.rollback()
+	for life := t.status.LoadLife(); r.SameLife(life) && oulLive(life.Status()); life = t.status.LoadLife() {
+		if t.status.CASLife(life, meta.StatusTransient) {
+			t.rollback(r)
 			t.status.Store(meta.StatusAborted)
 			t.eng.cfg.Order.Kick()
-			return first
+			break
 		}
 	}
+	return first
 }
 
 func (t *OULTxn) selfAbort(c meta.Cause) {
-	t.abort(c)
+	t.abort(t.ref(), c)
 	meta.PanicAbort(c)
 }
 
@@ -320,8 +322,9 @@ func (t *OULTxn) unpinChain() {
 // aborted lower-age writer triggers an iterative walk down the
 // previous-owner chain, applying each aborted owner's undo image in
 // turn (this replaces the paper's recursive ROLLBACK call; see
-// package comment on deadlock avoidance).
-func (t *OULTxn) rollback() {
+// package comment on deadlock avoidance). self is the life the caller
+// claimed.
+func (t *OULTxn) rollback(self meta.Ref) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	// Setting the aborted flag (pseudocode line 59) after acquiring mu
@@ -329,7 +332,6 @@ func (t *OULTxn) rollback() {
 	// sees a structurally frozen undo log: appends happen under mu and
 	// are rejected once the transaction is doomed.
 	t.aborted.Store(true)
-	self := t.ref()
 	for i := len(t.writes) - 1; i >= 0; i-- {
 		e := &t.writes[i]
 		if t.lockEntryAfter(i) {
@@ -353,10 +355,10 @@ func (t *OULTxn) rollback() {
 		// owners skipped it during their own rollback because the lock
 		// was stolen from them (Algorithm 4's recursive ROLLBACK,
 		// iteratively: ages strictly decrease, so the walk terminates).
-		owner, ownerRef := applyAbortedOwners(e.lock, e.prevOwner, e.prevRef)
+		owner, ownerRef := applyAbortedOwners(e.lock, e.prevOwner, e.prevRef, self)
 		// Abort speculative readers that may have consumed the
 		// rolled-back values (higher age than us).
-		t.killReaders(e.lock, meta.CauseCascade)
+		t.killReaders(self, e.lock, meta.CauseCascade)
 		for {
 			e.lock.writer.Store(ownerRef)
 			// Double check: the owner may have aborted between our walk
@@ -368,18 +370,22 @@ func (t *OULTxn) rollback() {
 			if !e.lock.writer.CAS(ownerRef, meta.RefBusy) {
 				break // someone else already took the record over
 			}
-			owner, ownerRef = applyAbortedOwners(e.lock, owner, ownerRef)
+			owner, ownerRef = applyAbortedOwners(e.lock, owner, ownerRef, self)
 		}
 	}
 }
 
 // applyAbortedOwners applies the undo images recorded for lk by start
 // and every aborted owner below it, returning the first live/committed
-// owner and the reference to publish for it (RefNil when the chain
-// bottoms out). Aborted owners' undo logs are frozen (the aborted flag
-// is set under their descriptor lock) and pinned by their successors'
-// entries, so reading them races with nothing.
-func applyAbortedOwners(lk *oulLock, start *OULTxn, startRef meta.Ref) (*OULTxn, meta.Ref) {
+// owner and the reference to publish for it. When the chain bottoms
+// out, the record keeps self, the aborting life, rather than RefNil: a
+// reader that saw RefNil before that life acquired the record would
+// otherwise pass its re-check with the rolled-back value in hand (ABA),
+// while a final or stale reference is claimable like RefNil. Aborted
+// owners' undo logs are frozen (the aborted flag is set under their
+// descriptor lock) and pinned by their successors' entries, so reading
+// them races with nothing.
+func applyAbortedOwners(lk *oulLock, start *OULTxn, startRef, self meta.Ref) (*OULTxn, meta.Ref) {
 	owner, ownerRef := start, startRef
 	for owner != nil && owner.aborted.Load() {
 		var next *OULTxn
@@ -394,7 +400,7 @@ func applyAbortedOwners(lk *oulLock, start *OULTxn, startRef meta.Ref) (*OULTxn,
 		owner, ownerRef = next, nextRef
 	}
 	if owner == nil {
-		ownerRef = meta.RefNil
+		ownerRef = self
 	}
 	return owner, ownerRef
 }
@@ -411,35 +417,37 @@ func (t *OULTxn) lockEntryAfter(i int) bool {
 	return false
 }
 
-// killReaders aborts every visible reader of lk with a higher age
-// (R2→W1 during writes, cascade during rollback). Stale slot
-// references — registrations from lives that already finalized — are
-// skipped: the attempt they belonged to is gone, and the descriptor's
-// current life never consumed this record through that slot.
-func (t *OULTxn) killReaders(lk *oulLock, c meta.Cause) {
+// killReaders aborts every visible reader of lk with a higher age than
+// the life self (R2→W1 during writes, cascade during rollback). Stale
+// slot references — registrations from lives that already finalized —
+// are left alone by abort: the attempt they belonged to is gone, and
+// the descriptor's current life never consumed this record through
+// that slot. A writer publishes its value before it calls this, so a
+// reader registering after the scan loads the new value.
+func (t *OULTxn) killReaders(self meta.Ref, lk *oulLock, c meta.Cause) {
 	arr := lk.readers.Peek()
 	if arr == nil {
 		return
 	}
-	self := t.ref()
 	myAge := t.age.Load()
 	for i := range arr.Slots {
 		ref := arr.Slots[i].Load()
 		if !ref.IsTxn() || ref == self {
 			continue
 		}
-		r := t.eng.at(ref)
-		life := r.status.LoadLife()
-		if ref.SameLife(life) && oulLive(life.Status()) && r.age.Load() > myAge {
-			r.abort(c)
+		if r := t.eng.at(ref); r.age.Load() > myAge {
+			r.abort(ref, c)
 		}
 	}
 }
 
 // Read implements Algorithm 2 lines 1–22: abort a higher-age
 // speculative writer (W2→R1), otherwise register as a visible reader
-// (claiming a bounded slot), re-check the writer, and read in place —
-// which naturally forwards values written by live lower-age writers.
+// (claiming a bounded slot), read in place — which naturally forwards
+// values written by live lower-age writers — and re-check the writer.
+// The load precedes the re-check: a higher-age writer that acquires
+// the record afterwards spares this lower-age reader, so only the
+// re-check can catch a value it stored before the load.
 func (t *OULTxn) Read(v *meta.Var) uint64 {
 	lk := t.eng.locks.Of(v)
 	self := t.ref()
@@ -460,7 +468,7 @@ func (t *OULTxn) Read(v *meta.Var) uint64 {
 					continue
 				}
 				if oulLive(s) && w.age.Load() > t.age.Load() {
-					w.abort(meta.CauseRAW) // W2→R1
+					w.abort(ref, meta.CauseRAW) // W2→R1
 					meta.Pause(spin)
 					continue
 				}
@@ -472,11 +480,12 @@ func (t *OULTxn) Read(v *meta.Var) uint64 {
 		if !t.register(lk) {
 			meta.PanicAbort(meta.CauseNone) // doomed while spinning for a slot
 		}
-		if lk.writer.Load() != ref { // writer changed while registering
+		x := v.Load()
+		if lk.writer.Load() != ref { // writer changed while registering or loading
 			meta.Pause(spin)
 			continue
 		}
-		return v.Load()
+		return x
 	}
 }
 
@@ -531,6 +540,7 @@ func (t *OULTxn) evictSlot(arr *meta.RefSlotArray) {
 	self := t.ref()
 	myAge := t.age.Load()
 	var victim *OULTxn
+	var victimRef meta.Ref
 	var victimAge uint64
 	for i := range arr.Slots {
 		ref := arr.Slots[i].Load()
@@ -543,11 +553,11 @@ func (t *OULTxn) evictSlot(arr *meta.RefSlotArray) {
 			continue
 		}
 		if a := cur.age.Load(); a > myAge && (victim == nil || a > victimAge) {
-			victim, victimAge = cur, a
+			victim, victimRef, victimAge = cur, ref, a
 		}
 	}
 	if victim != nil {
-		victim.abort(meta.CauseBusy)
+		victim.abort(victimRef, meta.CauseBusy)
 	}
 }
 
@@ -555,8 +565,8 @@ func (t *OULTxn) evictSlot(arr *meta.RefSlotArray) {
 // 23–50 (OUL-Steal): acquire the write lock resolving conflicts by
 // age — aborting a higher-age holder (W2→W1), aborting ourselves on a
 // lower-age holder (W1→W2, plain OUL) or stealing the lock from it
-// (OUL-Steal) — then abort higher-age visible readers (R2→W1) and
-// write through.
+// (OUL-Steal) — then write through and abort higher-age visible readers
+// (R2→W1).
 func (t *OULTxn) Write(v *meta.Var, x uint64) {
 	lk := t.eng.locks.Of(v)
 	self := t.ref()
@@ -575,10 +585,12 @@ func (t *OULTxn) Write(v *meta.Var, x uint64) {
 				t.mu.Unlock()
 				meta.PanicAbort(meta.CauseNone)
 			}
+			// The lock word stays self, so readers are not held off:
+			// publish before scanning them.
 			prev, prevRef := t.inheritPrevOwner(lk)
 			t.appendUndo(v, lk, prev, prevRef)
-			t.killReaders(lk, meta.CauseKilledReader)
 			v.Store(x)
+			t.killReaders(self, lk, meta.CauseKilledReader)
 			t.mu.Unlock()
 			return
 		}
@@ -594,7 +606,7 @@ func (t *OULTxn) Write(v *meta.Var, x uint64) {
 				}
 				if oulLive(s) {
 					if w.age.Load() > t.age.Load() {
-						w.abort(meta.CauseWAW) // W2→W1
+						w.abort(ref, meta.CauseWAW) // W2→W1
 						meta.Pause(spin)
 						continue
 					}
@@ -641,8 +653,8 @@ func (t *OULTxn) Write(v *meta.Var, x uint64) {
 			stolenRef = ref
 		}
 		t.appendUndo(v, lk, stolenFrom, stolenRef)
-		t.killReaders(lk, meta.CauseKilledReader)
-		v.Store(x)
+		t.killReaders(self, lk, meta.CauseKilledReader)
+		v.Store(x) // RefBusy holds readers off until the publish below
 		lk.writer.Store(self)
 		t.mu.Unlock()
 		return
@@ -690,7 +702,7 @@ func (t *OULTxn) TryCommit() bool {
 		if t.doomed.Load() {
 			// An aborter doomed us as we went pending; make sure the
 			// abort is finalized (it may have lost the status race).
-			t.abort(meta.CauseNone)
+			t.abort(t.ref(), meta.CauseNone)
 			t.awaitFinal()
 			return false
 		}
@@ -730,9 +742,7 @@ func (t *OULTxn) awaitFinal() {
 
 // AbandonAttempt implements meta.Txn.
 func (t *OULTxn) AbandonAttempt() {
-	if !t.status.Load().Final() {
-		t.abort(meta.CauseNone)
-	}
+	t.abort(t.ref(), meta.CauseNone)
 	t.awaitFinal()
 }
 

@@ -18,7 +18,7 @@ func TestOULStaleSlotRegistrationIgnored(t *testing.T) {
 	if r1.Read(v) != 0 {
 		t.Fatal("setup read failed")
 	}
-	r1.abort(meta.CauseBusy)
+	r1.abort(r1.ref(), meta.CauseBusy)
 	r1.AbandonAttempt()
 	// Renew the descriptor in place, deliberately leaving the life-0
 	// registration in the slot (the pool normally scrubs at Retire, but
@@ -27,7 +27,7 @@ func TestOULStaleSlotRegistrationIgnored(t *testing.T) {
 	r1.doomed.Store(false)
 	r1.aborted.Store(false)
 	r1.age.Store(9)
-	r1.gen = r1.status.Renew()
+	r1.status.Renew()
 
 	w := eng.NewTxn(1).(*OULTxn)
 	w.Write(v, 7) // kills visible readers with age > 1
@@ -57,6 +57,38 @@ func TestOULStaleSlotRegistrationIgnored(t *testing.T) {
 	}
 }
 
+// TestOULAbortSparesRenewedLife: an aborter acts on the life it
+// resolved. If that life finalized and the pool renewed the descriptor
+// in between, the abort must leave the new life alone — not doom it,
+// not claim it, and not roll back its writes.
+func TestOULAbortSparesRenewedLife(t *testing.T) {
+	eng := NewOUL(cfg())
+	pool := eng.NewPool()
+	v := meta.NewVar(0)
+	old := pool.NewTxn(1).(*OULTxn)
+	checked := old.ref()
+	old.AbandonAttempt()
+	pool.Retire(old)
+
+	cur := pool.NewTxn(2).(*OULTxn)
+	if cur != old {
+		t.Fatal("expected the retired descriptor back from the pool")
+	}
+	cur.Write(v, 7)
+	if cur.abort(checked, meta.CauseWAW) {
+		t.Fatal("abort of a finished life reported a doom")
+	}
+	if cur.Doomed() || cur.status.Load() != meta.StatusActive {
+		t.Fatalf("renewed life doomed=%v status=%v, want live", cur.Doomed(), cur.status.Load())
+	}
+	if v.Load() != 7 || eng.locks.Of(v).writer.Load() != cur.ref() {
+		t.Fatal("renewed life's write was rolled back")
+	}
+	if !cur.abort(cur.ref(), meta.CauseWAW) || v.Load() != 0 {
+		t.Fatal("abort of the current life did not roll it back")
+	}
+}
+
 // TestOULStealChainPinsDescriptor: a descriptor whose undo log is
 // still referenced by a steal chain (pins > 0) must not be renewed by
 // the pool until the chain holder itself recycles — renewing earlier
@@ -76,7 +108,7 @@ func TestOULStealChainPinsDescriptor(t *testing.T) {
 
 	// The robbed owner aborts while its lock is stolen: it keeps the
 	// undo entry (the chain holder is responsible for it).
-	t0.abort(meta.CauseWAW)
+	t0.abort(t0.ref(), meta.CauseWAW)
 	t0.AbandonAttempt()
 	pool.Retire(t0)
 
@@ -87,7 +119,7 @@ func TestOULStealChainPinsDescriptor(t *testing.T) {
 	}
 
 	// The chain holder aborts, walking t0's undo log back in.
-	t1.abort(meta.CauseWAW)
+	t1.abort(t1.ref(), meta.CauseWAW)
 	t1.AbandonAttempt()
 	if v.Load() != 100 {
 		t.Fatalf("chain walk restored %d, want 100", v.Load())

@@ -227,12 +227,12 @@ func TestDepListConcurrentPush(t *testing.T) {
 }
 
 func TestLazySlots(t *testing.T) {
-	var ls LazySlots[int]
+	var ls LazyRefSlots
 	if ls.Peek() != nil {
 		t.Fatal("peek before Get must be nil")
 	}
 	var wg sync.WaitGroup
-	arrs := make([]*SlotArray[int], 16)
+	arrs := make([]*RefSlotArray, 16)
 	for i := range arrs {
 		wg.Add(1)
 		go func(i int) {

@@ -143,15 +143,17 @@ func (r *Registry[T]) Len() int {
 	return int(r.n)
 }
 
-// RefSlotArray is the generation-stamped counterpart of SlotArray: a
-// bounded visible-readers array whose slots hold Refs. A slot is free
-// when empty or when its occupant reference is stale or final.
+// RefSlotArray is a bounded visible-readers array: one slot per
+// concurrent reader of a lock record (the paper bounds it at 40). A
+// slot holds the reader's Ref and is free when empty or when its
+// occupant reference is stale or final.
 type RefSlotArray struct {
 	Slots []RefWord
 }
 
 // LazyRefSlots defers allocating the reader array until a lock record
-// is first read transactionally (see LazySlots).
+// is first read transactionally, keeping the lock table compact (a
+// record with an inline 40-slot array would be ~50x larger).
 type LazyRefSlots struct {
 	p atomic.Pointer[RefSlotArray]
 }
@@ -169,4 +171,6 @@ func (l *LazyRefSlots) Get(n int) *RefSlotArray {
 }
 
 // Peek returns the slot array if it has been allocated, else nil.
+// Writers use it: if no reader array exists, there are no readers to
+// abort.
 func (l *LazyRefSlots) Peek() *RefSlotArray { return l.p.Load() }

@@ -1,6 +1,7 @@
 package micro
 
 import (
+	"sync"
 	"testing"
 
 	"github.com/orderedstm/ostm/stm"
@@ -68,12 +69,42 @@ func TestDisjointHasNoTrueConflicts(t *testing.T) {
 
 // TestContendedBenchAborts: RWN over a tiny pool must produce aborts
 // under optimistic engines (sanity for the abort-measurement plumbing).
+// Whether two conflicting ages overlap is left to the scheduler, so
+// ages 0 and 1 are made to overlap by construction: both also
+// increment one shared word, and age 0's first attempt starts only once
+// age 1's first attempt has run its body. Age 1 cannot commit before
+// age 0, so age 0's read of that word finds it live and aborts it.
 func TestContendedBenchAborts(t *testing.T) {
 	w := New(Config{Bench: RWN, Length: Short, Txns: 400, PoolSize: 64, Seed: 11, YieldEvery: 2})
 	w.Reset()
-	res := run(t, w, stm.OUL, 8)
+	body := w.Body()
+	shared := stm.NewVar(0)
+	ran := make(chan struct{})
+	var first sync.Once
+	ex, err := stm.NewExecutor(stm.Config{Algorithm: stm.OUL, Workers: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ex.Run(w.Txns(), func(tx stm.Tx, age int) {
+		switch age {
+		case 0:
+			<-ran
+		case 1:
+			defer first.Do(func() { close(ran) })
+		}
+		if age < 2 {
+			tx.Write(shared, tx.Read(shared)+1)
+		}
+		body(tx, age)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Stats.TotalAborts() == 0 {
 		t.Fatal("expected aborts on a 64-word pool with write-heavy transactions")
+	}
+	if shared.Load() != 2 {
+		t.Fatalf("shared word = %d, want 2", shared.Load())
 	}
 }
 

@@ -165,5 +165,6 @@ func TestCleanupAndAbandon(t *testing.T) {
 // transaction that wrote nothing must still observe exactly the state
 // after the age below it, so its snapshot is validated at its turn.
 func TestOrderedReadOnlyObservesItsAge(t *testing.T) {
-	ordertest.ReadOnlyAuditsMatchSequentialFold(t, NewOrdered(cfg()), 20000)
+	c := cfg()
+	ordertest.MatchesSequentialFold(t, NewOrdered(c), c.Order, ordertest.Audits, 20000)
 }

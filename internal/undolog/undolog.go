@@ -122,7 +122,7 @@ func (p *pool) NewTxn(age uint64) meta.Txn {
 	t.readRefs = t.readRefs[:0]
 	t.doomed.Store(false)
 	t.age.Store(age)
-	t.gen = t.status.Renew()
+	t.status.Renew()
 	return t
 }
 
@@ -165,7 +165,6 @@ type Txn struct {
 	eng  *Engine
 	cell *meta.StatsCell // set once at allocation
 	idx  uint32
-	gen  uint64 // current life (owner-written mirror of status.Gen)
 
 	age    atomic.Uint64   // atomic: stale-ref observers race renewal
 	status meta.StatusWord // Active → Committed | Aborted
@@ -177,7 +176,7 @@ type Txn struct {
 }
 
 // ref returns the reference for this descriptor's current life.
-func (t *Txn) ref() meta.Ref { return meta.MakeRef(t.idx, t.gen) }
+func (t *Txn) ref() meta.Ref { return meta.MakeRef(t.idx, t.status.Gen()) }
 
 // Age implements meta.Txn.
 func (t *Txn) Age() uint64 { return t.age.Load() }
@@ -286,10 +285,13 @@ func (t *Txn) readInvisible(v *meta.Var) uint64 {
 	}
 }
 
-// readVisible registers in the lock's reader slots before loading; the
-// writer/reader conflict is resolved at write time (writers abort
-// conflicting visible readers), so no commit-time validation is
-// needed.
+// readVisible registers in the lock's reader slots, loads, and then
+// re-checks the owner word; the writer/reader conflict is resolved at
+// write time (writers abort conflicting visible readers), so no
+// commit-time validation is needed. The load precedes the re-check: a
+// higher-age writer that acquires the record afterwards spares this
+// lower-age reader, so only the re-check can catch a value it stored
+// before the load.
 func (t *Txn) readVisible(v *meta.Var) uint64 {
 	lk := t.eng.locks.Of(v)
 	self := t.ref()
@@ -314,11 +316,12 @@ func (t *Txn) readVisible(v *meta.Var) uint64 {
 			t.rollback()
 			meta.PanicAbort(meta.CauseNone)
 		}
+		val := v.Load()
 		if lk.owner.Load() != oref {
 			meta.Pause(spin)
-			continue // writer slipped in while we registered
+			continue // writer slipped in while we registered or loaded
 		}
-		return v.Load()
+		return val
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/orderedstm/ostm/internal/meta"
+	"github.com/orderedstm/ostm/internal/ordertest"
 )
 
 func cfg() meta.EngineConfig { return meta.EngineConfig{TableBits: 10}.Normalize() }
@@ -155,4 +156,30 @@ func TestCommitReleasesAndBumps(t *testing.T) {
 		t.Fatal("post-commit acquisition failed")
 	}
 	tx.Cleanup()
+}
+
+// TestOrderedMatchesSequentialFold drives both ordered variants from
+// several goroutines on recycled descriptors and checks every
+// transaction's result — read-only ones included — against the
+// sequential fold. A visible reader must load before it re-checks the
+// owner word that validates the load. The reader array is cut to one
+// slot per worker, which keeps a writer's scan short, so its
+// acquire-to-publish path fits between a reader's re-check and load
+// more often.
+func TestOrderedMatchesSequentialFold(t *testing.T) {
+	for _, visible := range []bool{true, false} {
+		for _, s := range []ordertest.Shape{ordertest.Audits, ordertest.HotReads} {
+			c := meta.EngineConfig{TableBits: 10, MaxReaders: 4}.Normalize()
+			eng := New(c, visible, true)
+			t.Run(eng.Name()+"/"+s.Name(), func(t *testing.T) {
+				ordertest.MatchesSequentialFold(t, eng, c.Order, s, 20000)
+			})
+		}
+	}
+}
+
+// TestOrderedVisibleReaderSkipsHigherAgeWrites: an ordered visible
+// reader re-checks the owner word after its load, not before.
+func TestOrderedVisibleReaderSkipsHigherAgeWrites(t *testing.T) {
+	ordertest.ReaderSkipsHigherAgeWrites(t, New(meta.EngineConfig{TableBits: 10, MaxReaders: 4}.Normalize(), true, true), 500000)
 }
