@@ -16,7 +16,7 @@ func TestOULMatchesSequentialFold(t *testing.T) {
 	for _, s := range []ordertest.Shape{ordertest.WriteHeavy, ordertest.Audits, ordertest.HotReads} {
 		t.Run(s.Name(), func(t *testing.T) {
 			c := cfg()
-			ordertest.MatchesSequentialFold(t, NewOUL(c), c.Order, s, 50000)
+			ordertest.MatchesSequentialFold(t, NewOUL(c), c.Order, s, 50000/ordertest.RaceScale)
 		})
 	}
 }
@@ -26,5 +26,5 @@ func TestOULMatchesSequentialFold(t *testing.T) {
 // writer word, and a rollback leaves the word changed, so the re-check
 // cannot pass on a value that was rolled back.
 func TestOULReaderSkipsHigherAgeWrites(t *testing.T) {
-	ordertest.ReaderSkipsHigherAgeWrites(t, NewOUL(cfg()), 500000)
+	ordertest.ReaderSkipsHigherAgeWrites(t, NewOUL(cfg()), 500000/ordertest.RaceScale)
 }

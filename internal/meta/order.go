@@ -80,6 +80,12 @@ func (o *Order) WaitTurn(age uint64, doomed func() bool) bool {
 	return !halted
 }
 
+// RetriesBeforeReachable is the retry throttle's last step: an age
+// that has aborted this many times waits until it is reachable before
+// it executes again, which starves out retry storms under heavy
+// conflicts (Algorithm 5 line 18).
+const RetriesBeforeReachable = 6
+
 // WaitReachable blocks until committed >= age, the order halts, or
 // cancel() reports true (used by the executor's run-ahead throttle).
 // Cancellers must call Kick to wake waiters.

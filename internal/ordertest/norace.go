@@ -2,4 +2,4 @@
 
 package ordertest
 
-const raceScale = 1
+const RaceScale = 1

@@ -16,14 +16,7 @@ import (
 	"github.com/orderedstm/ostm/internal/rng"
 )
 
-const (
-	workers = 4
-	// retriesBeforeReachable bounds the re-executions of an age away
-	// from the commit frontier, as the run-loop's retry throttle does:
-	// without it, abort storms can keep an age from committing for
-	// seconds.
-	retriesBeforeReachable = 6
-)
+const workers = 4
 
 // rw is the part of a transaction handle a body uses.
 type rw interface {
@@ -129,7 +122,6 @@ func (s Shape) newVars() []meta.Var {
 // variable whose final value does.
 func MatchesSequentialFold(t *testing.T, eng meta.PoolEngine, order *meta.Order, s Shape, n int) {
 	t.Helper()
-	n = max(n/raceScale, 1)
 	if runtime.GOMAXPROCS(0) < 2 {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	}
@@ -154,7 +146,9 @@ func MatchesSequentialFold(t *testing.T, eng meta.PoolEngine, order *meta.Order,
 					return
 				}
 				for tries := 0; ; tries++ {
-					if tries >= retriesBeforeReachable {
+					// The run-loop's retry throttle: without it, abort
+					// storms can keep an age from committing for seconds.
+					if tries >= meta.RetriesBeforeReachable {
 						order.WaitReachable(age, nil)
 					}
 					if res, ok := attempt(eng, order, pool, s, vars, age); ok {
@@ -243,7 +237,6 @@ func commitAt(order *meta.Order, txn meta.Txn, age uint64) bool {
 // landing in between.
 func ReaderSkipsHigherAgeWrites(t *testing.T, eng meta.PoolEngine, n int) {
 	t.Helper()
-	n /= raceScale
 	if runtime.GOMAXPROCS(0) < 2 {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	}

@@ -165,14 +165,18 @@ func TestCommitReleasesAndBumps(t *testing.T) {
 // owner word that validates the load. The reader array is cut to one
 // slot per worker, which keeps a writer's scan short, so its
 // acquire-to-publish path fits between a reader's re-check and load
-// more often.
+// more often; the hot-reads shape, where that window opens, runs five
+// times the ages.
 func TestOrderedMatchesSequentialFold(t *testing.T) {
 	for _, visible := range []bool{true, false} {
-		for _, s := range []ordertest.Shape{ordertest.Audits, ordertest.HotReads} {
+		for _, r := range []struct {
+			s ordertest.Shape
+			n int
+		}{{ordertest.Audits, 20000}, {ordertest.HotReads, 100000}} {
 			c := meta.EngineConfig{TableBits: 10, MaxReaders: 4}.Normalize()
 			eng := New(c, visible, true)
-			t.Run(eng.Name()+"/"+s.Name(), func(t *testing.T) {
-				ordertest.MatchesSequentialFold(t, eng, c.Order, s, 20000)
+			t.Run(eng.Name()+"/"+r.s.Name(), func(t *testing.T) {
+				ordertest.MatchesSequentialFold(t, eng, c.Order, r.s, r.n/ordertest.RaceScale)
 			})
 		}
 	}
@@ -181,5 +185,5 @@ func TestOrderedMatchesSequentialFold(t *testing.T) {
 // TestOrderedVisibleReaderSkipsHigherAgeWrites: an ordered visible
 // reader re-checks the owner word after its load, not before.
 func TestOrderedVisibleReaderSkipsHigherAgeWrites(t *testing.T) {
-	ordertest.ReaderSkipsHigherAgeWrites(t, New(meta.EngineConfig{TableBits: 10, MaxReaders: 4}.Normalize(), true, true), 500000)
+	ordertest.ReaderSkipsHigherAgeWrites(t, New(meta.EngineConfig{TableBits: 10, MaxReaders: 4}.Normalize(), true, true), 500000/ordertest.RaceScale)
 }

@@ -294,7 +294,7 @@ func (l *loop) runOne(w *wctx, age uint64, body Body) bool {
 				// and retrying far from the frontier just feeds the
 				// signature false-conflict loop.
 				l.order.WaitReachable(age, l.stopf)
-			case attempt >= 6:
+			case attempt >= meta.RetriesBeforeReachable:
 				l.order.WaitReachable(age, l.stopf)
 			case attempt >= 3:
 				gap := uint64(2 * l.workers)
