@@ -66,7 +66,7 @@ func BenchmarkFigure2(b *testing.B) {
 	algos := []stm.Algorithm{
 		stm.TL2, stm.OrderedTL2, stm.NOrec, stm.OrderedNOrec,
 		stm.UndoLogVis, stm.OrderedUndoLogVis, stm.UndoLogInvis, stm.OrderedUndoLogInvis,
-		stm.OUL, stm.OULSteal, stm.OWB, stm.STMLite, stm.Sequential,
+		stm.OUL, stm.OWB, stm.STMLite, stm.Sequential,
 	}
 	for _, bench := range micro.Benches() {
 		for _, alg := range algos {
@@ -85,7 +85,7 @@ func BenchmarkFigure2(b *testing.B) {
 
 // figure34Algos is the ordered-competitor set of Figures 3 and 4.
 func figure34Algos() []stm.Algorithm {
-	return []stm.Algorithm{stm.OUL, stm.OULSteal, stm.OWB, stm.OrderedTL2, stm.STMLite}
+	return []stm.Algorithm{stm.OUL, stm.OWB, stm.OrderedTL2, stm.STMLite}
 }
 
 // BenchmarkFigure3 — Disjoint and RNW1 throughput/abort series across
@@ -119,11 +119,11 @@ func BenchmarkFigure4(b *testing.B) {
 	}
 }
 
-// BenchmarkFigure5 — abort-cause breakdown for the three contributed
+// BenchmarkFigure5 — abort-cause breakdown for the contributed
 // algorithms on a contended RWN workload (fractions reported as
 // metrics).
 func BenchmarkFigure5(b *testing.B) {
-	for _, alg := range []stm.Algorithm{stm.OWB, stm.OUL, stm.OULSteal} {
+	for _, alg := range []stm.Algorithm{stm.OWB, stm.OUL} {
 		b.Run(alg.String(), func(b *testing.B) {
 			w := micro.New(micro.Config{
 				Bench: micro.RWN, Length: micro.Short, Txns: benchTxns, PoolSize: 1 << 8, YieldEvery: 2,
@@ -404,18 +404,6 @@ func BenchmarkSimFigure234(b *testing.B) {
 				})
 			}
 		}
-	}
-}
-
-// BenchmarkAblationSteal — OUL vs OUL-Steal on a write-heavy
-// contended workload (the paper's own ablation, §6.1/Figure 5d).
-func BenchmarkAblationSteal(b *testing.B) {
-	for _, alg := range []stm.Algorithm{stm.OUL, stm.OULSteal} {
-		b.Run(alg.String(), func(b *testing.B) {
-			runMicro(b, alg, 8, micro.Config{
-				Bench: micro.RWN, Length: micro.Short, Txns: benchTxns, PoolSize: 1 << 8, YieldEvery: 2,
-			})
-		})
 	}
 }
 

@@ -132,7 +132,7 @@ func figure2Algos() []stm.Algorithm {
 	return []stm.Algorithm{
 		stm.TL2, stm.OrderedTL2, stm.NOrec, stm.OrderedNOrec,
 		stm.UndoLogVis, stm.OrderedUndoLogVis, stm.UndoLogInvis, stm.OrderedUndoLogInvis,
-		stm.OUL, stm.OULSteal, stm.OWB, stm.STMLite, stm.Sequential,
+		stm.OUL, stm.OWB, stm.STMLite, stm.Sequential,
 	}
 }
 
@@ -256,7 +256,7 @@ func algoNames(as []stm.Algorithm) []string {
 	return out
 }
 
-// figure5 prints the abort-cause breakdown for OWB, OUL and OUL-Steal
+// figure5 prints the abort-cause breakdown for OWB and OUL
 // (Figure 5a–c) and total abort percentages (Figure 5d).
 func figure5(workers []int, txns, pool int, yield int, f format) {
 	if yield == 0 {
@@ -273,9 +273,9 @@ func figure5(workers []int, txns, pool int, yield int, f format) {
 		{micro.MCAS, micro.Short}, {micro.MCAS, micro.Long},
 	}
 	totals := harness.NewTable("Figure 5d — aborts % at peak threads",
-		"workload", "OWB", "OUL", "OUL-Steal")
+		"workload", "OWB", "OUL")
 	totalRows := map[string][]string{}
-	for _, alg := range []stm.Algorithm{stm.OWB, stm.OUL, stm.OULSteal} {
+	for _, alg := range []stm.Algorithm{stm.OWB, stm.OUL} {
 		tab := harness.NewTable(
 			fmt.Sprintf("Figure 5 — abort breakdown, %v at %d threads", alg, peak),
 			append([]string{"workload"}, cats...)...)

@@ -4,7 +4,7 @@
 // production-grade ordered transaction service.
 //
 // The public API lives in package stm: ordered software transactional
-// memory (OWB, OUL, OUL-Steal and the paper's baselines) behind two
+// memory (OWB, OUL and the paper's baselines) behind two
 // front-ends — Executor for one-shot batches and Pipeline, a
 // long-lived Submit/Future streaming service — with a typed layer on
 // top (v2): generic TVar[T] variables, value-returning transactions

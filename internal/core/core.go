@@ -1,8 +1,9 @@
-// Package core implements the paper's three contributions: the Ordered
-// Write Back algorithm (OWB, §5), the Ordered Undo Log algorithm
-// (OUL, §6) and its lock-stealing variant (OUL-Steal, §6.1).
+// Package core implements the paper's Ordered Write Back algorithm
+// (OWB, §5) and Ordered Undo Log algorithm (OUL, §6). The paper's
+// third contribution, OUL's lock-stealing variant (OUL-Steal, §6.1),
+// is not implemented: see EXPERIMENTS.md.
 //
-// All three deploy the cooperative ordered execution model of §4:
+// Both deploy the cooperative ordered execution model of §4:
 // transactions may expose uncommitted state to higher-age transactions
 // (data forwarding), conflicts are resolved by age (the predefined
 // commit order, ACO), and aborts cascade along the chain of consumers
@@ -33,10 +34,8 @@
 // hold packed meta.Refs (registry index + publishing generation), so
 // a stale reference from a finished life is detected exactly and a
 // claim CAS can never land on a recycled descriptor's new
-// acquisition. OUL-Steal's owner-chain walks, which read finalized
-// descriptors' undo logs, are protected by pin counts instead: a
-// steal pins the robbed owner (pin, then re-verify its life), and a
-// descriptor is only renewed once its pins drain. OWB keeps pointer
+// acquisition. Only an OUL descriptor's own rollback reads its undo
+// log, so a final descriptor renews at once. OWB keeps pointer
 // lock words — it only claims from nil and withdraws its pointer from
 // every word before finalizing — but its dependency double-check
 // compares packed (generation, status) snapshots so a reader cannot
@@ -46,9 +45,8 @@
 // Engines used to be torn down after every batch, which bounded how
 // long a stale reference could park in cold metadata. A long-lived
 // stm.Pipeline reuses one engine for an unbounded stream, so OUL
-// additionally implements meta.Recycler: an epoch sweep clears
-// committed writers and dead reader-slot registrations off cold
-// records. OWB needs no sweep — its commit, abort and cleanup paths
+// additionally implements meta.Recycler: an epoch sweep clears dead
+// reader-slot registrations off cold records. OWB needs no sweep — its commit, abort and cleanup paths
 // already clear every lock word and dependency reference they
 // published.
 package core

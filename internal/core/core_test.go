@@ -241,94 +241,18 @@ func TestOULCommitIsSingleStep(t *testing.T) {
 	if !t0.Commit() {
 		t.Fatal("commit failed")
 	}
-	// The lock still references t0, but a committed owner means free:
-	// a later writer acquires without aborting anyone.
+	// Cleanup leaves t0 in the word: back at RefNil, it would pass the
+	// re-check of a reader that saw RefNil before t0 acquired it.
+	t0.Cleanup()
+	if eng.locks.Of(v).writer.Load() != t0.ref() {
+		t.Fatal("Cleanup returned the lock word to a value a reader may have seen")
+	}
+	// A committed owner means free: a later writer acquires without
+	// aborting anyone.
 	t1 := eng.NewTxn(1).(*OULTxn)
 	t1.Write(v, 8)
 	if v.Load() != 8 {
 		t.Fatal("acquisition after commit failed")
-	}
-	t0.Cleanup()
-}
-
-// --- OUL-Steal protocol ---
-
-func TestStealTakesLockAndReturnsOnAbort(t *testing.T) {
-	eng := NewOULSteal(cfg())
-	v := meta.NewVar(0)
-	t0 := eng.NewTxn(0).(*OULTxn)
-	t0.Write(v, 1)
-	t1 := eng.NewTxn(3).(*OULTxn)
-	t1.Write(v, 2) // W1→W2: steals instead of aborting
-	if v.Load() != 2 {
-		t.Fatal("steal did not write through")
-	}
-	if eng.locks.Of(v).writer.Load() != t1.ref() {
-		t.Fatal("lock not owned by the stealer")
-	}
-	if t0.Doomed() {
-		t.Fatal("steal must not abort the original writer")
-	}
-	// Aborting the stealer hands the lock back to the live original
-	// owner with its value.
-	t1.abort(t1.ref(), meta.CauseRAW)
-	if eng.locks.Of(v).writer.Load() != t0.ref() {
-		t.Fatal("lock not returned to the original owner")
-	}
-	if v.Load() != 1 {
-		t.Fatalf("stealer rollback restored %d, want 1", v.Load())
-	}
-	// Now aborting the original owner restores the initial value.
-	t0.abort(t0.ref(), meta.CauseRAW)
-	if v.Load() != 0 {
-		t.Fatalf("original rollback restored %d, want 0", v.Load())
-	}
-}
-
-func TestStealChainWalkAppliesAbortedOwnersUndo(t *testing.T) {
-	eng := NewOULSteal(cfg())
-	v := meta.NewVar(100)
-	t0 := eng.NewTxn(0).(*OULTxn)
-	t0.Write(v, 1)
-	t1 := eng.NewTxn(1).(*OULTxn)
-	t1.Write(v, 2) // steals from t0
-	// The original owner aborts while its lock is stolen: it keeps the
-	// undo entry and takes no action (the stealer owns the lock).
-	t0.abort(t0.ref(), meta.CauseWAW)
-	if v.Load() != 2 {
-		t.Fatal("aborting a stolen-from owner must not revert the stealer's value")
-	}
-	// When the stealer aborts, the owner-chain walk applies t0's undo
-	// image, landing back at the pre-t0 value with a free lock.
-	t1.abort(t1.ref(), meta.CauseWAW)
-	if v.Load() != 100 {
-		t.Fatalf("chain walk restored %d, want 100", v.Load())
-	}
-	wref := eng.locks.Of(v).writer.Load()
-	if wref.IsTxn() {
-		w := eng.at(wref)
-		if wref.SameLife(w.status.LoadLife()) && !w.status.Load().Final() {
-			t.Fatal("lock not free after chain rollback")
-		}
-	}
-}
-
-func TestStealMidAgeReaderAbortsStealer(t *testing.T) {
-	eng := NewOULSteal(cfg())
-	v := meta.NewVar(0)
-	t0 := eng.NewTxn(0).(*OULTxn)
-	t0.Write(v, 1)
-	t5 := eng.NewTxn(5).(*OULTxn)
-	t5.Write(v, 5) // steals from t0
-	// A mid-age reader (0 < 3 < 5) needs t0's value: it must abort the
-	// higher-age stealer (W2→R1) and then read t0's value.
-	t3 := eng.NewTxn(3).(*OULTxn)
-	got := t3.Read(v)
-	if t5.status.Load() != meta.StatusAborted {
-		t.Fatal("mid-age reader did not abort the stealer")
-	}
-	if got != 1 {
-		t.Fatalf("mid-age read = %d, want the original writer's 1", got)
 	}
 }
 
@@ -362,8 +286,8 @@ func TestEngineIdentities(t *testing.T) {
 	if NewOWB(c).Name() != "OWB" || NewOWB(c).Mode() != meta.ModeCooperative {
 		t.Fatal("OWB identity wrong")
 	}
-	if NewOUL(c).Name() != "OUL" || NewOULSteal(c).Name() != "OUL-Steal" {
-		t.Fatal("OUL identities wrong")
+	if NewOUL(c).Name() != "OUL" || NewOUL(c).Mode() != meta.ModeCooperative {
+		t.Fatal("OUL identity wrong")
 	}
 	if NewOUL(c).Stats() == nil {
 		t.Fatal("stats not wired")
@@ -390,9 +314,9 @@ func TestDoomedOperationsUnwind(t *testing.T) {
 // --- long-lived metadata recycling ---
 
 // TestOULRecycleScrubsFinalizedDescriptors: after transactions
-// finalize, Recycle must clear the references Cleanup cannot reach —
-// reader slots left by aborted attempts and committed writers parked
-// in cold lock words — without touching live transactions.
+// finalize, Recycle must clear the reader slots Cleanup cannot reach —
+// those left by aborted attempts — without touching live transactions
+// or returning a writer word to RefNil.
 func TestOULRecycleScrubsFinalizedDescriptors(t *testing.T) {
 	eng := NewOUL(cfg())
 	v := meta.NewVar(0)
@@ -409,9 +333,7 @@ func TestOULRecycleScrubsFinalizedDescriptors(t *testing.T) {
 	reader.abort(reader.ref(), meta.CauseBusy)
 	reader.AbandonAttempt()
 
-	// A committed writer whose Cleanup was never run (the cleaner can
-	// lose the CAS race or a pipeline can stop caring about a cold
-	// record) stays parked in the lock word.
+	// A committed writer stays in the lock word.
 	writer := eng.NewTxn(6).(*OULTxn)
 	writer.Write(v, 42)
 	if !writer.TryCommit() || !writer.Commit() {
@@ -431,8 +353,8 @@ func TestOULRecycleScrubsFinalizedDescriptors(t *testing.T) {
 
 	eng.Recycle()
 
-	if lk.writer.Load() != meta.RefNil {
-		t.Fatal("Recycle left the committed writer in the lock word")
+	if lk.writer.Load() != writer.ref() {
+		t.Fatal("Recycle cleared the committed writer's lock word")
 	}
 	foundReader, foundLive := false, false
 	for i := range arr.Slots {

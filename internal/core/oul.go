@@ -7,7 +7,7 @@ import (
 	"github.com/orderedstm/ostm/internal/meta"
 )
 
-// oulLock is one lock-table record for OUL/OUL-Steal: the single writer
+// oulLock is one lock-table record for OUL: the single writer
 // reference (which doubles as "the transaction that committed this
 // version" after the writer commits) plus the bounded visible-reader
 // slot array, allocated lazily on first transactional read.
@@ -25,12 +25,10 @@ type oulLock struct {
 	readers meta.LazyRefSlots
 }
 
-// OULEngine implements the Ordered Undo Log algorithm (§6) and, with
-// steal enabled, the OUL-Steal variant (§6.1).
+// OULEngine implements the Ordered Undo Log algorithm (§6).
 type OULEngine struct {
 	cfg   meta.EngineConfig
 	locks *meta.Table[oulLock]
-	steal bool
 	descs meta.Registry[OULTxn]
 	depot meta.Depot[OULTxn]
 }
@@ -40,20 +38,8 @@ func NewOUL(cfg meta.EngineConfig) *OULEngine {
 	return &OULEngine{cfg: cfg.Normalize(), locks: meta.NewTable[oulLock](cfg.Normalize().TableBits)}
 }
 
-// NewOULSteal returns a fresh OUL-Steal engine for one run.
-func NewOULSteal(cfg meta.EngineConfig) *OULEngine {
-	e := NewOUL(cfg)
-	e.steal = true
-	return e
-}
-
 // Name implements meta.Engine.
-func (e *OULEngine) Name() string {
-	if e.steal {
-		return "OUL-Steal"
-	}
-	return "OUL"
-}
+func (e *OULEngine) Name() string { return "OUL" }
 
 // Mode implements meta.Engine.
 func (e *OULEngine) Mode() meta.Mode { return meta.ModeCooperative }
@@ -86,45 +72,31 @@ func (e *OULEngine) NewPool() meta.TxnPool {
 	return &oulPool{eng: e, cache: meta.NewCache(&e.depot), cell: e.cfg.Stats.NewCell()}
 }
 
-// oulPool recycles finalized descriptors for one run-loop goroutine.
-// Descriptors still pinned by steal-chain references (see pins) are
-// parked until their pins drain; everything else is renewed in place,
-// reusing the writes/readRefs backing arrays.
+// oulPool recycles finalized descriptors for one run-loop goroutine,
+// renewing them in place and reusing the writes/readRefs backing
+// arrays.
 type oulPool struct {
-	eng    *OULEngine
-	cache  *meta.Cache[OULTxn]
-	parked []*OULTxn
-	cell   *meta.StatsCell
+	eng   *OULEngine
+	cache *meta.Cache[OULTxn]
+	cell  *meta.StatsCell
 }
 
-// NewTxn implements meta.TxnPool.
+// NewTxn implements meta.TxnPool. A final descriptor's undo log is
+// dead — only its own rollback ever reads it — so renewal needs no
+// wait.
 func (p *oulPool) NewTxn(age uint64) meta.Txn {
-	p.sweepParked()
-	for {
-		t := p.cache.Get()
-		if t == nil {
-			t = p.eng.alloc(p.cell)
-			t.age.Store(age)
-			return t
-		}
-		if t.pins.Load() != 0 {
-			// A steal chain still references this life's undo log; it
-			// cannot be renewed until the chain holders are themselves
-			// recycled. Park it and try another.
-			p.parked = append(p.parked, t)
-			continue
-		}
-		// pins == 0 on a final descriptor means no write entry anywhere
-		// references it, so no owner-chain walk can reach it: its undo
-		// log is dead and its outgoing chain references can be dropped.
-		t.unpinChain()
-		t.readRefs = t.readRefs[:0]
-		t.doomed.Store(false)
-		t.aborted.Store(false)
+	t := p.cache.Get()
+	if t == nil {
+		t = p.eng.alloc(p.cell)
 		t.age.Store(age)
-		t.status.Renew()
 		return t
 	}
+	t.writes = t.writes[:0]
+	t.readRefs = t.readRefs[:0]
+	t.doomed.Store(false)
+	t.age.Store(age)
+	t.status.Renew()
+	return t
 }
 
 // Retire implements meta.TxnPool: cache a finalized attempt for reuse.
@@ -144,43 +116,18 @@ func (p *oulPool) Retire(x meta.Txn) {
 	p.cache.Put(t)
 }
 
-// sweepParked moves descriptors whose pins drained back into the
-// cache. The scan is bounded; parked descriptors are rare (aborts that
-// lost stolen locks) and unblock as their chain holders recycle.
-func (p *oulPool) sweepParked() {
-	for i, scanned := 0, 0; i < len(p.parked) && scanned < 2; scanned++ {
-		if p.parked[i].pins.Load() == 0 {
-			t := p.parked[i]
-			last := len(p.parked) - 1
-			p.parked[i] = p.parked[last]
-			p.parked = p.parked[:last]
-			p.cache.Put(t)
-			continue
-		}
-		i++
-	}
-}
-
-// Recycle implements meta.Recycler: scrub references Cleanup cannot
-// reach out of the lock table so cold records do not accumulate them —
-// reader slots left by aborted attempts (stale once the descriptor
-// renews, final before that) and committed writers parked in writer
-// words. Every clear is a transition concurrent transactions already
-// perform themselves (slot reuse treats any stale/final occupant as
-// free; Cleanup does the same committed-writer CAS), and the
-// generation-stamped CAS cannot clear a renewed descriptor's live
-// acquisition. Writer words holding stale references are left to
-// normal traffic: a stale reference there denotes a finished life and
-// is claimed like a committed writer on the next acquisition.
+// Recycle implements meta.Recycler: scrub the reader slots Cleanup
+// cannot reach — registrations left by aborted attempts (stale once
+// the descriptor renews, final before that) — so cold records do not
+// accumulate them. Each clear is what slot reuse already does to a
+// stale or final occupant, and the generation-stamped CAS cannot clear
+// a renewed descriptor's live registration. Writer words are left
+// alone: a final or stale reference there is claimed like RefNil, and
+// clearing it would return the word to a value a reader may have seen
+// (DESIGN §3).
 func (e *OULEngine) Recycle() {
 	for i := 0; i < e.locks.Len(); i++ {
 		lk := e.locks.Entry(i)
-		if ref := lk.writer.Load(); ref.IsTxn() {
-			w := e.at(ref)
-			if life := w.status.LoadLife(); ref.SameLife(life) && life.Status() == meta.StatusCommitted {
-				lk.writer.CAS(ref, meta.RefNil)
-			}
-		}
 		arr := lk.readers.Peek()
 		if arr == nil {
 			continue
@@ -198,19 +145,13 @@ func (e *OULEngine) Recycle() {
 	}
 }
 
-// oulWriteEntry is one undo-log record: the variable, its lock record,
-// the value it held just before this transaction's first write to it,
-// and (OUL-Steal) the writer the lock was stolen from, so the lock can
-// be handed back on abort. prevRef is the stolen-from life's reference
-// (what hand-back publishes); prevOwner is the resolved descriptor,
-// pinned for the lifetime of this entry so owner-chain walks can read
-// its frozen undo log even after it finalizes.
+// oulWriteEntry is one undo-log record: the variable, its lock record
+// and the value it held just before this transaction's first write to
+// it.
 type oulWriteEntry struct {
-	v         *meta.Var
-	lock      *oulLock
-	old       uint64
-	prevOwner *OULTxn
-	prevRef   meta.Ref
+	v    *meta.Var
+	lock *oulLock
+	old  uint64
 }
 
 type oulReadRef struct {
@@ -218,7 +159,7 @@ type oulReadRef struct {
 	idx int
 }
 
-// OULTxn is one OUL/OUL-Steal transaction attempt descriptor. With
+// OULTxn is one OUL transaction attempt descriptor. With
 // per-worker freelists a descriptor serves many attempts over its
 // lifetime; each attempt is one *life*, delimited by StatusWord.Renew.
 //
@@ -234,16 +175,9 @@ type OULTxn struct {
 	cell *meta.StatsCell // set once at allocation
 	idx  uint32          // registry index (stable across lives)
 
-	age     atomic.Uint64 // atomic: stale-ref observers race renewal
-	status  meta.StatusWord
-	doomed  atomic.Bool
-	aborted atomic.Bool // pseudocode tx.aborted: set first thing in rollback
-
-	// pins counts write entries (in other descriptors) whose prevOwner
-	// references this descriptor's current or a past life. While
-	// nonzero, an owner-chain walk may read writes, so the descriptor
-	// must not be renewed and its undo log must stay intact.
-	pins atomic.Int64
+	age    atomic.Uint64 // atomic: stale-ref observers race renewal
+	status meta.StatusWord
+	doomed atomic.Bool
 
 	mu       sync.Mutex // guards writes against aborter-performed rollback
 	writes   []oulWriteEntry
@@ -304,109 +238,31 @@ func (t *OULTxn) selfAbort(c meta.Cause) {
 	meta.PanicAbort(c)
 }
 
-// unpinChain releases this descriptor's outgoing steal-chain
-// references. Only called when no walk can enter this descriptor
-// anymore (pins == 0 on a final life, or Cleanup of a committed one —
-// walks only traverse aborted owners).
-func (t *OULTxn) unpinChain() {
-	for i := range t.writes {
-		if po := t.writes[i].prevOwner; po != nil {
-			po.pins.Add(-1)
-		}
-	}
-	t.writes = t.writes[:0]
-}
-
 // rollback restores this transaction's undo log (Algorithm 3 lines
-// 57–75 / Algorithm 4 Rollback). For OUL-Steal, a lock stolen from an
-// aborted lower-age writer triggers an iterative walk down the
-// previous-owner chain, applying each aborted owner's undo image in
-// turn (this replaces the paper's recursive ROLLBACK call; see
-// package comment on deadlock avoidance). self is the life the caller
-// claimed.
+// 57–75) and aborts the higher-age readers that may have consumed the
+// rolled-back values. self is the life the caller claimed. Every lock
+// word keeps self throughout: the Transient status holds readers and
+// writers off while the values are restored, and once the life is
+// Aborted its reference is claimable like RefNil. A word never returns
+// to RefNil, so a reader that saw RefNil before this life acquired the
+// record cannot pass its re-check with a rolled-back value in hand
+// (ABA; DESIGN §3). Each record's readers are scanned after all of its
+// variables are restored (several may alias to it).
 func (t *OULTxn) rollback(self meta.Ref) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	// Setting the aborted flag (pseudocode line 59) after acquiring mu
-	// guarantees that any owner-chain walker observing aborted==true
-	// sees a structurally frozen undo log: appends happen under mu and
-	// are rejected once the transaction is doomed.
-	t.aborted.Store(true)
 	for i := len(t.writes) - 1; i >= 0; i-- {
-		e := &t.writes[i]
-		if t.lockEntryAfter(i) {
-			continue // this lock is handled at its last entry (aliasing)
-		}
-		if !e.lock.writer.CAS(self, meta.RefBusy) {
-			// Lock was stolen from us (OUL-Steal) or already handed
-			// over: keep the undo entry; whoever holds it will walk the
-			// owner chain back through us.
-			continue
-		}
-		// Restore every variable this transaction wrote under the lock
-		// record (several may alias to it).
-		for j := len(t.writes) - 1; j >= 0; j-- {
-			if t.writes[j].lock == e.lock {
-				t.writes[j].v.Store(t.writes[j].old)
-			}
-		}
-		// Hand the lock back along the previous-owner chain, applying
-		// each *aborted* owner's undo images for this record — those
-		// owners skipped it during their own rollback because the lock
-		// was stolen from them (Algorithm 4's recursive ROLLBACK,
-		// iteratively: ages strictly decrease, so the walk terminates).
-		owner, ownerRef := applyAbortedOwners(e.lock, e.prevOwner, e.prevRef, self)
-		// Abort speculative readers that may have consumed the
-		// rolled-back values (higher age than us).
-		t.killReaders(self, e.lock, meta.CauseCascade)
-		for {
-			e.lock.writer.Store(ownerRef)
-			// Double check: the owner may have aborted between our walk
-			// and the publish, with its own rollback finding the lock
-			// still busy; re-claim and keep unwinding.
-			if owner == nil || !owner.aborted.Load() {
-				break
-			}
-			if !e.lock.writer.CAS(ownerRef, meta.RefBusy) {
-				break // someone else already took the record over
-			}
-			owner, ownerRef = applyAbortedOwners(e.lock, owner, ownerRef, self)
+		t.writes[i].v.Store(t.writes[i].old)
+	}
+	for i := range t.writes {
+		if !t.lockEntryAfter(i) {
+			t.killReaders(self, t.writes[i].lock, meta.CauseCascade)
 		}
 	}
-}
-
-// applyAbortedOwners applies the undo images recorded for lk by start
-// and every aborted owner below it, returning the first live/committed
-// owner and the reference to publish for it. When the chain bottoms
-// out, the record keeps self, the aborting life, rather than RefNil: a
-// reader that saw RefNil before that life acquired the record would
-// otherwise pass its re-check with the rolled-back value in hand (ABA),
-// while a final or stale reference is claimable like RefNil. Aborted
-// owners' undo logs are frozen (the aborted flag is set under their
-// descriptor lock) and pinned by their successors' entries, so reading
-// them races with nothing.
-func applyAbortedOwners(lk *oulLock, start *OULTxn, startRef, self meta.Ref) (*OULTxn, meta.Ref) {
-	owner, ownerRef := start, startRef
-	for owner != nil && owner.aborted.Load() {
-		var next *OULTxn
-		var nextRef meta.Ref
-		for k := len(owner.writes) - 1; k >= 0; k-- {
-			oe := &owner.writes[k]
-			if oe.lock == lk {
-				oe.v.Store(oe.old)
-				next, nextRef = oe.prevOwner, oe.prevRef
-			}
-		}
-		owner, ownerRef = next, nextRef
-	}
-	if owner == nil {
-		ownerRef = self
-	}
-	return owner, ownerRef
 }
 
 // lockEntryAfter reports whether writes[i].lock appears again at a
-// higher index (rollback handles each lock record once, at its last
+// higher index (rollback scans each lock record once, at its last
 // entry).
 func (t *OULTxn) lockEntryAfter(i int) bool {
 	for j := i + 1; j < len(t.writes); j++ {
@@ -561,12 +417,10 @@ func (t *OULTxn) evictSlot(arr *meta.RefSlotArray) {
 	}
 }
 
-// Write implements Algorithm 2 lines 23–49 (OUL) and Algorithm 4 lines
-// 23–50 (OUL-Steal): acquire the write lock resolving conflicts by
-// age — aborting a higher-age holder (W2→W1), aborting ourselves on a
-// lower-age holder (W1→W2, plain OUL) or stealing the lock from it
-// (OUL-Steal) — then write through and abort higher-age visible readers
-// (R2→W1).
+// Write implements Algorithm 2 lines 23–49: acquire the write lock
+// resolving conflicts by age — aborting a higher-age holder (W2→W1) or
+// ourselves on a lower-age holder (W1→W2) — then write through and
+// abort higher-age visible readers (R2→W1).
 func (t *OULTxn) Write(v *meta.Var, x uint64) {
 	lk := t.eng.locks.Of(v)
 	self := t.ref()
@@ -587,14 +441,12 @@ func (t *OULTxn) Write(v *meta.Var, x uint64) {
 			}
 			// The lock word stays self, so readers are not held off:
 			// publish before scanning them.
-			prev, prevRef := t.inheritPrevOwner(lk)
-			t.appendUndo(v, lk, prev, prevRef)
+			t.appendUndo(v, lk)
 			v.Store(x)
 			t.killReaders(self, lk, meta.CauseKilledReader)
 			t.mu.Unlock()
 			return
 		}
-		var stolenFrom *OULTxn
 		if ref.IsTxn() {
 			w := t.eng.at(ref)
 			life := w.status.LoadLife()
@@ -610,32 +462,12 @@ func (t *OULTxn) Write(v *meta.Var, x uint64) {
 						meta.Pause(spin)
 						continue
 					}
-					if !t.eng.steal {
-						t.selfAbort(meta.CauseWAW) // W1→W2: plain OUL aborts self
-					}
-					stolenFrom = w // W1→W2: OUL-Steal takes the lock over
+					t.selfAbort(meta.CauseWAW) // W1→W2
 				}
 			}
 			// Stale or final occupant: that life is over; claimable.
 		}
-		if stolenFrom != nil {
-			// Pin the robbed owner's undo log before taking the lock,
-			// then re-verify its life: a pin that lands after the owner
-			// finalized could otherwise race its pool's renewal (the
-			// pool checks pins before renewing, not after). Final or
-			// renewed ⇒ the steal premise is gone; retry from the top.
-			stolenFrom.pins.Add(1)
-			life := stolenFrom.status.LoadLife()
-			if !ref.SameLife(life) || !oulLive(life.Status()) {
-				stolenFrom.pins.Add(-1)
-				meta.Pause(spin)
-				continue
-			}
-		}
 		if !lk.writer.CAS(ref, meta.RefBusy) {
-			if stolenFrom != nil {
-				stolenFrom.pins.Add(-1)
-			}
 			meta.Pause(spin)
 			continue
 		}
@@ -643,16 +475,9 @@ func (t *OULTxn) Write(v *meta.Var, x uint64) {
 		if t.doomed.Load() {
 			t.mu.Unlock()
 			lk.writer.Store(ref) // undo the BUSY parking
-			if stolenFrom != nil {
-				stolenFrom.pins.Add(-1)
-			}
 			meta.PanicAbort(meta.CauseNone)
 		}
-		var stolenRef meta.Ref
-		if stolenFrom != nil {
-			stolenRef = ref
-		}
-		t.appendUndo(v, lk, stolenFrom, stolenRef)
+		t.appendUndo(v, lk)
 		t.killReaders(self, lk, meta.CauseKilledReader)
 		v.Store(x) // RefBusy holds readers off until the publish below
 		lk.writer.Store(self)
@@ -661,38 +486,14 @@ func (t *OULTxn) Write(v *meta.Var, x uint64) {
 	}
 }
 
-// appendUndo records the pre-image of v (once per variable) with the
-// lock's previous owner, if this acquisition stole it. The caller has
-// already pinned prev (Write's steal path) or inherits an existing
-// entry's pin-protected owner (inheritPrevOwner pins again, one pin
-// per entry). A duplicate variable entry drops the caller's pin.
-func (t *OULTxn) appendUndo(v *meta.Var, lk *oulLock, prev *OULTxn, prevRef meta.Ref) {
+// appendUndo records the pre-image of v, once per variable.
+func (t *OULTxn) appendUndo(v *meta.Var, lk *oulLock) {
 	for i := range t.writes {
 		if t.writes[i].v == v {
-			if prev != nil {
-				prev.pins.Add(-1)
-			}
 			return
 		}
 	}
-	t.writes = append(t.writes, oulWriteEntry{v: v, lock: lk, old: v.Load(), prevOwner: prev, prevRef: prevRef})
-}
-
-// inheritPrevOwner finds the previous owner recorded when this
-// transaction first acquired lk (a later write to a second variable
-// aliased to lk shares the same hand-back target) and takes an
-// additional pin for the new entry. The existing entry's pin keeps the
-// owner from renewing, so the extra pin cannot race a recycle.
-func (t *OULTxn) inheritPrevOwner(lk *oulLock) (*OULTxn, meta.Ref) {
-	for i := range t.writes {
-		if t.writes[i].lock == lk {
-			if po := t.writes[i].prevOwner; po != nil {
-				po.pins.Add(1)
-			}
-			return t.writes[i].prevOwner, t.writes[i].prevRef
-		}
-	}
-	return nil, meta.RefNil
+	t.writes = append(t.writes, oulWriteEntry{v: v, lock: lk, old: v.Load()})
 }
 
 // TryCommit implements Algorithm 3 lines 50–52: values are already in
@@ -746,21 +547,18 @@ func (t *OULTxn) AbandonAttempt() {
 	t.awaitFinal()
 }
 
-// Cleanup implements meta.Txn: clear reader slots and writer back-
-// references so the descriptor can be recycled without leaving claims
-// behind (the cleaner role; §6 keeps metadata until the transaction is
-// reachable). Only called on committed attempts, whose undo log no
-// owner-chain walk will ever read (walks traverse aborted owners), so
-// the outgoing steal-chain pins can be released here too.
+// Cleanup implements meta.Txn: clear this life's reader slots (the
+// cleaner role; §6 keeps metadata until the transaction is reachable).
+// Only called on committed attempts. The lock words keep the committed
+// reference, which is claimed like RefNil: a word that went back to
+// RefNil could pass the re-check of a reader that saw RefNil before
+// this life acquired it, with the value from before this life's write
+// in hand (DESIGN §3).
 func (t *OULTxn) Cleanup() {
 	self := t.ref()
 	for i := range t.readRefs {
 		rr := &t.readRefs[i]
 		rr.arr.Slots[rr.idx].CAS(self, meta.RefNil)
 	}
-	for i := range t.writes {
-		t.writes[i].lock.writer.CAS(self, meta.RefNil)
-	}
 	t.readRefs = t.readRefs[:0]
-	t.unpinChain()
 }

@@ -25,7 +25,6 @@ func TestOULStaleSlotRegistrationIgnored(t *testing.T) {
 	// a lost CAS or an abort racing the sweep can leave one behind).
 	r1.readRefs = r1.readRefs[:0]
 	r1.doomed.Store(false)
-	r1.aborted.Store(false)
 	r1.age.Store(9)
 	r1.status.Renew()
 
@@ -86,60 +85,5 @@ func TestOULAbortSparesRenewedLife(t *testing.T) {
 	}
 	if !cur.abort(cur.ref(), meta.CauseWAW) || v.Load() != 0 {
 		t.Fatal("abort of the current life did not roll it back")
-	}
-}
-
-// TestOULStealChainPinsDescriptor: a descriptor whose undo log is
-// still referenced by a steal chain (pins > 0) must not be renewed by
-// the pool until the chain holder itself recycles — renewing earlier
-// would let the owner-chain walk read the next life's undo log.
-func TestOULStealChainPinsDescriptor(t *testing.T) {
-	eng := NewOULSteal(cfg())
-	pool := eng.NewPool().(*oulPool)
-	v := meta.NewVar(100)
-
-	t0 := pool.NewTxn(0).(*OULTxn)
-	t0.Write(v, 1)
-	t1 := pool.NewTxn(1).(*OULTxn)
-	t1.Write(v, 2) // steals the lock from t0, pinning it
-	if got := t0.pins.Load(); got != 1 {
-		t.Fatalf("steal must pin the robbed owner: pins = %d", got)
-	}
-
-	// The robbed owner aborts while its lock is stolen: it keeps the
-	// undo entry (the chain holder is responsible for it).
-	t0.abort(t0.ref(), meta.CauseWAW)
-	t0.AbandonAttempt()
-	pool.Retire(t0)
-
-	// The pool must refuse to renew the pinned descriptor.
-	x := pool.NewTxn(3).(*OULTxn)
-	if x == t0 {
-		t.Fatal("pinned descriptor renewed while a steal chain references it")
-	}
-
-	// The chain holder aborts, walking t0's undo log back in.
-	t1.abort(t1.ref(), meta.CauseWAW)
-	t1.AbandonAttempt()
-	if v.Load() != 100 {
-		t.Fatalf("chain walk restored %d, want 100", v.Load())
-	}
-	pool.Retire(t1)
-
-	// Renewing the chain holder releases its pins…
-	y := pool.NewTxn(4).(*OULTxn)
-	if y != t1 {
-		t.Fatalf("expected the retired chain holder back from the pool")
-	}
-	if got := t0.pins.Load(); got != 0 {
-		t.Fatalf("renewing the holder must unpin the chain: pins = %d", got)
-	}
-	// …after which the parked descriptor returns to circulation.
-	z := pool.NewTxn(5).(*OULTxn)
-	if z != t0 {
-		t.Fatal("unpinned descriptor did not return from the parked list")
-	}
-	if z.status.Gen() == 0 || !z.ref().SameLife(z.status.LoadLife()) {
-		t.Fatal("returned descriptor not renewed consistently")
 	}
 }

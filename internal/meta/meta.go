@@ -5,7 +5,7 @@
 // visible-reader slot arrays, dependency lists for cascading aborts,
 // commit-order (turn) control, and abort statistics.
 //
-// The package is intentionally engine-agnostic: OWB, OUL, OUL-Steal
+// The package is intentionally engine-agnostic: OWB and OUL
 // (internal/core) and every baseline (internal/tl2, internal/norec,
 // internal/undolog, internal/stmlite) build their protocol-specific
 // metadata on top of these primitives.
@@ -22,7 +22,7 @@ const (
 	// non-transactional "sequential" green line).
 	ModeSequential Mode = iota
 	// ModeCooperative is the paper's cooperative ordered model
-	// (OWB, OUL, OUL-Steal): workers speculatively execute and expose
+	// (OWB, OUL): workers speculatively execute and expose
 	// transactions out of order; a flat-combining validator role
 	// commits them in age order and re-executes reachable failures.
 	ModeCooperative
@@ -130,8 +130,7 @@ type Service interface {
 // descriptors out of their long-lived metadata. Cleanup reclaims what
 // a committed, reachable transaction held, but some references survive
 // it: reader slots keep pointing at aborted attempts until a later
-// reader happens to reuse the slot, and lock words can retain the last
-// committed writer of a cold record. In a one-shot batch that garbage
+// reader happens to reuse the slot. In a one-shot batch that garbage
 // dies with the engine; a long-lived pipeline instead calls Recycle at
 // epoch boundaries so the retained descriptor set stays proportional
 // to the in-flight window rather than to the history of the stream.

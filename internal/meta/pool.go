@@ -7,8 +7,7 @@ import "sync"
 // either recycles a retired descriptor — reusing its readRefs/writes
 // backing arrays and advancing its generation — or falls back to a
 // fresh allocation. Retire hands back a *finalized* attempt; the pool
-// may cache it, spill it to the engine-wide depot, or (when shared
-// references still pin it) park it until the pins drain. Pools are not
+// may cache it or spill it to the engine-wide depot. Pools are not
 // safe for concurrent use; cross-goroutine balance flows through the
 // engine's depot.
 type TxnPool interface {

@@ -111,7 +111,7 @@ func (s *StatusWord) CASLife(old Life, new Status) bool {
 
 // Renew starts the descriptor's next life: generation+1, status Active.
 // It returns the new generation. Only a pool that has established the
-// descriptor is unreachable for claims (final status, no pins) may call
+// descriptor is unreachable for claims (final status) may call
 // it; stale references resolved concurrently observe the generation
 // mismatch and treat the reference as dead.
 func (s *StatusWord) Renew() uint64 {

@@ -36,7 +36,7 @@ func TestOrderedEnginesMatchSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := ref.Fingerprint()
-	for _, alg := range []stm.Algorithm{stm.OWB, stm.OUL, stm.OULSteal, stm.OrderedUndoLogVis, stm.STMLite} {
+	for _, alg := range []stm.Algorithm{stm.OWB, stm.OUL, stm.OrderedUndoLogVis, stm.STMLite} {
 		t.Run(alg.String(), func(t *testing.T) {
 			a := New(small(true))
 			res, err := a.Run(apps.Runner{Alg: alg, Workers: 4})

@@ -27,7 +27,7 @@ func TestSequentialRoutes(t *testing.T) {
 func TestOrderedEnginesSatisfyInvariants(t *testing.T) {
 	// Path planning is snapshot-dependent (as in STAMP), so engines
 	// are checked against the structural invariants, not for equality.
-	for _, alg := range []stm.Algorithm{stm.OWB, stm.OUL, stm.OULSteal, stm.OrderedTL2, stm.STMLite} {
+	for _, alg := range []stm.Algorithm{stm.OWB, stm.OUL, stm.OrderedTL2, stm.STMLite} {
 		t.Run(alg.String(), func(t *testing.T) {
 			a := New(small(true))
 			res, err := a.Run(apps.Runner{Alg: alg, Workers: 4})

@@ -341,7 +341,7 @@ func TestListOracle(t *testing.T) {
 // with several workers; the final contents must match exactly.
 func TestHashMapConcurrentOrdered(t *testing.T) {
 	const n = 300
-	for _, alg := range []stm.Algorithm{stm.OWB, stm.OUL, stm.OULSteal, stm.OrderedTL2} {
+	for _, alg := range []stm.Algorithm{stm.OWB, stm.OUL, stm.OrderedTL2} {
 		m := NewHashMap(1024)
 		ex, err := stm.NewExecutor(stm.Config{Algorithm: alg, Workers: 6})
 		if err != nil {

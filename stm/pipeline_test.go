@@ -365,7 +365,7 @@ func TestPipelineBackpressure(t *testing.T) {
 // janitor actually rotated.
 func TestPipelineEpochRecycling(t *testing.T) {
 	const n = 6000
-	p, err := stm.NewPipeline(stm.Config{Algorithm: stm.OULSteal, Workers: 4, EpochAges: 512})
+	p, err := stm.NewPipeline(stm.Config{Algorithm: stm.OUL, Workers: 4, EpochAges: 512})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -143,7 +143,7 @@ func TestQuickSwapChain(t *testing.T) {
 		seq := make(readTrace, nTx)
 		mustRun(t, stm.Config{Algorithm: stm.Sequential}, nTx, seq.record(body))
 		want := snapshot(vars)
-		for _, alg := range []stm.Algorithm{stm.OWB, stm.OUL, stm.OULSteal} {
+		for _, alg := range []stm.Algorithm{stm.OWB, stm.OUL} {
 			reset()
 			tr := make(readTrace, nTx)
 			mustRun(t, stm.Config{Algorithm: alg, Workers: workers}, nTx, tr.record(body))
@@ -221,7 +221,7 @@ func TestHugeWindowAndTinyTable(t *testing.T) {
 	seq := make(readTrace, n)
 	mustRun(t, stm.Config{Algorithm: stm.Sequential}, n, seq.record(body))
 	want := snapshot(vars)
-	for _, alg := range []stm.Algorithm{stm.OWB, stm.OUL, stm.OULSteal} {
+	for _, alg := range []stm.Algorithm{stm.OWB, stm.OUL} {
 		resetVars(vars)
 		tr := make(readTrace, n)
 		mustRun(t, stm.Config{

@@ -11,7 +11,7 @@ import (
 // under the most aggressive reuse pressure the pipeline can produce —
 // a tiny run-ahead window and capacity (so a retired descriptor is
 // renewed almost immediately), a small high-contention account pool
-// (so attempts constantly abort, steal locks and kill readers, leaving
+// (so attempts constantly abort and kill readers, leaving
 // stale references in lock words and reader slots), and tiny recycling
 // epochs (so the Recycle sweep runs concurrently with live traffic) —
 // every ordered algorithm must still produce final memory and
@@ -122,7 +122,7 @@ func TestRecyclingMatchesFresh(t *testing.T) {
 		initAccounts(accounts)
 		results := make([]uint64, n)
 		p, err := stm.NewPipeline(stm.Config{
-			Algorithm:        stm.OULSteal,
+			Algorithm:        stm.OUL,
 			Workers:          4,
 			Window:           4,
 			EpochAges:        64,

@@ -94,9 +94,8 @@
 //
 // # Algorithms
 //
-// The three contributions of the paper — OWB (write-back with data
-// forwarding), OUL (write-through undo-log with visible readers) and
-// OULSteal (OUL with write-lock stealing) — plus the ordered and
+// The paper's OWB (write-back with data forwarding) and OUL
+// (write-through undo-log with visible readers), plus the ordered and
 // unordered baselines it evaluates: TL2, NOrec, UndoLog with visible
 // and invisible readers, STMLite, and non-instrumented sequential
 // execution.
@@ -152,7 +151,6 @@ const (
 	Sequential Algorithm = iota
 	OWB
 	OUL
-	OULSteal
 	TL2
 	OrderedTL2
 	NOrec
@@ -177,7 +175,7 @@ func Algorithms() []Algorithm {
 // OrderedAlgorithms lists the algorithms that enforce the predefined
 // commit order (every competitor of the paper's ordered comparison).
 func OrderedAlgorithms() []Algorithm {
-	return []Algorithm{OWB, OUL, OULSteal, OrderedTL2, OrderedNOrec,
+	return []Algorithm{OWB, OUL, OrderedTL2, OrderedNOrec,
 		OrderedUndoLogVis, OrderedUndoLogInvis, STMLite}
 }
 
@@ -190,8 +188,6 @@ func (a Algorithm) String() string {
 		return "OWB"
 	case OUL:
 		return "OUL"
-	case OULSteal:
-		return "OUL-Steal"
 	case TL2:
 		return "TL2"
 	case OrderedTL2:
@@ -268,8 +264,6 @@ func newEngine(a Algorithm, cfg meta.EngineConfig) (meta.Engine, error) {
 		return core.NewOWB(cfg), nil
 	case OUL:
 		return core.NewOUL(cfg), nil
-	case OULSteal:
-		return core.NewOULSteal(cfg), nil
 	case TL2:
 		return tl2.New(cfg), nil
 	case OrderedTL2:

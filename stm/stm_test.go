@@ -23,6 +23,9 @@ func TestAlgorithmStringsRoundTrip(t *testing.T) {
 	if _, err := stm.ParseAlgorithm("NotAnAlgorithm"); err == nil {
 		t.Fatal("expected parse error")
 	}
+	if _, err := stm.ParseAlgorithm("OUL-Steal"); err == nil {
+		t.Fatal("OUL-Steal was removed; ParseAlgorithm must refuse it")
+	}
 	if !strings.HasPrefix(stm.Algorithm(97).String(), "Algorithm(") {
 		t.Fatal("out-of-range algorithm must stringify defensively")
 	}
@@ -30,7 +33,7 @@ func TestAlgorithmStringsRoundTrip(t *testing.T) {
 
 func TestOrderedPredicate(t *testing.T) {
 	ordered := map[stm.Algorithm]bool{
-		stm.Sequential: true, stm.OWB: true, stm.OUL: true, stm.OULSteal: true,
+		stm.Sequential: true, stm.OWB: true, stm.OUL: true,
 		stm.TL2: false, stm.OrderedTL2: true, stm.NOrec: false, stm.OrderedNOrec: true,
 		stm.UndoLogVis: false, stm.OrderedUndoLogVis: true,
 		stm.UndoLogInvis: false, stm.OrderedUndoLogInvis: true, stm.STMLite: true,

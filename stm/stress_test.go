@@ -2,7 +2,6 @@ package stm_test
 
 import (
 	"runtime"
-	"slices"
 	"sync"
 	"testing"
 
@@ -13,7 +12,7 @@ import (
 // yieldingBody is like randomBody but yields the processor between
 // accesses, forcing transaction interleaving even on GOMAXPROCS=1
 // hosts. This is the strongest single-core exerciser of forwarding,
-// cascading aborts, lock stealing and reachable re-execution.
+// cascading aborts and reachable re-execution.
 func yieldingBody(seed uint64, vars []stm.Var, ops int) stm.Body {
 	return func(tx stm.Tx, age int) {
 		r := rng.New(seed ^ rng.Mix64(uint64(age)))
@@ -56,8 +55,8 @@ func TestACOEquivalenceInterleaved(t *testing.T) {
 				resetVars(vars)
 				tr := make(readTrace, nTx)
 				res := mustRun(t, stm.Config{Algorithm: alg, Workers: workers}, nTx, tr.record(body))
-				if got := snapshot(vars); !slices.Equal(got, want) {
-					t.Fatalf("%v seed=%d workers=%d: %s (stats: %v)", alg, seed, workers, tr.divergence(seq, got, want), res.Stats)
+				if d := tr.divergence(seq, snapshot(vars), want); d != "" {
+					t.Fatalf("%v seed=%d workers=%d: %s (stats: %v)", alg, seed, workers, d, res.Stats)
 				}
 			}
 		}
@@ -71,7 +70,7 @@ func TestInterleavedConflictsObserved(t *testing.T) {
 	vars := stm.NewVars(4)
 	body := yieldingBody(5, vars, 10)
 	var totalAborts uint64
-	for _, alg := range []stm.Algorithm{stm.OWB, stm.OUL, stm.OULSteal} {
+	for _, alg := range []stm.Algorithm{stm.OWB, stm.OUL} {
 		resetVars(vars)
 		res := mustRun(t, stm.Config{Algorithm: alg, Workers: 8}, 200, body)
 		totalAborts += res.Stats.TotalAborts()
@@ -89,7 +88,7 @@ func TestSmallWindowThrottle(t *testing.T) {
 	resetVars(vars)
 	mustRun(t, stm.Config{Algorithm: stm.Sequential}, 120, body)
 	want := snapshot(vars)
-	for _, alg := range []stm.Algorithm{stm.OWB, stm.OUL, stm.OULSteal} {
+	for _, alg := range []stm.Algorithm{stm.OWB, stm.OUL} {
 		resetVars(vars)
 		mustRun(t, stm.Config{Algorithm: alg, Workers: 4, Window: 8}, 120, body)
 		got := snapshot(vars)
@@ -129,7 +128,7 @@ func TestFewReaderSlots(t *testing.T) {
 	resetVars(vars)
 	mustRun(t, stm.Config{Algorithm: stm.Sequential}, 100, body)
 	want := snapshot(vars)
-	for _, alg := range []stm.Algorithm{stm.OUL, stm.OULSteal, stm.OrderedUndoLogVis} {
+	for _, alg := range []stm.Algorithm{stm.OUL, stm.OrderedUndoLogVis} {
 		resetVars(vars)
 		mustRun(t, stm.Config{Algorithm: alg, Workers: 8, MaxReaders: 2}, 100, body)
 		got := snapshot(vars)
@@ -155,7 +154,7 @@ func TestPipelineStressConcurrentProducers(t *testing.T) {
 		accounts    = 8
 		initial     = 1000
 	)
-	for _, alg := range []stm.Algorithm{stm.OWB, stm.OUL, stm.OULSteal, stm.OrderedTL2, stm.STMLite} {
+	for _, alg := range []stm.Algorithm{stm.OWB, stm.OUL, stm.OrderedTL2, stm.STMLite} {
 		t.Run(alg.String(), func(t *testing.T) {
 			vars := stm.NewVars(accounts)
 			for i := range vars {
@@ -236,7 +235,7 @@ func TestPipelineStressConcurrentProducers(t *testing.T) {
 // TestRepeatedRunsSameExecutor checks an Executor is reusable and
 // runs are independent.
 func TestRepeatedRunsSameExecutor(t *testing.T) {
-	ex, err := stm.NewExecutor(stm.Config{Algorithm: stm.OULSteal, Workers: 4})
+	ex, err := stm.NewExecutor(stm.Config{Algorithm: stm.OUL, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
