@@ -194,7 +194,6 @@ func main() {
 		ops      = flag.Int("ops", 4, "reads+writes per transaction")
 		capF     = flag.Int("capacity", 0, "pipeline capacity (0 = default)")
 		window   = flag.Int("window", 0, "run-ahead window (0 = default)")
-		epoch    = flag.Int("epoch", 1<<14, "commits per recycling epoch")
 		batch    = flag.Int("batch", 1, "transactions submitted per client round (>1 uses SubmitBatch)")
 		typed    = flag.Bool("typed", false, "drive the typed API (TVar[uint64] + SubmitFunc / SubmitEncodedT) instead of the word API")
 		fresh    = flag.Bool("fresh", false, "disable descriptor recycling (one fresh descriptor per attempt)")
@@ -265,7 +264,6 @@ func main() {
 		Workers:          *workers,
 		Window:           *window,
 		Capacity:         *capF,
-		EpochAges:        *epoch,
 		FreshDescriptors: *fresh,
 	}
 
@@ -323,7 +321,6 @@ func main() {
 	var submitMany func(sts []*txnState, ws []waiter, sc *scratch) ([]waiter, error)
 	var closeSvc func() error
 	var committed func() uint64
-	var epochs func() uint64
 	var stats func() (commits, aborts, retries uint64)
 	var breakdown func() map[string]float64
 	var perShard func() []shardStats
@@ -412,7 +409,6 @@ func main() {
 		}
 		closeSvc = p.Close
 		committed = p.Committed
-		epochs = p.Epochs
 		stats = func() (uint64, uint64, uint64) {
 			sv := p.Stats()
 			return sv.Commits, sv.TotalAborts(), sv.Retries
@@ -541,7 +537,6 @@ func main() {
 		}
 		closeSvc = sp.Close
 		committed = sp.Submitted // every accepted txn commits on a clean run
-		epochs = func() uint64 { return 0 }
 		stats = func() (uint64, uint64, uint64) {
 			sv := sp.Stats()
 			return sv.Commits, sv.TotalAborts(), sv.Retries
@@ -768,7 +763,6 @@ func main() {
 		TxPerSec:        stm.Throughput(ncommitted, elapsed),
 		LatencyUS:       latencyFrom(reg),
 		FrontierLag:     lagMax,
-		Epochs:          epochs(),
 		Commits:         commits,
 		Aborts:          aborts,
 		Retries:         retries,
@@ -824,7 +818,7 @@ func main() {
 			rep.LatencyUS["p50"], rep.LatencyUS["p95"], rep.LatencyUS["p99"], rep.LatencyUS["p999"], rep.LatencyUS["max"])
 		fmt.Printf("  frontier lag (max sampled)=%.0f\n", rep.FrontierLag)
 	}
-	fmt.Printf("  aborts=%d retries=%d epochs=%d\n", rep.Aborts, rep.Retries, rep.Epochs)
+	fmt.Printf("  aborts=%d retries=%d\n", rep.Aborts, rep.Retries)
 	if rep.Aborts > 0 {
 		fmt.Printf("  abort breakdown: %v\n", rep.AbortBreakdown)
 	}
@@ -875,7 +869,6 @@ type report struct {
 	TxPerSec        float64            `json:"tx_per_s"`
 	LatencyUS       map[string]float64 `json:"latency_us"`
 	FrontierLag     float64            `json:"frontier_lag"`
-	Epochs          uint64             `json:"epochs"`
 	Commits         uint64             `json:"commits"`
 	Aborts          uint64             `json:"aborts"`
 	Retries         uint64             `json:"retries"`

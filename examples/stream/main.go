@@ -178,9 +178,9 @@ func main() {
 		log.Fatal(err)
 	}
 	elapsed := time.Since(start)
-	fmt.Printf("replica applied %d slots in %v (%.0f cmds/s, %d aborts, %d epochs)\n",
+	fmt.Printf("replica applied %d slots in %v (%.0f cmds/s, %d aborts)\n",
 		len(replies), elapsed.Round(time.Millisecond),
-		stm.Throughput(p.Committed(), elapsed), p.Stats().TotalAborts(), p.Epochs())
+		stm.Throughput(p.Committed(), elapsed), p.Stats().TotalAborts())
 
 	// Cross-check against a sequential leader applying the same log:
 	// final store AND every reply must match.

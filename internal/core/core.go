@@ -44,9 +44,10 @@
 //
 // Engines used to be torn down after every batch, which bounded how
 // long a stale reference could park in cold metadata. A long-lived
-// stm.Pipeline reuses one engine for an unbounded stream, so OUL
-// additionally implements meta.Recycler: an epoch sweep clears dead
-// reader-slot registrations off cold records. OWB needs no sweep — its commit, abort and cleanup paths
-// already clear every lock word and dependency reference they
-// published.
+// stm.Pipeline reuses one engine for an unbounded stream, and no sweep
+// runs over the lock table: what bounds OUL's reader slots is Retire,
+// which scrubs every registration a retired life left (aborted
+// attempts included), plus slot reuse, which treats a final or stale
+// occupant as a free slot. OWB's commit, abort and cleanup paths clear
+// every lock word and dependency reference they published.
 package core

@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"time"
 
 	"github.com/orderedstm/ostm/internal/meta"
 )
@@ -311,64 +312,43 @@ func TestDoomedOperationsUnwind(t *testing.T) {
 	}
 }
 
-// --- long-lived metadata recycling ---
+// --- reader-slot reuse ---
 
-// TestOULRecycleScrubsFinalizedDescriptors: after transactions
-// finalize, Recycle must clear the reader slots Cleanup cannot reach —
-// those left by aborted attempts — without touching live transactions
-// or returning a writer word to RefNil.
-func TestOULRecycleScrubsFinalizedDescriptors(t *testing.T) {
-	eng := NewOUL(cfg())
-	v := meta.NewVar(0)
+// TestOULDeadReaderSlotIsReused: a reader slot whose occupant's life
+// is final is free, even when nothing scrubbed it. With one slot per
+// record, age 5 reads, aborts and is abandoned without Retire, so its
+// registration stays behind; age 3's read must take that slot without
+// being doomed. No sweep runs over the lock table, so this reuse (and
+// Retire's scrub) is what bounds the slots a long stream leaves.
+func TestOULDeadReaderSlotIsReused(t *testing.T) {
+	eng := NewOUL(meta.EngineConfig{TableBits: 12, MaxReaders: 1}.Normalize())
+	v := meta.NewVar(7)
 	lk := eng.locks.Of(v)
 
-	// Register a reader that will be aborted and a live lower-age
-	// reader first, so each holds its own slot (registration reuses
-	// finalized occupants' slots, and a writer kills higher-age
-	// readers — the live reader must dodge both).
-	reader := eng.NewTxn(5).(*OULTxn)
-	reader.Read(v)
-	live := eng.NewTxn(1).(*OULTxn)
-	live.Read(v)
-	reader.abort(reader.ref(), meta.CauseBusy)
-	reader.AbandonAttempt()
-
-	// A committed writer stays in the lock word.
-	writer := eng.NewTxn(6).(*OULTxn)
-	writer.Write(v, 42)
-	if !writer.TryCommit() || !writer.Commit() {
-		t.Fatal("writer failed to commit")
-	}
-
-	foundReader := false
+	dead := eng.NewTxn(5).(*OULTxn)
+	dead.Read(v)
+	dead.abort(dead.ref(), meta.CauseBusy)
+	dead.AbandonAttempt()
 	arr := lk.readers.Peek()
-	for i := range arr.Slots {
-		if arr.Slots[i].Load() == reader.ref() {
-			foundReader = true
-		}
-	}
-	if !foundReader || lk.writer.Load() != writer.ref() {
-		t.Fatal("test setup: stale descriptors not in place")
+	if len(arr.Slots) != 1 || arr.Slots[0].Load() != dead.ref() {
+		t.Fatal("test setup: the aborted reader does not hold the only slot")
 	}
 
-	eng.Recycle()
-
-	if lk.writer.Load() != writer.ref() {
-		t.Fatal("Recycle cleared the committed writer's lock word")
-	}
-	foundReader, foundLive := false, false
-	for i := range arr.Slots {
-		switch arr.Slots[i].Load() {
-		case reader.ref():
-			foundReader = true
-		case live.ref():
-			foundLive = true
+	live := eng.NewTxn(3).(*OULTxn)
+	got := make(chan uint64, 1)
+	go func() { got <- live.Read(v) }()
+	select {
+	case x := <-got:
+		if x != 7 {
+			t.Fatalf("age 3 read %d, want 7", x)
 		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("age 3's read is still waiting for the slot the final age 5 left")
 	}
-	if foundReader {
-		t.Fatal("Recycle left the aborted reader in its slot")
+	if live.Doomed() {
+		t.Fatal("age 3 was doomed taking a dead reader's slot")
 	}
-	if !foundLive {
-		t.Fatal("Recycle evicted a live reader")
+	if arr.Slots[0].Load() != live.ref() {
+		t.Fatal("age 3 is not registered in the reused slot")
 	}
 }

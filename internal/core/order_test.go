@@ -28,3 +28,25 @@ func TestOULMatchesSequentialFold(t *testing.T) {
 func TestOULReaderSkipsHigherAgeWrites(t *testing.T) {
 	ordertest.ReaderSkipsHigherAgeWrites(t, NewOUL(cfg()), 500000/ordertest.RaceScale)
 }
+
+// TestOWBMatchesSequentialFold drives OWB the same way. OWB buffers
+// its writes and exposes them at TryCommit, so a higher-age reader can
+// consume a value whose writer has not yet committed; the oracle
+// checks every such forward, and every cascade that revokes one, on
+// recycled descriptors.
+func TestOWBMatchesSequentialFold(t *testing.T) {
+	for _, s := range []ordertest.Shape{ordertest.WriteHeavy, ordertest.Audits, ordertest.HotReads} {
+		t.Run(s.Name(), func(t *testing.T) {
+			c := cfg()
+			ordertest.MatchesSequentialFold(t, NewOWB(c), c.Order, s, 50000/ordertest.RaceScale)
+		})
+	}
+}
+
+// TestOWBReaderSkipsHigherAgeWrites: a reader aborts a higher-age
+// writer that exposed its value (W2→R1) instead of consuming it, and
+// the writer's rollback restores the value before it releases the
+// lock.
+func TestOWBReaderSkipsHigherAgeWrites(t *testing.T) {
+	ordertest.ReaderSkipsHigherAgeWrites(t, NewOWB(cfg()), 500000/ordertest.RaceScale)
+}

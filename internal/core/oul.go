@@ -116,35 +116,6 @@ func (p *oulPool) Retire(x meta.Txn) {
 	p.cache.Put(t)
 }
 
-// Recycle implements meta.Recycler: scrub the reader slots Cleanup
-// cannot reach — registrations left by aborted attempts (stale once
-// the descriptor renews, final before that) — so cold records do not
-// accumulate them. Each clear is what slot reuse already does to a
-// stale or final occupant, and the generation-stamped CAS cannot clear
-// a renewed descriptor's live registration. Writer words are left
-// alone: a final or stale reference there is claimed like RefNil, and
-// clearing it would return the word to a value a reader may have seen
-// (DESIGN §3).
-func (e *OULEngine) Recycle() {
-	for i := 0; i < e.locks.Len(); i++ {
-		lk := e.locks.Entry(i)
-		arr := lk.readers.Peek()
-		if arr == nil {
-			continue
-		}
-		for j := range arr.Slots {
-			ref := arr.Slots[j].Load()
-			if !ref.IsTxn() {
-				continue
-			}
-			r := e.at(ref)
-			if life := r.status.LoadLife(); !ref.SameLife(life) || life.Status().Final() {
-				arr.Slots[j].CAS(ref, meta.RefNil)
-			}
-		}
-	}
-}
-
 // oulWriteEntry is one undo-log record: the variable, its lock record
 // and the value it held just before this transaction's first write to
 // it.

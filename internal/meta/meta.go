@@ -126,22 +126,6 @@ type Service interface {
 	Stop()
 }
 
-// Recycler is implemented by engines that can scrub stale finalized
-// descriptors out of their long-lived metadata. Cleanup reclaims what
-// a committed, reachable transaction held, but some references survive
-// it: reader slots keep pointing at aborted attempts until a later
-// reader happens to reuse the slot. In a one-shot batch that garbage
-// dies with the engine; a long-lived pipeline instead calls Recycle at
-// epoch boundaries so the retained descriptor set stays proportional
-// to the in-flight window rather than to the history of the stream.
-//
-// Recycle runs concurrently with live transactions and must only
-// perform transitions those transactions already tolerate (clearing a
-// finalized occupant is exactly what slot reuse does).
-type Recycler interface {
-	Recycle()
-}
-
 // Stabilizer is implemented by attempts whose engine can leave a gap
 // between a commit entering the order (the frontier advancing) and its
 // effects being fully applied to memory: STMLite's commit manager

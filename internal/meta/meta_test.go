@@ -396,32 +396,27 @@ func TestOrderAtBaseAndHalt(t *testing.T) {
 	<-done
 }
 
-func TestStatsRotateAndPlus(t *testing.T) {
-	s := &Stats{}
+// TestStatsViewPlus: Plus sums two views counter by counter, the way
+// the sharded router adds up its shards.
+func TestStatsViewPlus(t *testing.T) {
+	var a, b Stats
 	for i := 0; i < 5; i++ {
-		s.Start()
-		s.Commit()
+		a.Start()
+		a.Commit()
 	}
-	s.Retry()
-	s.Abort(CauseRAW)
-	first := s.Rotate()
-	if first.Commits != 5 || first.Retries != 1 || first.Aborts[CauseRAW] != 1 {
-		t.Fatalf("first epoch delta = %+v", first)
-	}
-	if after := s.View(); after.Commits != 0 || after.TotalAborts() != 0 {
-		t.Fatalf("counters not reset by Rotate: %+v", after)
-	}
+	a.Retry()
+	a.Abort(CauseRAW)
 	for i := 0; i < 3; i++ {
-		s.Start()
-		s.Commit()
+		b.Start()
+		b.Commit()
 	}
-	s.Abort(CauseWAW)
-	second := s.Rotate()
-	total := first.Plus(second)
-	if total.Commits != 8 || total.Starts != 8 {
-		t.Fatalf("folded commits = %d starts = %d, want 8/8", total.Commits, total.Starts)
+	b.Quiesce()
+	b.Abort(CauseWAW)
+	total := a.View().Plus(b.View())
+	if total.Commits != 8 || total.Starts != 8 || total.Retries != 1 || total.Quiesces != 1 {
+		t.Fatalf("summed view = %+v", total)
 	}
 	if total.Aborts[CauseRAW] != 1 || total.Aborts[CauseWAW] != 1 || total.TotalAborts() != 2 {
-		t.Fatalf("folded aborts = %+v", total.Aborts)
+		t.Fatalf("summed aborts = %+v", total.Aborts)
 	}
 }

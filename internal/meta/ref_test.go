@@ -151,11 +151,4 @@ func TestStatsCellsFold(t *testing.T) {
 	if v.Commits != 2001 || v.Starts != 2000 || v.Aborts[CauseRAW] != 2000 {
 		t.Fatalf("folded view wrong: %+v", v)
 	}
-	delta := s.Rotate()
-	if delta.Commits != 2001 {
-		t.Fatalf("rotate delta wrong: %+v", delta)
-	}
-	if after := s.View(); after.Commits != 0 || after.TotalAborts() != 0 {
-		t.Fatalf("rotate did not zero the cells: %+v", after)
-	}
 }

@@ -65,24 +65,10 @@ func (c *StatsCell) view() StatsView {
 	return v
 }
 
-// rotate drains the cell into a delta view, resetting it to zero.
-func (c *StatsCell) rotate() StatsView {
-	v := StatsView{
-		Starts:   c.starts.Swap(0),
-		Commits:  c.commits.Swap(0),
-		Retries:  c.retries.Swap(0),
-		Quiesces: c.quiesces.Swap(0),
-	}
-	for i := range c.aborts {
-		v.Aborts[i] = c.aborts[i].Swap(0)
-	}
-	return v
-}
-
 // Stats aggregates counters for one engine run: a default cell (the
 // pre-sharding single-counter behavior, still used by paths without a
 // worker identity) plus any number of per-worker cells handed out by
-// NewCell. View and Rotate fold across every cell.
+// NewCell. View folds across every cell.
 type Stats struct {
 	def   StatsCell
 	mu    sync.Mutex
@@ -126,23 +112,6 @@ func (s *Stats) Quiesce() { s.def.Quiesce() }
 // Abort counts an abort with the given cause.
 func (s *Stats) Abort(c Cause) { s.def.Abort(c) }
 
-// Rotate drains the counters of every cell into a delta view and
-// resets them to zero, starting a new accounting epoch. Long-lived
-// pipelines rotate periodically and fold the deltas into their own
-// totals, so the engine-side counters never grow without bound no
-// matter how long the stream runs. Individual counters are swapped
-// atomically; cross-counter skew with concurrent updates is the same
-// (harmless) skew View has always had.
-func (s *Stats) Rotate() StatsView {
-	v := s.def.rotate()
-	if p := s.cells.Load(); p != nil {
-		for _, c := range *p {
-			v = v.Plus(c.rotate())
-		}
-	}
-	return v
-}
-
 // View returns a consistent-enough snapshot for reporting (individual
 // counters are read atomically; cross-counter skew is harmless because
 // snapshots are taken after the run drains).
@@ -165,8 +134,8 @@ type StatsView struct {
 	Aborts   [NumCauses]uint64
 }
 
-// Plus returns the element-wise sum of two views (epoch accounting:
-// accumulated past epochs + the live counters of the current one).
+// Plus returns the element-wise sum of two views (the sharded router
+// sums its shards' views with it).
 func (v StatsView) Plus(w StatsView) StatsView {
 	out := StatsView{
 		Starts:   v.Starts + w.Starts,

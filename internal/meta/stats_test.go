@@ -1,6 +1,7 @@
 package meta
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 )
@@ -40,34 +41,34 @@ func TestBreakdownCategories(t *testing.T) {
 	}
 }
 
-// TestStatsConcurrentRotate hammers per-worker cells and the default
-// cell from many goroutines while another rotates continuously. Run
-// under -race it proves the record/rotate paths are data-race free;
-// the conservation check proves Rotate's swap-based drain never loses
-// or double-counts an event across epoch boundaries.
-func TestStatsConcurrentRotate(t *testing.T) {
+// TestStatsConcurrentView hammers per-worker cells and the default
+// cell from many goroutines while another takes views continuously.
+// Run under -race it proves the record and view paths are data-race
+// free; no counter ever goes backwards between two views, and the
+// final view counts every event exactly once.
+func TestStatsConcurrentView(t *testing.T) {
 	const (
 		workers = 8
 		perG    = 20000
 	)
 	var s Stats
-	var folded StatsView
-	var foldMu sync.Mutex
 	stop := make(chan struct{})
-	var rotWG sync.WaitGroup
-	rotWG.Add(1)
+	viewErr := make(chan error, 1)
 	go func() {
-		defer rotWG.Done()
+		var last StatsView
 		for {
 			select {
 			case <-stop:
+				viewErr <- nil
 				return
 			default:
-				v := s.Rotate()
-				foldMu.Lock()
-				folded = folded.Plus(v)
-				foldMu.Unlock()
 			}
+			v := s.View()
+			if v.Starts < last.Starts || v.Commits < last.Commits || v.Retries < last.Retries || v.TotalAborts() < last.TotalAborts() {
+				viewErr <- fmt.Errorf("view went backwards: %+v after %+v", v, last)
+				return
+			}
+			last = v
 		}
 	}()
 	var wg sync.WaitGroup
@@ -85,17 +86,17 @@ func TestStatsConcurrentRotate(t *testing.T) {
 					c.Retry()
 				}
 				if i%64 == 0 {
-					s.Quiesce() // default cell, concurrently with the rotator
+					s.Quiesce() // default cell, concurrently with the viewer
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
 	close(stop)
-	rotWG.Wait()
-	foldMu.Lock()
-	total := folded.Plus(s.Rotate()) // drain whatever the last epoch left
-	foldMu.Unlock()
+	if err := <-viewErr; err != nil {
+		t.Fatal(err)
+	}
+	total := s.View()
 	if want := uint64(workers * perG); total.Starts != want {
 		t.Fatalf("starts = %d, want %d", total.Starts, want)
 	}

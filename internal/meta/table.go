@@ -46,6 +46,3 @@ func (t *Table[L]) Index(id uint64) uint64 { return (id * fibMult) >> t.shift }
 
 // Len returns the number of records.
 func (t *Table[L]) Len() int { return len(t.entries) }
-
-// Entry returns the i-th record (cleaner/iteration use).
-func (t *Table[L]) Entry(i int) *L { return &t.entries[i] }

@@ -230,10 +230,12 @@ func commitAt(order *meta.Order, txn meta.Txn, age uint64) bool {
 // ReaderSkipsHigherAgeWrites checks that a lower-age reader never
 // returns a value a live higher-age writer stored: one goroutine
 // acquires a record at age 1 and rolls back, over and over, while age
-// 0 reads it n times, each time in a fresh attempt. Under the order
-// the read comes first, so the writer must not have it killed — the
-// reader itself must abort the writer or see past it, and its
-// re-check of the lock word must follow its load to catch a store
+// 0 reads it n times, each time in a fresh attempt. On a cooperative
+// engine the writer also exposes its write (TryCommit) before it rolls
+// back, so a write-back engine's published value is in the window too.
+// Under the order the read comes first, so the writer must not have it
+// killed — the reader itself must abort the writer or see past it, and
+// its re-check of the lock word must follow its load to catch a store
 // landing in between.
 func ReaderSkipsHigherAgeWrites(t *testing.T, eng meta.PoolEngine, n int) {
 	t.Helper()
@@ -248,7 +250,9 @@ func ReaderSkipsHigherAgeWrites(t *testing.T, eng meta.PoolEngine, n int) {
 		pool := eng.NewPool()
 		for !stop.Load() {
 			w := pool.NewTxn(1)
-			aborts(func() { w.Write(x, 1) })
+			if !aborts(func() { w.Write(x, 1) }) && eng.Mode() == meta.ModeCooperative {
+				w.TryCommit() // expose the write, then roll it back
+			}
 			w.AbandonAttempt()
 			pool.Retire(w)
 		}

@@ -36,10 +36,6 @@ type Config struct {
 	// SigBits sizes STMLite signatures in bits (default 64, the
 	// paper's choice).
 	SigBits uint
-	// QuiesceAfter is the number of failed validator re-executions of
-	// a reachable transaction before the executor gates new exposes to
-	// guarantee progress (default 8; see DESIGN.md §5).
-	QuiesceAfter int
 	// RetryUnknownPanics makes the sandbox retry attempts that panic
 	// for reasons it cannot attribute to staleness, instead of
 	// reporting a Fault (default false).
@@ -60,12 +56,6 @@ type Config struct {
 	// Default 4*Window, floored at Window+Workers+8 so backpressure
 	// never strangles the run-ahead window.
 	Capacity int
-	// EpochAges is the number of commits between pipeline epochs. At
-	// each epoch boundary the engine's stats counters are drained into
-	// the pipeline's running totals and recyclable engine metadata is
-	// scrubbed (meta.Recycler), so an unbounded stream runs in bounded
-	// engine state. Default 1<<16.
-	EpochAges int
 	// FirstAge is the age assigned to the first submission (default
 	// 0). A replica resuming from a snapshot at a known consensus slot
 	// submits its next command with that slot as FirstAge instead of
@@ -90,8 +80,9 @@ type Config struct {
 	// log Sync or at Close. Requires WAL.
 	WaitDurable bool
 	// CheckpointEvery, when > 0, checkpoints the pipeline every that
-	// many commits: execution quiesces at the next epoch-aligned
-	// frontier, Snapshotter.Snapshot serializes the Var space, and the
+	// many commits: workers stop claiming new ages, execution drains
+	// up to that frontier, Snapshotter.Snapshot serializes the Var
+	// space, and the
 	// WAL's CheckpointSink commits it and truncates redundant history —
 	// bounding recovery time by the checkpoint interval. Requires WAL
 	// (implementing CheckpointSink) and Snapshotter.
@@ -142,17 +133,11 @@ func (c Config) withDefaults() Config {
 	if c.SigBits == 0 {
 		c.SigBits = meta.DefaultSigBits
 	}
-	if c.QuiesceAfter <= 0 {
-		c.QuiesceAfter = 8
-	}
 	if c.Capacity <= 0 {
 		c.Capacity = 4 * c.Window
 	}
 	if min := c.Window + c.Workers + 8; c.Capacity < min {
 		c.Capacity = min
-	}
-	if c.EpochAges <= 0 {
-		c.EpochAges = 1 << 16
 	}
 	return c
 }

@@ -98,9 +98,6 @@ func newPipeObs(r *obs.Registry, p *Pipeline) *pipeObs {
 			s.mu.Unlock()
 			return float64(d)
 		})
-	r.CounterFunc("ostm_epochs_total",
-		"completed recycling epochs",
-		func() float64 { return float64(p.Epochs()) })
 	if p.s.dur != nil {
 		r.GaugeFunc("ostm_durable_age",
 			"durability frontier: every age below it is on stable storage",

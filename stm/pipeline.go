@@ -24,10 +24,9 @@ import (
 // (submitted but not yet committed), so a fast producer is paced by
 // the commit frontier instead of queueing without bound.
 //
-// Epochs: every EpochAges commits the pipeline drains the engine's
-// stats counters into its running totals and asks the engine to
-// recycle stale metadata (meta.Recycler), so an arbitrarily long
-// stream runs in bounded engine state. Stats always reports
+// Bounded state: an engine scrubs a retired attempt's registrations
+// as it recycles the descriptor, so an arbitrarily long stream runs in
+// bounded engine state with no periodic sweep. Stats reports
 // whole-stream totals.
 //
 // Faults: a body panic the sandbox cannot attribute to speculation
@@ -59,8 +58,6 @@ type Pipeline struct {
 
 	wg    sync.WaitGroup // workers
 	vdone chan struct{}  // validator goroutine exit (closed if none)
-	jdone chan struct{}  // janitor goroutine exit
-	jkick chan struct{}  // epoch-boundary signals to the janitor
 	cdone chan struct{}  // checkpointer goroutine exit (closed if none)
 
 	// Checkpoint machinery; zero-valued unless the WAL implements
@@ -141,12 +138,9 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 		l:     l,
 		s:     s,
 		vdone: make(chan struct{}),
-		jdone: make(chan struct{}),
-		jkick: make(chan struct{}, 1),
 		cdone: make(chan struct{}),
 	}
 	p.bodies.New = func() any { return new([]Body) }
-	s.epochKick = p.jkick
 	if s.dur != nil {
 		// The log reports durability progress straight into the
 		// stream, which resolves WaitDurable tickets there.
@@ -180,7 +174,6 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 	} else {
 		close(p.vdone)
 	}
-	go p.janitor()
 	return p, nil
 }
 
@@ -536,8 +529,6 @@ func (p *Pipeline) Close() error {
 		if svc, ok := p.eng.(meta.Service); ok {
 			svc.Stop()
 		}
-		close(p.jkick)
-		<-p.jdone
 		if d := p.s.dur; d != nil {
 			// Make the tail durable: everything the drain committed has
 			// been appended; one final sync closes the durability gap
@@ -607,14 +598,8 @@ func (p *Pipeline) Stop(cause any) {
 // is running (and after a clean Close).
 func (p *Pipeline) Fault() *Fault { return p.l.fault.Load() }
 
-// Stats returns whole-stream counters: every finished epoch plus the
-// live counters of the current one.
-func (p *Pipeline) Stats() meta.StatsView {
-	s := p.s
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.totals.Plus(p.stats.View())
-}
+// Stats returns whole-stream counters.
+func (p *Pipeline) Stats() meta.StatsView { return p.stats.View() }
 
 // Submitted returns the number of transactions accepted so far.
 func (p *Pipeline) Submitted() uint64 {
@@ -787,27 +772,9 @@ func (p *Pipeline) ckptLoop() {
 	}
 }
 
-// Epochs returns how many recycling epochs have completed.
-func (p *Pipeline) Epochs() uint64 {
-	s := p.s
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.epochs
-}
-
-// janitor performs epoch work off the commit path: it folds the
-// engine's counters into the stream totals and scrubs recyclable
-// engine metadata. One goroutine per pipeline; woken at epoch
-// boundaries, exits when Close closes the kick channel.
-func (p *Pipeline) janitor() {
-	defer close(p.jdone)
-	for range p.jkick {
-		p.s.foldEpoch(p.stats)
-		if rec, ok := p.eng.(meta.Recycler); ok {
-			rec.Recycle()
-		}
-	}
-}
+// Epochs returns Committed()>>16. The pipeline runs no epochs; this
+// is kept only because the benchmark harness (bench/) reports it.
+func (p *Pipeline) Epochs() uint64 { return p.Committed() >> 16 }
 
 // pipeEntry is one slot of the submission ring. A slot only needs to
 // survive until its age is claimed (claims are in age order, so a
@@ -864,12 +831,6 @@ type stream struct {
 	ncommitted uint64 // count of committed transactions
 	closed     bool
 	fault      *Fault
-
-	epochAges  uint64
-	sinceEpoch uint64
-	epochs     uint64
-	totals     meta.StatsView
-	epochKick  chan<- struct{}
 
 	// Claim gate: while gated, workers may not claim ages at or above
 	// gate. The checkpointer raises it to freeze a quiescent frontier
@@ -1000,7 +961,6 @@ func newStream(cfg Config) *stream {
 		capacity:  cfg.Capacity,
 		submitted: cfg.FirstAge,
 		claimed:   cfg.FirstAge,
-		epochAges: uint64(cfg.EpochAges),
 		onCommit:  cfg.OnCommit,
 	}
 	if cfg.WAL != nil {
@@ -1084,7 +1044,8 @@ func (s *stream) claim(stop func() bool) (uint64, Body, bool) {
 // committed implements feed: hand the age to the durability layer,
 // resolve its ticket (immediately, or once durable under
 // WaitDurable), advance the commit count (which releases
-// backpressure), and signal the janitor at epoch boundaries.
+// backpressure), and kick the checkpointer every CheckpointEvery
+// commits.
 func (s *stream) committed(age uint64) {
 	s.mu.Lock()
 	var tk tslot // survives the WaitDurable deferral below, for latency stamps
@@ -1147,14 +1108,6 @@ func (s *stream) committed(age uint64) {
 		t.resolve(nil)
 	}
 	s.ncommitted++
-	s.sinceEpoch++
-	if s.sinceEpoch >= s.epochAges {
-		s.sinceEpoch = 0
-		select {
-		case s.epochKick <- struct{}{}:
-		default: // janitor is behind; this epoch folds into the next
-		}
-	}
 	if s.ckptEvery > 0 {
 		s.sinceCkpt++
 		if s.sinceCkpt >= s.ckptEvery {
@@ -1350,17 +1303,6 @@ func (s *stream) settle() {
 			d.failDeferred(ErrClosed)
 		}
 	}
-	s.mu.Unlock()
-}
-
-// foldEpoch rotates the engine counters and folds the delta into the
-// stream totals in one critical section, so Pipeline.Stats (which
-// reads totals + live counters under the same lock) never observes
-// the window where counters are zeroed but the delta is unfolded.
-func (s *stream) foldEpoch(st *meta.Stats) {
-	s.mu.Lock()
-	s.totals = s.totals.Plus(st.Rotate())
-	s.epochs++
 	s.mu.Unlock()
 }
 

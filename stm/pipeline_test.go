@@ -360,12 +360,11 @@ func TestPipelineBackpressure(t *testing.T) {
 	}
 }
 
-// TestPipelineEpochRecycling: a stream long enough to cross several
-// epoch boundaries still reports exact whole-stream stats, and the
-// janitor actually rotated.
-func TestPipelineEpochRecycling(t *testing.T) {
+// TestPipelineLongStreamStats: a long stream reports exact
+// whole-stream stats.
+func TestPipelineLongStreamStats(t *testing.T) {
 	const n = 6000
-	p, err := stm.NewPipeline(stm.Config{Algorithm: stm.OUL, Workers: 4, EpochAges: 512})
+	p, err := stm.NewPipeline(stm.Config{Algorithm: stm.OUL, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,10 +381,7 @@ func TestPipelineEpochRecycling(t *testing.T) {
 		t.Fatalf("v=%d, want %d", got, n)
 	}
 	if sv := p.Stats(); sv.Commits != n {
-		t.Fatalf("whole-stream commits %d, want %d (epochs=%d)", sv.Commits, n, p.Epochs())
-	}
-	if p.Epochs() == 0 {
-		t.Fatal("no epoch rotated despite EpochAges=512 and 6000 commits")
+		t.Fatalf("whole-stream commits %d, want %d", sv.Commits, n)
 	}
 }
 
@@ -571,7 +567,7 @@ func TestPipelineSustainedStream(t *testing.T) {
 	if testing.Short() {
 		n = 5000
 	}
-	p, err := stm.NewPipeline(stm.Config{Algorithm: stm.OUL, Workers: 8, EpochAges: 2048})
+	p, err := stm.NewPipeline(stm.Config{Algorithm: stm.OUL, Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,16 +11,15 @@ import (
 // under the most aggressive reuse pressure the pipeline can produce —
 // a tiny run-ahead window and capacity (so a retired descriptor is
 // renewed almost immediately), a small high-contention account pool
-// (so attempts constantly abort and kill readers, leaving
-// stale references in lock words and reader slots), and tiny recycling
-// epochs (so the Recycle sweep runs concurrently with live traffic) —
-// every ordered algorithm must still produce final memory and
-// per-ticket results identical to the sequential in-age-order
-// execution. Any stale-generation descriptor ever being honored (the
-// ABA the generation stamps exist to prevent: a recycled descriptor's
-// old reference treated as its live registration, or a claim CAS
-// landing on its new life's lock) shows up here as a divergent result
-// or a rolled-back-into-corruption account. Run with -race in CI.
+// (so attempts constantly abort and kill readers, leaving stale
+// references in lock words and reader slots) — every ordered
+// algorithm must still produce final memory and per-ticket results
+// identical to the sequential in-age-order execution. Any
+// stale-generation descriptor ever being honored (the ABA the
+// generation stamps exist to prevent: a recycled descriptor's old
+// reference treated as its live registration, or a claim CAS landing
+// on its new life's lock) shows up here as a divergent result or a
+// rolled-back-into-corruption account. Run with -race in CI.
 func TestRecyclingDeterminism(t *testing.T) {
 	n := 6000
 	if testing.Short() {
@@ -43,7 +42,6 @@ func TestRecyclingDeterminism(t *testing.T) {
 					Algorithm: alg,
 					Workers:   4,
 					Window:    4,
-					EpochAges: 64,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -125,7 +123,6 @@ func TestRecyclingMatchesFresh(t *testing.T) {
 			Algorithm:        stm.OUL,
 			Workers:          4,
 			Window:           4,
-			EpochAges:        64,
 			FreshDescriptors: fresh,
 		})
 		if err != nil {

@@ -408,6 +408,11 @@ func (l *loop) validate(w *wctx) {
 	}
 }
 
+// quiesceAfter is the number of failed re-executions of a reachable
+// transaction after which reexecute gates new exposes to guarantee
+// progress; see DESIGN.md §5.
+const quiesceAfter = 8
+
 // reexecute drives the reachable transaction at the given age to
 // commit, gating new exposes (quiesce) if higher-age transactions keep
 // invalidating it; see DESIGN.md §5.
@@ -419,7 +424,7 @@ func (l *loop) reexecute(w *wctx, age uint64, body Body) {
 		}
 	}()
 	for attempt := 0; !l.stop(); attempt++ {
-		if attempt >= l.cfg.QuiesceAfter && !gated {
+		if attempt >= quiesceAfter && !gated {
 			gated = true
 			l.gate.Store(true)
 			w.cell.Quiesce()

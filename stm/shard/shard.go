@@ -56,11 +56,11 @@ type Config struct {
 	// Pipeline parameterizes every per-shard pipeline. Algorithm must
 	// enforce the predefined commit order (the unordered baselines
 	// cannot provide sharded determinism and are rejected). Workers,
-	// Window, Capacity and EpochAges are per shard. FirstAge is the
-	// global age of the first submission; the per-shard local age
-	// sequences always start at zero. TableBits left zero defaults to
-	// a per-shard table shrunk by log2(Shards) — each engine sees only
-	// its slice of the variable space, so the aggregate lock-table
+	// Window and Capacity are per shard. FirstAge is the global age of
+	// the first submission; the per-shard local age sequences always
+	// start at zero. TableBits left zero defaults to a per-shard table
+	// shrunk by log2(Shards) — each engine sees only its slice of the
+	// variable space, so the aggregate lock-table
 	// footprint matches a single unsharded engine. Pipeline.WAL,
 	// Pipeline.Codec, Pipeline.WaitDurable and Pipeline.OnCommit must
 	// be unset: sharded durability is configured at the router (the

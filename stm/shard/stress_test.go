@@ -3,8 +3,7 @@ package shard
 // Internal-package stress test: the closed-loop shape cmd/streambench
 // drives at scale, kept here with access to the per-shard pipelines so
 // a stall produces a diagnosable report instead of a test timeout.
-// This workload (many pipelines in one process, epoch recycling on)
-// is what exposed the flat-combining validator parking race fixed in
+// This workload (many pipelines in one process) is what exposed the flat-combining validator parking race fixed in
 // the run-loop's validatorLoop.
 
 import (
@@ -23,7 +22,7 @@ func TestShardedClosedLoopStress(t *testing.T) {
 	}
 	for round := 0; round < rounds; round++ {
 		const shards, clients = 4, 16
-		sp, err := New(Config{Shards: shards, Pipeline: stm.Config{Algorithm: stm.OUL, Workers: 4, EpochAges: 2048}})
+		sp, err := New(Config{Shards: shards, Pipeline: stm.Config{Algorithm: stm.OUL, Workers: 4}})
 		if err != nil {
 			t.Fatal(err)
 		}

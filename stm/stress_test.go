@@ -161,7 +161,7 @@ func TestPipelineStressConcurrentProducers(t *testing.T) {
 				vars[i].Store(initial)
 			}
 			p, err := stm.NewPipeline(stm.Config{
-				Algorithm: alg, Workers: 8, Window: 8, Capacity: 32, EpochAges: 128,
+				Algorithm: alg, Workers: 8, Window: 8, Capacity: 32,
 			})
 			if err != nil {
 				t.Fatal(err)
