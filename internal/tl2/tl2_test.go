@@ -164,7 +164,13 @@ func TestCleanupAndAbandon(t *testing.T) {
 // TestOrderedReadOnlyObservesItsAge: under a predefined order a
 // transaction that wrote nothing must still observe exactly the state
 // after the age below it, so its snapshot is validated at its turn.
+// The write-heavy and hot-read shapes hold the writers to the same
+// fold.
 func TestOrderedReadOnlyObservesItsAge(t *testing.T) {
-	c := cfg()
-	ordertest.MatchesSequentialFold(t, NewOrdered(c), c.Order, ordertest.Audits, 20000)
+	for _, s := range []ordertest.Shape{ordertest.Audits, ordertest.WriteHeavy, ordertest.HotReads} {
+		t.Run(s.Name(), func(t *testing.T) {
+			c := cfg()
+			ordertest.MatchesSequentialFold(t, NewOrdered(c), c.Order, s, 20000)
+		})
+	}
 }

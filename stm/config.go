@@ -93,10 +93,12 @@ type Config struct {
 	Snapshotter Snapshotter
 	// OnCommit, when non-nil, is called for every age that reaches its
 	// final commit, in commit-report order (age order for every
-	// order-enforcing algorithm). It runs on the commit path with
-	// pipeline-internal locks held: it must be fast and must not call
-	// back into the pipeline. The sharded router uses it to track the
-	// global commit frontier across shards.
+	// order-enforcing algorithm; engines whose workers report their own
+	// commits may call it for neighbouring ages at once, so it must be
+	// safe for concurrent use). It runs on the commit path, on a durable
+	// pipeline with the stream's lock held: it must be fast and must not
+	// call back into the pipeline. The sharded router uses it to track
+	// the global commit frontier across shards.
 	OnCommit func(age uint64)
 	// Obs, when non-nil, attaches the observability registry: the
 	// pipeline registers its lifecycle metric families (commits, abort

@@ -92,11 +92,11 @@ func newPipeObs(r *obs.Registry, p *Pipeline) *pipeObs {
 	r.GaugeFunc("ostm_queue_depth",
 		"submission-ring depth: ages submitted but not yet claimed by a worker",
 		func() float64 {
+			// The cursor first: it never passes submitted, so the later
+			// read of submitted keeps the difference non-negative.
 			s := p.s
-			s.mu.Lock()
-			d := s.submitted - s.claimed
-			s.mu.Unlock()
-			return float64(d)
+			claimed := s.cursor.Load() &^ gateBit
+			return float64(s.submitted.Load() - claimed)
 		})
 	if p.s.dur != nil {
 		r.GaugeFunc("ostm_durable_age",

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/orderedstm/ostm/internal/meta"
@@ -92,6 +94,9 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 	}
 	if cfg.WaitDurable && cfg.WAL == nil {
 		return nil, errors.New("stm: Config.WaitDurable requires Config.WAL")
+	}
+	if cfg.FirstAge >= gateBit {
+		return nil, errors.New("stm: Config.FirstAge must be below 2^63")
 	}
 	if cfg.CheckpointEvery > 0 {
 		if cfg.WAL == nil {
@@ -313,7 +318,7 @@ func (p *Pipeline) submitWith(ctx context.Context, t *Ticket, body Body, payload
 			s.mu.Unlock()
 			return &Stopped{Fault: f}
 		}
-		if s.closed {
+		if s.closed.Load() {
 			s.mu.Unlock()
 			return ErrClosed
 		}
@@ -323,26 +328,17 @@ func (p *Pipeline) submitWith(ctx context.Context, t *Ticket, body Body, payload
 				return fmt.Errorf("%w before an age was assigned: %w", ErrCanceled, err)
 			}
 		}
-		if s.submitted-(s.base+s.ncommitted) < uint64(s.capacity) {
+		if s.hasRoom() {
 			break
 		}
 		if ctx != nil && unwatch == nil && ctx.Done() != nil {
-			// The backpressure wait parks on the stream's cond, which a
-			// context firing must be able to wake. Registered lazily —
-			// only once a park is imminent — so the common no-wait
-			// submit pays nothing; no wakeup can be lost because the
-			// callback needs s.mu (held here) to broadcast.
-			unwatch = context.AfterFunc(ctx, func() {
-				s.mu.Lock()
-				s.cond.Broadcast()
-				s.mu.Unlock()
-			})
+			unwatch = s.wakeOnDone(ctx)
 		}
 		if po := p.po; po != nil && waitT0 == 0 {
 			waitT0 = time.Now().UnixNano()
 			po.submitWaits.Inc()
 		}
-		s.cond.Wait() // backpressure: wait for the commit frontier
+		s.awaitRoom() // backpressure: wait for the commit frontier
 	}
 	if waitT0 != 0 {
 		p.po.submitWait.Observe(time.Now().UnixNano() - waitT0)
@@ -351,7 +347,7 @@ func (p *Pipeline) submitWith(ctx context.Context, t *Ticket, body Body, payload
 		s.mu.Unlock()
 		return errTicketInFlight
 	}
-	s.cond.Broadcast() // wake claim-blocked workers
+	s.work.Broadcast() // wake idle workers
 	s.mu.Unlock()
 	return nil
 }
@@ -436,7 +432,7 @@ batch:
 				err = &Stopped{Fault: s.fault}
 				break batch
 			}
-			if s.closed {
+			if s.closed.Load() {
 				err = ErrClosed
 				break batch
 			}
@@ -446,19 +442,11 @@ batch:
 					break batch
 				}
 			}
-			if s.submitted-(s.base+s.ncommitted) < uint64(s.capacity) {
+			if s.hasRoom() {
 				break
 			}
 			if ctx != nil && unwatch == nil && ctx.Done() != nil {
-				// Same lazy wakeup hook as submitWith: the park below waits
-				// on the stream's cond, which a context firing must be able
-				// to interrupt. Registered once per batch, only when a park
-				// is imminent.
-				unwatch = context.AfterFunc(ctx, func() {
-					s.mu.Lock()
-					s.cond.Broadcast()
-					s.mu.Unlock()
-				})
+				unwatch = s.wakeOnDone(ctx) // once per batch
 			}
 			if po := p.po; po != nil && waitT0 == 0 {
 				waitT0 = time.Now().UnixNano()
@@ -466,9 +454,9 @@ batch:
 			}
 			// Publish what the batch posted so far before parking:
 			// workers drain those ages, commits advance the frontier,
-			// and the broadcast from committed() wakes us again.
-			s.cond.Broadcast()
-			s.cond.Wait()
+			// and committed() wakes us again.
+			s.work.Broadcast()
+			s.awaitRoom()
 		}
 		if waitT0 != 0 {
 			p.po.submitWait.Observe(time.Now().UnixNano() - waitT0)
@@ -483,7 +471,7 @@ batch:
 		}
 		out = append(out, t)
 	}
-	s.cond.Broadcast() // wake claim-blocked workers for what was posted
+	s.work.Broadcast() // wake idle workers for what was posted
 	s.mu.Unlock()
 	return out, err
 }
@@ -495,10 +483,12 @@ batch:
 func (p *Pipeline) Drain() error {
 	s := p.s
 	s.mu.Lock()
-	target := s.submitted
-	for s.fault == nil && s.base+s.ncommitted < target {
-		s.cond.Wait()
+	target := s.submitted.Load()
+	s.waiters.Add(1)
+	for s.fault == nil && s.reported() < target {
+		s.commits.Wait()
 	}
+	s.waiters.Add(-1)
 	f := s.fault
 	s.mu.Unlock()
 	if f != nil {
@@ -602,28 +592,24 @@ func (p *Pipeline) Fault() *Fault { return p.l.fault.Load() }
 func (p *Pipeline) Stats() meta.StatsView { return p.stats.View() }
 
 // Submitted returns the number of transactions accepted so far.
-func (p *Pipeline) Submitted() uint64 {
-	s := p.s
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.submitted - s.base
-}
+func (p *Pipeline) Submitted() uint64 { return p.s.submitted.Load() - p.s.base }
 
 // Committed returns the number of transactions committed so far.
-func (p *Pipeline) Committed() uint64 {
-	s := p.s
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ncommitted
-}
+func (p *Pipeline) Committed() uint64 { return p.s.ncommitted.Load() }
 
 // InFlight returns the number of submissions not yet committed; it
 // never exceeds the configured Capacity.
 func (p *Pipeline) InFlight() int {
 	s := p.s
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return int(s.submitted - (s.base + s.ncommitted))
+	for {
+		// Both counters at one instant: the commit count read while the
+		// submission count held still.
+		sub := s.submitted.Load()
+		done := s.reported()
+		if s.submitted.Load() == sub {
+			return int(sub - done)
+		}
+	}
 }
 
 // Durable returns the durability frontier: every age below it is on
@@ -667,23 +653,31 @@ func (p *Pipeline) Checkpoint() (uint64, error) {
 		s.mu.Unlock()
 		return p.lastCkpt, &DurabilityError{Err: err}
 	}
-	gate := s.claimed
-	if gate <= p.lastCkpt {
-		s.mu.Unlock()
-		return p.lastCkpt, nil // no commits since the last checkpoint
+	var gate uint64
+	for {
+		// Only Checkpoint sets the gate bit, and ckptMu serializes it,
+		// so the cursor is ungated here; the CAS fails only on a claim.
+		gate = s.cursor.Load()
+		if gate <= p.lastCkpt {
+			s.mu.Unlock()
+			return p.lastCkpt, nil // no commits since the last checkpoint
+		}
+		if s.cursor.CompareAndSwap(gate, gate|gateBit) {
+			break
+		}
 	}
 	var ckptT0 time.Time
 	if p.po != nil {
 		ckptT0 = time.Now()
 	}
-	s.gated, s.gate = true, gate
-	for s.fault == nil && s.base+s.ncommitted < gate {
-		s.cond.Wait()
+	s.waiters.Add(1)
+	for s.fault == nil && s.reported() < gate {
+		s.commits.Wait()
 	}
+	s.waiters.Add(-1)
 	if s.fault != nil {
 		f := s.fault
-		s.gated = false
-		s.cond.Broadcast()
+		s.lift(gate)
 		s.mu.Unlock()
 		return p.lastCkpt, &Stopped{Fault: f}
 	}
@@ -694,8 +688,7 @@ func (p *Pipeline) Checkpoint() (uint64, error) {
 	p.WaitStable()
 	state, serr := p.cfg.Snapshotter.Snapshot()
 	s.mu.Lock()
-	s.gated = false
-	s.cond.Broadcast()
+	s.lift(gate)
 	s.mu.Unlock()
 	if serr != nil {
 		err := fmt.Errorf("stm: checkpoint snapshot at age %d: %w", gate, serr)
@@ -776,29 +769,61 @@ func (p *Pipeline) ckptLoop() {
 // is kept only because the benchmark harness (bench/) reports it.
 func (p *Pipeline) Epochs() uint64 { return p.Committed() >> 16 }
 
-// pipeEntry is one slot of the submission ring. A slot only needs to
-// survive until its age is claimed (claims are in age order, so a
-// slot is always consumed before the backpressure window lets it be
-// overwritten).
+// pipeEntry is one slot of the submission ring. stamp is age+1 while
+// the slot holds an unclaimed age's body and 0 once the age's claimer
+// has read the body out: post writes body, then stamp, then publishes
+// the age through submitted; a worker reads body only after winning the
+// age on the claim cursor, and clears stamp last to release the slot.
+// Backpressure guarantees that a slot's previous tenant has been
+// claimed before post comes round to the slot again — claims are in
+// age order, and Capacity commits cannot happen without as many claims
+// — but under commit-order skew (TL2, NOrec, the unordered UndoLogs,
+// STMLite) not that it has been released, so post waits for the
+// release before it writes.
 type pipeEntry struct {
-	age  uint64
-	body Body
+	stamp atomic.Uint64
+	body  Body
 }
 
-// tslot is one slot of the ticket ring. Unlike submission slots,
-// ticket slots live until the age *commits*, and unordered engines —
+// tcell is one cell of the ticket ring. Unlike submission slots,
+// ticket cells live until the age *commits*, and unordered engines —
 // and STMLite's concurrent write-backs — report commits out of age
-// order, so an age can wrap around to a slot whose older ticket is
+// order, so an age can wrap around to a cell whose older ticket is
 // still unresolved; such tickets overflow into the age-keyed map. For
 // in-order engines the overflow never happens (in-flight ages span
 // less than the capacity-sized ring), so the steady-state path is an
-// age-tagged array slot instead of a map insert+delete per
-// transaction. The same record parks a WaitDurable ticket between
-// commit and sync.
+// age-tagged array cell instead of a map insert+delete per
+// transaction.
+//
+// post (under mu) fills a cell only while t is nil: ts, then age, then
+// t. Every resolver — the commit report, a stop's sweep, the teardown
+// backstop — takes the ticket out with a Swap of t, so it is resolved
+// exactly once, and reads ts only before that Swap, which is what lets
+// post write the cell again.
+type tcell struct {
+	age atomic.Uint64
+	t   atomic.Pointer[Ticket]
+	ts  int64 // UnixNano at age assignment; 0 unless the age is latency-sampled
+}
+
+// take removes age's ticket from the cell. It reports false if the
+// cell holds another age's ticket (age's overflowed) or none (a stop's
+// sweep took it).
+func (c *tcell) take(age uint64) (tslot, bool) {
+	if c.age.Load() != age {
+		return tslot{}, false
+	}
+	ts := c.ts
+	t := c.t.Swap(nil)
+	return tslot{age: age, t: t, ts: ts}, t != nil
+}
+
+// tslot is a ticket held outside the ring: in the overflow map, or
+// parked between commit and sync by WaitDurable.
 type tslot struct {
 	age uint64
 	t   *Ticket
-	ts  int64 // UnixNano at age assignment; 0 unless the age is latency-sampled
+	ts  int64 // as tcell.ts
 }
 
 // pslot is one slot of the durable payload ring; full distinguishes
@@ -810,44 +835,78 @@ type pslot struct {
 	full bool
 }
 
+// gateBit is the claim cursor's checkpoint gate: while it is set,
+// workers claim nothing. The checkpointer sets it to freeze a quiescent
+// frontier (no speculative execution — not even an aborted attempt's
+// in-place write — ever happens at or above a never-claimed age) and
+// always clears it again; a worker that finds the stream closed but
+// gated therefore waits rather than exiting. A gated cursor compares
+// above every age (NewPipeline keeps ages below the bit), so the claim
+// test needs no second comparison.
+const gateBit = 1 << 63
+
 // stream implements feed for the pipeline: a bounded ring of
 // submissions between the producer side (Submit/Drain/Close) and the
-// run-loop's workers. All state is guarded by mu; the single cond
-// covers every wait (backpressure, claim, drain) — commits broadcast
-// and each waiter re-checks its own predicate.
+// run-loop's workers.
+//
+// Synchronization. The run-loop side takes no lock: a worker claims an
+// age by compare-and-swap on the claim cursor and reads the body out
+// of its submission slot, and a commit report takes the ticket out of
+// its ring cell, resolves it and counts it. mu serializes the rest:
+// producers (age assignment, ticket arming, the backpressure check),
+// the durable step of a WAL pipeline's commit, the skew overflow maps,
+// and every goroutine that parks or wakes a parked one.
+//
+// Sleeping. Idle workers park on work. Everything that gives them
+// something to do — a post, the gate's lift, close, a stop — happens
+// under mu, which a worker holds from its re-check of the cursor into
+// Wait, so no wakeup is lost. Producers at Capacity, Drain and
+// Checkpoint park on commits until the commit count reaches their
+// target. The count moves without mu, so a sleeper registers in
+// waiters (under mu) before it checks the count, and a commit first
+// adds to the count and then, only if waiters is non-zero, takes mu to
+// broadcast. Both are sequentially consistent atomics, so one of two
+// things holds: the committer's load of waiters comes after the
+// sleeper's registration — then it broadcasts, and as the broadcast
+// needs mu it lands once the sleeper is inside Wait — or it comes
+// before, and then so does the count's increment, which the sleeper's
+// check sees. Drain and Checkpoint stay registered for their whole
+// wait; a producer, whose every submit checks for room first,
+// registers only once that check failed, and checks again.
 type stream struct {
-	mu   sync.Mutex
-	cond *sync.Cond
+	// Set before the workers start (closed: stored once, under mu)
+	// and read by every side.
+	entries   []pipeEntry
+	emask     uint64
+	tcells    []tcell // ticket ring; same geometry as entries
+	base      uint64  // first age of the stream
+	capacity  int
+	closed    atomic.Bool
+	ckptEvery uint64           // Config.CheckpointEvery, 0 when disabled
+	ckptKick  chan struct{}    // signals the checkpointer goroutine
+	onCommit  func(age uint64) // Config.OnCommit, nil when unset
+	dur       *durState        // durability state, nil without a WAL
+	po        *pipeObs         // observability, nil without Config.Obs
 
-	entries []pipeEntry
-	emask   uint64
-	tslots  []tslot          // ticket ring; same geometry as entries
-	tickets map[uint64]tslot // overflow for out-of-order commit skew
+	// What producers write on every submit, off the lines above.
+	_         [64]byte
+	mu        sync.Mutex
+	work      *sync.Cond       // idle workers
+	commits   *sync.Cond       // producers at Capacity, Drain, Checkpoint
+	tickets   map[uint64]tslot // overflow for out-of-order commit skew; under mu
+	fault     *Fault           // under mu
+	sinceCkpt uint64           // commits since the last checkpoint kick; under mu
 
-	base       uint64 // first age of the stream
-	capacity   int
-	submitted  uint64 // next age to assign (starts at base)
-	claimed    uint64 // next age to hand to a worker (starts at base)
-	ncommitted uint64 // count of committed transactions
-	closed     bool
-	fault      *Fault
-
-	// Claim gate: while gated, workers may not claim ages at or above
-	// gate. The checkpointer raises it to freeze a quiescent frontier
-	// (no speculative execution — not even an aborted attempt's
-	// in-place write — ever happens at or above a never-claimed age)
-	// and always lifts it again; a worker that finds the stream closed
-	// but gated therefore waits rather than exiting.
-	gated bool
-	gate  uint64
-
-	ckptEvery uint64        // Config.CheckpointEvery, 0 when disabled
-	sinceCkpt uint64        // commits since the last checkpoint kick
-	ckptKick  chan struct{} // signals the checkpointer goroutine
-
-	onCommit func(age uint64) // Config.OnCommit, nil when unset
-	dur      *durState        // durability state, nil without a WAL
-	po       *pipeObs         // observability, nil without Config.Obs
+	// The counters producers, workers and the validator share, one
+	// writer side each, on lines of their own.
+	_          [64]byte
+	submitted  atomic.Uint64 // next age to assign; stored under mu
+	_          [56]byte
+	cursor     atomic.Uint64 // next age to hand to a worker, plus gateBit
+	_          [56]byte
+	ncommitted atomic.Uint64 // count of committed transactions
+	waiters    atomic.Int32  // goroutines registered to park on commits
+	_          [52]byte
 }
 
 // durState is the stream's durability bookkeeping: payload retention
@@ -953,16 +1012,16 @@ func newStream(cfg Config) *stream {
 		size <<= 1
 	}
 	s := &stream{
-		entries:   make([]pipeEntry, size),
-		emask:     size - 1,
-		tslots:    make([]tslot, size),
-		tickets:   make(map[uint64]tslot),
-		base:      cfg.FirstAge,
-		capacity:  cfg.Capacity,
-		submitted: cfg.FirstAge,
-		claimed:   cfg.FirstAge,
-		onCommit:  cfg.OnCommit,
+		entries:  make([]pipeEntry, size),
+		emask:    size - 1,
+		tcells:   make([]tcell, size),
+		tickets:  make(map[uint64]tslot),
+		base:     cfg.FirstAge,
+		capacity: cfg.Capacity,
+		onCommit: cfg.OnCommit,
 	}
+	s.submitted.Store(cfg.FirstAge)
+	s.cursor.Store(cfg.FirstAge)
 	if cfg.WAL != nil {
 		s.dur = &durState{
 			log:      cfg.WAL,
@@ -975,29 +1034,39 @@ func newStream(cfg Config) *stream {
 		}
 		s.dur.burst, _ = cfg.WAL.(burstLog)
 	}
-	s.cond = sync.NewCond(&s.mu)
+	s.work = sync.NewCond(&s.mu)
+	s.commits = sync.NewCond(&s.mu)
 	return s
 }
 
 // post assigns the next age to body and registers the ticket (and, on
 // durable pipelines, retains the encoded payload until commit). It
 // reports false, posting nothing, if the ticket is still in flight.
-// Called with mu held and room available.
+// Called with mu held and room available. The age is published last,
+// through submitted: a worker that sees it finds the slot and the
+// ticket in place.
 func (s *stream) post(t *Ticket, body Body, payload []byte) bool {
-	age := s.submitted
+	age := s.submitted.Load()
 	if !t.arm(age) {
 		return false
 	}
-	tk := tslot{age: age, t: t}
+	var ts int64
 	if po := s.po; po != nil {
 		if age&latSampleMask == 0 {
-			tk.ts = time.Now().UnixNano()
+			ts = time.Now().UnixNano()
 		}
 		if po.trace.Sampled(age) {
 			po.trace.Record(age, obs.StageSubmit)
 		}
 	}
-	s.entries[age&s.emask] = pipeEntry{age: age, body: body}
+	if c := &s.tcells[age&s.emask]; c.t.Load() == nil {
+		c.ts = ts
+		c.age.Store(age)
+		c.t.Store(t)
+	} else {
+		// Ring cell still held by an unresolved age.
+		s.tickets[age] = tslot{age: age, t: t, ts: ts}
+	}
 	if d := s.dur; d != nil {
 		sl := &d.pring[age&s.emask]
 		if sl.full {
@@ -1007,81 +1076,75 @@ func (s *stream) post(t *Ticket, body Body, payload []byte) bool {
 		}
 		sl.age, sl.p, sl.full = age, payload, true
 	}
-	if sl := &s.tslots[age&s.emask]; sl.t == nil {
-		*sl = tk
-	} else {
-		s.tickets[age] = tk // ring slot still held by an unresolved age
+	e := &s.entries[age&s.emask]
+	for e.stamp.Load() != 0 {
+		// Commit-order skew: the previous tenant is claimed but its
+		// claimer has not read the body out yet. It holds no lock
+		// between its claim and the release, so this is short.
+		runtime.Gosched()
 	}
-	s.submitted++
+	e.body = body
+	e.stamp.Store(age + 1)
+	s.submitted.Store(age + 1)
 	return true
 }
 
-// claim implements feed: hand out submitted ages in order, blocking
-// while the stream is open but empty.
+// claim implements feed: hand out submitted ages in order, parking
+// while the stream is open but has nothing to claim.
 func (s *stream) claim(stop func() bool) (uint64, Body, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	for {
 		if stop() {
 			return 0, nil, false
 		}
-		if s.claimed < s.submitted && !(s.gated && s.claimed >= s.gate) {
-			age := s.claimed
-			s.claimed++
-			return age, s.entries[age&s.emask].body, true
+		cur := s.cursor.Load()
+		if cur < s.submitted.Load() {
+			if !s.cursor.CompareAndSwap(cur, cur+1) {
+				continue // another worker took it
+			}
+			e := &s.entries[cur&s.emask]
+			body := e.body
+			e.body = nil
+			e.stamp.Store(0) // release: post may write the slot again
+			return cur, body, true
 		}
-		if s.closed && s.claimed == s.submitted {
-			// Fully drained. (A closed-but-gated stream with entries
-			// above the gate parks instead: the checkpointer always
-			// lifts its gate, and the tail must still be driven to
-			// commit.)
+		if s.exhausted() {
 			return 0, nil, false
 		}
-		s.cond.Wait()
+		s.mu.Lock()
+		if !stop() && !s.exhausted() && s.cursor.Load() >= s.submitted.Load() {
+			s.work.Wait()
+		}
+		s.mu.Unlock()
 	}
 }
 
-// committed implements feed: hand the age to the durability layer,
-// resolve its ticket (immediately, or once durable under
-// WaitDurable), advance the commit count (which releases
-// backpressure), and kick the checkpointer every CheckpointEvery
-// commits.
+// exhausted reports that the stream is closed and every submitted age
+// has been claimed. (A closed-but-gated stream with ages above the
+// gate is not: the checkpointer always lifts its gate, and the tail
+// must still be driven to commit.)
+func (s *stream) exhausted() bool {
+	return s.closed.Load() && s.cursor.Load()&^gateBit == s.submitted.Load()
+}
+
+// committed implements feed: take the age's ticket, hand the age to
+// the durability layer, resolve the ticket (immediately, or once
+// durable under WaitDurable), and advance the commit count (which
+// releases backpressure). On a volatile pipeline none of it takes mu
+// unless a sleeper is registered. A WAL pipeline takes mu for its
+// durable step and keeps it through the count, so a sleeper costs it
+// no second acquisition.
 func (s *stream) committed(age uint64) {
-	s.mu.Lock()
-	var tk tslot // survives the WaitDurable deferral below, for latency stamps
-	if sl := &s.tslots[age&s.emask]; sl.t != nil && sl.age == age {
-		tk = *sl
-		sl.t = nil
-	} else if o, ok := s.tickets[age]; ok {
-		delete(s.tickets, age)
-		tk = o
+	tk, ok := s.tcells[age&s.emask].take(age)
+	if !ok {
+		tk = s.takeOverflow(age)
 	}
 	t := tk.t
-	if s.onCommit != nil {
+	locked := s.dur != nil
+	if locked {
+		s.mu.Lock()
+		t = s.durableStep(age, tk)
+	} else if s.onCommit != nil {
 		s.onCommit(age)
-	}
-	if d := s.dur; d != nil {
-		s.logAge(age)
-		// Only WaitDurable couples ticket resolution to the log: a
-		// plain durable pipeline acknowledges at commit — even after a
-		// log failure the transaction did commit, so its ticket stays
-		// nil (exactly as the sharded router behaves) and the failure
-		// reaches the caller through WaitDurable tickets and Close.
-		// (After a fault t is nil unless the age completed before the
-		// stop landed: halted's sweep left exactly those for us.)
-		if t != nil && d.wait {
-			switch {
-			case d.err != nil:
-				// The log is dead: the transaction committed in
-				// memory, but the durability promise Wait is waiting
-				// on cannot be kept.
-				t.resolve(&DurabilityError{Err: d.err})
-				t = nil
-			case age >= d.log.Durable():
-				d.deferTicket(tk) // resolved by durableTo at a sync point
-				t = nil
-			}
-		}
 	}
 	if po := s.po; po != nil {
 		// Sampled ages only (same mask as post, so a timed ticket is
@@ -1107,7 +1170,46 @@ func (s *stream) committed(age uint64) {
 	if t != nil {
 		t.resolve(nil)
 	}
-	s.ncommitted++
+	s.ncommitted.Add(1)
+	if !locked && s.waiters.Load() != 0 {
+		s.mu.Lock()
+		locked = true
+	}
+	if locked {
+		s.commits.Broadcast()
+		s.mu.Unlock()
+	}
+}
+
+// durableStep is a WAL pipeline's part of committed, called with mu
+// held: OnCommit, the log append, the WaitDurable deferral and the
+// checkpoint kick, in that order. It returns the ticket still to
+// resolve at commit, nil once deferred or failed.
+func (s *stream) durableStep(age uint64, tk tslot) *Ticket {
+	d, t := s.dur, tk.t
+	if s.onCommit != nil {
+		s.onCommit(age)
+	}
+	s.logAge(age)
+	// Only WaitDurable couples ticket resolution to the log: a plain
+	// durable pipeline acknowledges at commit — even after a log
+	// failure the transaction did commit, so its ticket stays nil
+	// (exactly as the sharded router behaves) and the failure reaches
+	// the caller through WaitDurable tickets and Close. (After a fault
+	// t is nil unless the age completed before the stop landed:
+	// halted's sweep left exactly those for us.)
+	if t != nil && d.wait {
+		switch {
+		case d.err != nil:
+			// The log is dead: the transaction committed in memory, but
+			// the durability promise Wait is waiting on cannot be kept.
+			t.resolve(&DurabilityError{Err: d.err})
+			t = nil
+		case age >= d.log.Durable():
+			d.deferTicket(tk) // resolved by durableTo at a sync point
+			t = nil
+		}
+	}
 	if s.ckptEvery > 0 {
 		s.sinceCkpt++
 		if s.sinceCkpt >= s.ckptEvery {
@@ -1118,8 +1220,18 @@ func (s *stream) committed(age uint64) {
 			}
 		}
 	}
-	s.cond.Broadcast()
-	s.mu.Unlock()
+	return t
+}
+
+// takeOverflow is committed's way to age's ticket when the ring cell
+// does not hold it: the ticket overflowed on commit-order skew, or a
+// stop's sweep already resolved it (then t is nil).
+func (s *stream) takeOverflow(age uint64) tslot {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	tk := s.tickets[age]
+	delete(s.tickets, age)
+	return tk
 }
 
 // logAge is the commit-frontier hook: it consumes the age's retained
@@ -1155,7 +1267,7 @@ func (s *stream) logAge(age uint64) {
 		d.pend[age] = append([]byte(nil), p...)
 		return
 	}
-	inflight := s.submitted-(s.base+s.ncommitted) > 1
+	inflight := s.submitted.Load()-s.reported() > 1
 	for {
 		succ, parked := d.pend[d.next+1]
 		var err error
@@ -1234,12 +1346,15 @@ func (s *stream) halted(f *Fault, frontier uint64) {
 	}
 	s.fault = f
 	s.resolveOutstanding(f, frontier)
-	s.cond.Broadcast()
+	s.work.Broadcast()
+	s.commits.Broadcast()
 }
 
 // resolveOutstanding resolves every unresolved ticket of an age at or
 // above from: the faulting age with the fault itself, everything else
-// with a *Stopped error. Called with mu held.
+// with a *Stopped error. Called with mu held, so no post refills a
+// cell between the age check and the take; a commit report racing the
+// sweep for the same ticket loses or wins the Swap.
 func (s *stream) resolveOutstanding(f *Fault, from uint64) {
 	fail := func(age uint64, t *Ticket) {
 		switch {
@@ -1251,11 +1366,12 @@ func (s *stream) resolveOutstanding(f *Fault, from uint64) {
 			t.resolve(ErrClosed)
 		}
 	}
-	for i := range s.tslots {
-		if sl := &s.tslots[i]; sl.t != nil && sl.age >= from {
-			t := sl.t
-			sl.t = nil
-			fail(sl.age, t)
+	for i := range s.tcells {
+		c := &s.tcells[i]
+		if age := c.age.Load(); age >= from && c.t.Load() != nil {
+			if t := c.t.Swap(nil); t != nil {
+				fail(age, t)
+			}
 		}
 	}
 	for age, sl := range s.tickets {
@@ -1267,20 +1383,61 @@ func (s *stream) resolveOutstanding(f *Fault, from uint64) {
 }
 
 // drained reports that the stream is closed and every submitted age
-// has committed (the validator's exit condition).
+// has committed (the validator's exit condition). Once closed reads
+// true, submitted is final.
 func (s *stream) drained() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed && s.base+s.ncommitted == s.submitted
+	return s.closed.Load() && s.reported() == s.submitted.Load()
 }
 
-// close stops accepting submissions and wakes claim-blocked workers
-// so they can drain the tail and exit.
+// close stops accepting submissions and wakes idle workers so they can
+// drain the tail and exit.
 func (s *stream) close() {
 	s.mu.Lock()
-	s.closed = true
-	s.cond.Broadcast()
+	s.closed.Store(true)
+	s.work.Broadcast()
+	s.commits.Broadcast() // producers parked at Capacity refuse now
 	s.mu.Unlock()
+}
+
+// lift clears the checkpoint gate that froze claims at gate and wakes
+// the workers it held back. Called with mu held.
+func (s *stream) lift(gate uint64) {
+	s.cursor.Store(gate)
+	s.work.Broadcast()
+}
+
+// reported is base plus the commit count: the age the commit reports
+// have counted up to.
+func (s *stream) reported() uint64 { return s.base + s.ncommitted.Load() }
+
+// hasRoom reports that fewer than Capacity submissions are in flight.
+// Called with mu held, so submitted holds still.
+func (s *stream) hasRoom() bool {
+	return s.submitted.Load()-s.reported() < uint64(s.capacity)
+}
+
+// awaitRoom parks a producer at Capacity, which holds mu, until the
+// next broadcast on commits; the caller then re-checks its whole
+// predicate. The re-check of the room after registering is what keeps
+// committed's lock-free notification from being lost (see stream).
+func (s *stream) awaitRoom() {
+	s.waiters.Add(1)
+	if !s.hasRoom() {
+		s.commits.Wait()
+	}
+	s.waiters.Add(-1)
+}
+
+// wakeOnDone makes ctx's end wake producers parked at Capacity. It is
+// hooked up lazily, only once a park is imminent, so the common submit
+// pays nothing; no wakeup is lost because the callback needs mu, which
+// the parking producer holds until it is inside Wait.
+func (s *stream) wakeOnDone(ctx context.Context) (stop func() bool) {
+	return context.AfterFunc(ctx, func() {
+		s.mu.Lock()
+		s.commits.Broadcast()
+		s.mu.Unlock()
+	})
 }
 
 // settle resolves any ticket still unresolved at teardown (only

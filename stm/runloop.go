@@ -38,7 +38,9 @@ type feed interface {
 	claim(stop func() bool) (age uint64, body Body, ok bool)
 	// committed reports that age reached its final commit. Cooperative
 	// and blocked engines report in strict age order; unordered engines
-	// report in commit order, which can differ from age order.
+	// report in commit order, which can differ from age order. Every
+	// mode but the cooperative one reports from the workers, so calls
+	// for different ages may overlap.
 	committed(age uint64)
 	// halted reports that the loop stopped before draining (a body
 	// faulted). The feed must wake anything blocked in claim or in a

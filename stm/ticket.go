@@ -139,10 +139,11 @@ func (t *Ticket) arm(age uint64) bool {
 	return true
 }
 
-// resolve completes the ticket. Callers serialize through the
-// stream's mutex and clear their reference afterwards, so a ticket is
-// resolved at most once per life. A commit stores nothing; any other
-// outcome costs the one pointer it is kept behind.
+// resolve completes the ticket. Every caller first takes the ticket
+// out of the stream — out of its ring cell with a Swap, or out of the
+// overflow map or the WaitDurable queue under the stream's mutex — so
+// a ticket is resolved at most once per life. A commit stores nothing;
+// any other outcome costs the one pointer it is kept behind.
 func (t *Ticket) resolve(err error) {
 	if err != nil {
 		t.err = new(error) // made here: taking &err would move every call's err to the heap
