@@ -388,7 +388,7 @@ func BenchmarkSubmitCommitSharded(b *testing.B) {
 // cycles reported as a metric; wall time here is simulator speed, not
 // the result).
 func BenchmarkSimFigure234(b *testing.B) {
-	algos := []simcpu.Algo{simcpu.OUL, simcpu.OULSteal, simcpu.OWB,
+	algos := []simcpu.Algo{simcpu.OUL, simcpu.OWB,
 		simcpu.OrderedTL2, simcpu.OrderedUndoLogVis, simcpu.STMLite}
 	for _, bench := range micro.Benches() {
 		traces := simcpu.GenTraces(bench, micro.Short, 4000, benchPool, 7)

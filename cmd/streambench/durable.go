@@ -397,6 +397,8 @@ func runRecovery(dir string, alg stm.Algorithm, shards, workers, pool int, emitJ
 	if err != nil {
 		fatal(err)
 	}
+	// The replayed payloads, kept for the oracle below.
+	replayed := make([][]byte, 0, rec.Count())
 	start := time.Now()
 	if shards == 0 {
 		p, err := stm.NewPipeline(stm.Config{
@@ -410,6 +412,7 @@ func runRecovery(dir string, alg stm.Algorithm, shards, workers, pool int, emitJ
 			fatal(err)
 		}
 		if err := rec.Replay(func(age uint64, payload []byte) error {
+			replayed = append(replayed, payload)
 			_, err := p.SubmitEncoded(payload)
 			return err
 		}); err != nil {
@@ -430,6 +433,7 @@ func runRecovery(dir string, alg stm.Algorithm, shards, workers, pool int, emitJ
 			fatal(err)
 		}
 		if err := rec.Replay(func(age uint64, payload []byte) error {
+			replayed = append(replayed, payload)
 			_, err := sp.SubmitEncoded(payload)
 			return err
 		}); err != nil {
@@ -462,8 +466,8 @@ func runRecovery(dir string, alg stm.Algorithm, shards, workers, pool int, emitJ
 			model[i] = binary.LittleEndian.Uint64(app[8*i:])
 		}
 	}
-	for _, r := range rec.Records() {
-		p, err := decodePayload(r.Payload)
+	for _, payload := range replayed {
+		p, err := decodePayload(payload)
 		if err != nil {
 			fatal(err)
 		}

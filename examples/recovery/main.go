@@ -239,10 +239,12 @@ func main() {
 	}()
 	replies := make([]uint64, 0, rec.Count())
 	tks := make([]*stm.TicketOf[uint64], 0, rec.Count())
+	recs := make([]wal.Record, 0, rec.Count()) // the replayed inputs, for phase 4's fold
 	check(rec.Replay(func(age uint64, data []byte) error {
 		tk, err := stm.SubmitEncodedT[request, uint64](context.Background(), p, data)
 		if err == nil {
 			tks = append(tks, tk)
+			recs = append(recs, wal.Record{Age: age, Payload: data})
 		}
 		return err
 	}))
@@ -258,7 +260,7 @@ func main() {
 	for i := range model {
 		model[i] = balance
 	}
-	for i, r := range rec.Records() {
+	for i, r := range recs {
 		from := binary.LittleEndian.Uint32(r.Payload[0:4])
 		to := binary.LittleEndian.Uint32(r.Payload[4:8])
 		amt := r.Age%5 + 1

@@ -398,7 +398,14 @@ func replayMatches(cfg Config, rec *wal.Recovery) (bool, error) {
 		accounts[i].Store(initialBalance)
 		model[i] = initialBalance
 	}
-	for _, r := range rec.Records() {
+	var recs []wal.Record
+	if err := rec.Replay(func(age uint64, payload []byte) error {
+		recs = append(recs, wal.Record{Age: age, Payload: payload})
+		return nil
+	}); err != nil {
+		return false, err
+	}
+	for _, r := range recs {
 		from, to, err := decodeTransfer(r.Payload)
 		if err != nil {
 			return false, err

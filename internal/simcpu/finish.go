@@ -2,7 +2,7 @@ package simcpu
 
 import "math"
 
-// finishCooperative exposes a completed OWB/OUL/OUL-Steal transaction
+// finishCooperative exposes a completed OWB/OUL transaction
 // and frees the core; ordered commits drain through the validator
 // service.
 func (s *sim) finishCooperative(c int, t int64) {

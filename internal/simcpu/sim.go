@@ -213,9 +213,6 @@ func (s *sim) finalizeAbort(tx *simTx, t int64) int64 {
 	cost := s.p.AbortBase
 	if s.algo.writeThrough() {
 		cost += int64(len(tx.writes)) * s.p.LockEntry
-		if s.algo == OULSteal {
-			cost += int64(len(tx.writes)) * s.p.LockEntry // recursive hand-back (§8: 2–4x)
-		}
 		for _, a := range tx.writes {
 			l := s.lock(a)
 			l.version++ // dirty value restored: invisible readers must revalidate
@@ -394,7 +391,7 @@ func (s *sim) doRead(c int, tx *simTx, op Op, t int64) (int64, bool) {
 				return cost, false
 			}
 		}
-	case OUL, OULSteal:
+	case OUL:
 		cost += s.p.VisibleReg
 		if liveTx(l.writer) && l.writer != tx && l.writer.age > tx.age {
 			s.doom(l.writer, t) // W2→R1; forwarding otherwise
@@ -444,12 +441,12 @@ func (s *sim) doWrite(c int, tx *simTx, op Op, t int64) (int64, bool) {
 	l := s.lock(op.Addr)
 	cost := s.p.WriteBase
 	switch s.algo {
-	case OUL, OULSteal, UndoLogVis, OrderedUndoLogVis, UndoLogInvis, OrderedUndoLogInvis:
+	case OUL, UndoLogVis, OrderedUndoLogVis, UndoLogInvis, OrderedUndoLogInvis:
 		if liveTx(l.writer) && l.writer != tx {
 			w := l.writer
 			ordered := s.algo.Ordered()
 			switch {
-			case ordered && w.age > tx.age && (s.algo == OUL || s.algo == OULSteal):
+			case ordered && w.age > tx.age && s.algo == OUL:
 				s.doom(w, t) // W2→W1: cooperative writers take over at once
 			case ordered && w.age > tx.age:
 				// Blocked undo logs doom the higher-age holder and wait
@@ -457,8 +454,6 @@ func (s *sim) doWrite(c int, tx *simTx, op Op, t int64) (int64, bool) {
 				s.doom(w, t)
 				s.stallOn(c, w)
 				return 0, true
-			case ordered && s.algo == OULSteal:
-				// W1→W2 lock steal: no abort.
 			case ordered && s.algo == OUL:
 				s.doom(tx, t) // W1→W2
 				return cost, false

@@ -34,7 +34,7 @@ func TestAllAlgosComplete(t *testing.T) {
 // TestDeterminism: identical inputs give identical results.
 func TestDeterminism(t *testing.T) {
 	tr := traces(micro.RWN, micro.Long, 400)
-	for _, a := range []Algo{OWB, OUL, OULSteal, OrderedTL2, STMLite} {
+	for _, a := range []Algo{OWB, OUL, OrderedTL2, STMLite} {
 		r1 := Simulate(a, tr, 6, DefaultParams())
 		r2 := Simulate(a, tr, 6, DefaultParams())
 		if r1 != r2 {
@@ -47,7 +47,7 @@ func TestDeterminism(t *testing.T) {
 // scale nearly linearly in virtual time.
 func TestDisjointScales(t *testing.T) {
 	tr := traces(micro.Disjoint, micro.Long, 2000)
-	for _, a := range []Algo{OWB, OUL, OULSteal} {
+	for _, a := range []Algo{OWB, OUL} {
 		one := Simulate(a, tr, 1, DefaultParams())
 		eight := Simulate(a, tr, 8, DefaultParams())
 		speedup := float64(one.VirtualTime) / float64(eight.VirtualTime)
@@ -87,22 +87,6 @@ func TestOrderedGap(t *testing.T) {
 			t.Fatalf("%v (%d) slower than its ordered variant %v (%d)",
 				pair[0], un.VirtualTime, pair[1], or.VirtualTime)
 		}
-	}
-}
-
-// TestOULStealReducesAborts: on write-heavy workloads stealing must
-// reduce aborts versus plain OUL (Figure 5d's order-of-magnitude
-// observation, directionally).
-func TestOULStealReducesAborts(t *testing.T) {
-	tr := GenTraces(micro.RWN, micro.Short, 2000, 1<<10, 9)
-	p := DefaultParams()
-	oul := Simulate(OUL, tr, 8, p)
-	steal := Simulate(OULSteal, tr, 8, p)
-	if oul.Aborts == 0 {
-		t.Fatal("expected contention aborts in OUL")
-	}
-	if steal.Aborts >= oul.Aborts {
-		t.Fatalf("OUL-Steal aborts %d not below OUL %d", steal.Aborts, oul.Aborts)
 	}
 }
 

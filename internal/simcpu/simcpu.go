@@ -10,11 +10,10 @@
 // as the real engines (generated from internal/micro's parameters)
 // under per-algorithm protocol models:
 //
-//   - cooperative engines (OWB, OUL, OUL-Steal) expose transactions
-//     and move on; commits drain through a serialized validator
-//     service in age order, and conflicts are resolved by age with
-//     forwarding, visible-reader kills, cascading aborts and (for
-//     OUL-Steal) cheaper write-write conflicts but costlier aborts;
+//   - cooperative engines (OWB, OUL) expose transactions and move on;
+//     commits drain through a serialized validator service in age
+//     order, and conflicts are resolved by age with forwarding,
+//     visible-reader kills and cascading aborts;
 //   - blocked engines (Ordered TL2/NOrec/UndoLog) stall their worker
 //     core from transaction completion until the commit turn — the
 //     utilization loss the paper's cooperative model removes;
@@ -42,7 +41,6 @@ const (
 	Sequential Algo = iota
 	OWB
 	OUL
-	OULSteal
 	TL2
 	OrderedTL2
 	NOrec
@@ -73,8 +71,6 @@ func (a Algo) String() string {
 		return "OWB"
 	case OUL:
 		return "OUL"
-	case OULSteal:
-		return "OUL-Steal"
 	case TL2:
 		return "TL2"
 	case OrderedTL2:
@@ -108,11 +104,11 @@ func (a Algo) Ordered() bool {
 	}
 }
 
-func (a Algo) cooperative() bool { return a == OWB || a == OUL || a == OULSteal }
+func (a Algo) cooperative() bool { return a == OWB || a == OUL }
 
 func (a Algo) writeThrough() bool {
 	switch a {
-	case OUL, OULSteal, UndoLogVis, OrderedUndoLogVis, UndoLogInvis, OrderedUndoLogInvis:
+	case OUL, UndoLogVis, OrderedUndoLogVis, UndoLogInvis, OrderedUndoLogInvis:
 		return true
 	default:
 		return false
@@ -121,7 +117,7 @@ func (a Algo) writeThrough() bool {
 
 func (a Algo) visibleReaders() bool {
 	switch a {
-	case OUL, OULSteal, UndoLogVis, OrderedUndoLogVis:
+	case OUL, UndoLogVis, OrderedUndoLogVis:
 		return true
 	default:
 		return false

@@ -361,3 +361,88 @@ func TestCheckpointConfigValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestReplayThroughCheckpointingPipeline: Replay streams the suffix
+// from disk while the pipeline it feeds, attached to the reopened
+// Writer, checkpoints every few ages and compacts the log below them.
+// Compaction must never take a segment the replay still needs: the
+// replay ends at the sequential-fold state, and so does a recovery of
+// the compacted log.
+func TestReplayThroughCheckpointingPipeline(t *testing.T) {
+	const n, every = 3000, 100
+	dir := t.TempDir()
+	w, err := wal.Create(dir, 0, wal.Options{SegmentBytes: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for age := uint64(0); age < n; age++ {
+		if err := w.Append(age, transferFor(age).encode()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := wal.Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	segs, err := wal.Segments(dir)
+	if err != nil || len(segs) < 10 || rec.Count() != n {
+		t.Fatalf("%d segments (err %v), %d records; want a long multi-segment suffix", len(segs), err, rec.Count())
+	}
+
+	accounts := newAccounts(durableAccounts, 1000)
+	w, err = rec.Writer(wal.Options{SegmentBytes: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := stm.NewPipeline(stm.Config{
+		Algorithm:       stm.OWB,
+		Workers:         4,
+		WAL:             w,
+		Codec:           tfCodec{accounts: accounts},
+		FirstAge:        rec.First(),
+		CheckpointEvery: every,
+		Snapshotter:     varsSnapshotter(accounts),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.Replay(func(age uint64, payload []byte) error {
+		if age%every == 0 {
+			// The automatic checkpoints trail the replay by far; one
+			// taken here compacts right behind the cursor.
+			if _, err := p.Checkpoint(); err != nil {
+				return err
+			}
+		}
+		_, err := p.SubmitEncoded(payload)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if p.Checkpoints() < 2 {
+		t.Fatalf("the replay took %d checkpoints, want several", p.Checkpoints())
+	}
+	if segs, err := wal.Segments(dir); err != nil || len(segs) == 0 || segs[0].FirstAge == 0 {
+		t.Fatalf("segments %v (err %v): the checkpoints compacted nothing", segs, err)
+	}
+	model := modelTo(n)
+	if !equalState(snapshot(accounts), model) {
+		t.Fatal("the replayed state diverges from the sequential fold")
+	}
+	rec, err = wal.Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := recoverCheckpointedState(t, stm.OWB, rec); rec.Next() != n || !equalState(got, model) {
+		t.Fatalf("recovery of the compacted log (next %d) diverges from the sequential fold", rec.Next())
+	}
+}

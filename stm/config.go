@@ -92,10 +92,12 @@ type Config struct {
 	// CheckpointEvery is set.
 	Snapshotter Snapshotter
 	// OnCommit, when non-nil, is called for every age that reaches its
-	// final commit, in commit-report order (age order for every
-	// order-enforcing algorithm; engines whose workers report their own
-	// commits may call it for neighbouring ages at once, so it must be
-	// safe for concurrent use). It runs on the commit path, on a durable
+	// final commit, in commit-report order. That is age order only for
+	// the cooperative engines. Every other engine's workers report
+	// their own commits, after the order has let the next age commit
+	// (Ordered TL2, NOrec and UndoLog included), so neighbouring ages
+	// may be reported out of order or at once: it must be safe for
+	// concurrent use. It runs on the commit path, on a durable
 	// pipeline with the stream's lock held: it must be fast and must not
 	// call back into the pipeline. The sharded router uses it to track
 	// the global commit frontier across shards.

@@ -63,6 +63,19 @@ func (c tfCodec) Decode(data []byte) (stm.Body, error) {
 	}, nil
 }
 
+// replayed collects the records Recovery.Replay streams.
+func replayed(t *testing.T, rec *wal.Recovery) []wal.Record {
+	t.Helper()
+	var recs []wal.Record
+	if err := rec.Replay(func(age uint64, payload []byte) error {
+		recs = append(recs, wal.Record{Age: age, Payload: payload})
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return recs
+}
+
 // applyTransfers is the model oracle: fold the decoded semantics over
 // plain uint64s, sequentially, in age order.
 func applyTransfers(balances []uint64, recs []wal.Record, firstAge uint64) error {
@@ -217,7 +230,7 @@ func TestDurableDeterminismEveryOrderedEngine(t *testing.T) {
 			for i := range model {
 				model[i] = 1000
 			}
-			if err := applyTransfers(model, rec.Records(), 0); err != nil {
+			if err := applyTransfers(model, replayed(t, rec), 0); err != nil {
 				t.Fatal(err)
 			}
 			if !equalState(live, model) {
@@ -270,6 +283,14 @@ func TestCrashPrefixEveryOrderedEngine(t *testing.T) {
 					if err := tk.Wait(); err != nil {
 						t.Fatal(err)
 					}
+					// The ticket resolves at commit, which may be before
+					// the writer has written a byte: sync until the first
+					// half is on disk, or the copy can hold no record.
+					for w.Durable() <= n/2 {
+						if err := w.Sync(); err != nil {
+							t.Fatal(err)
+						}
+					}
 					// "Crash": copy the live log mid-stream, while the
 					// writer keeps appending into it concurrently.
 					once.Do(func() { copyDirLive(t, dir, snapDir) })
@@ -296,7 +317,7 @@ func TestCrashPrefixEveryOrderedEngine(t *testing.T) {
 			for i := range model {
 				model[i] = 1000
 			}
-			if err := applyTransfers(model, rec.Records(), 0); err != nil {
+			if err := applyTransfers(model, replayed(t, rec), 0); err != nil {
 				t.Fatal(err)
 			}
 			if got := recoverState(t, alg, rec); !equalState(got, model) {

@@ -927,9 +927,9 @@ type durState struct {
 	// engines never overflow.
 	pring    []pslot
 	overflow map[uint64][]byte
-	// pend holds payloads of ages committed out of frontier order
-	// (only engines with commit-order skew put anything here; the
-	// log still receives a strictly contiguous sequence).
+	// pend holds payloads of ages reported out of frontier order
+	// (any engine whose workers report their own commits can put one
+	// here; the log still receives a strictly contiguous sequence).
 	pend map[uint64][]byte
 	// waitq holds committed tickets whose age is not yet durable
 	// (WaitDurable), in commit order — ascending age on every in-order
@@ -1236,9 +1236,10 @@ func (s *stream) takeOverflow(age uint64) tslot {
 
 // logAge is the commit-frontier hook: it consumes the age's retained
 // payload and extends the write-ahead log's strictly contiguous
-// record sequence. Ordered engines report commits in age order, so
-// the append happens right here; an out-of-order commit (unordered
-// engines only) parks its payload until the frontier reaches it. An
+// record sequence. A report at the frontier appends right here; one
+// that arrives ahead of it — any engine whose workers report their
+// own commits, ordered blocked engines included — parks its payload
+// until the frontier reaches it. An
 // age above a permanent gap — a racing commit that landed past a
 // fault — parks forever, which is exactly the prefix property the
 // log guarantees. Called with mu held, before the age is counted as
@@ -1262,8 +1263,8 @@ func (s *stream) logAge(age uint64) {
 	if age != d.next {
 		// Parked past this age's ticket resolution, which releases the
 		// caller's buffer (the SubmitEncoded contract) — so park a
-		// copy, not the caller's bytes. Only commit-order skew
-		// (STMLite's concurrent write-backs) ever pays this.
+		// copy, not the caller's bytes. Only a report that overtook
+		// an older age's ever pays this.
 		d.pend[age] = append([]byte(nil), p...)
 		return
 	}

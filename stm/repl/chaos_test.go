@@ -111,14 +111,17 @@ func testFollowerDiskChaos(t *testing.T, seed uint64, onFail wal.FailPolicy) uin
 		t.Fatalf("disk holds %d records but only %d were applied — log ran ahead of the engine",
 			rec.Count(), frontier)
 	}
-	for _, r := range rec.Records() {
-		want, ok := byAge[r.Age]
+	if err := rec.Replay(func(age uint64, payload []byte) error {
+		want, ok := byAge[age]
 		if !ok {
-			t.Fatalf("follower disk holds age %d the leader never acknowledged", r.Age)
+			t.Fatalf("follower disk holds age %d the leader never acknowledged", age)
 		}
-		if !bytes.Equal(r.Payload, want) {
-			t.Fatalf("age %d diverged: follower %x, leader %x", r.Age, r.Payload, want)
+		if !bytes.Equal(payload, want) {
+			t.Fatalf("age %d diverged: follower %x, leader %x", age, payload, want)
 		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 	t.Logf("seed %d/%s: %d faults, frontier %d, recovered prefix %d, apply err: %v",
 		seed, onFail, fs.Injected(), frontier, rec.Count(), applyErr)

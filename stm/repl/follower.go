@@ -38,7 +38,11 @@ type Boot struct {
 	// FromLeader reports that Snapshot came over the wire (fresh
 	// follower of a compacted leader) rather than from local disk.
 	FromLeader bool
-	// Records is the local replay suffix, in age order.
+	// Records is the local replay suffix, in age order, collected
+	// through wal.Recovery.Replay when the follower boots (a Recovery
+	// holds no payloads). It stays a slice, the form existing owners
+	// (the benchmark harness's standby among them) range over, at the
+	// cost of holding the suffix in memory until the boot is done.
 	Records []wal.Record
 	// Writer is the follower's local log, already positioned at the
 	// replay frontier. Attach it as the pipeline's WAL: the pipeline
@@ -206,7 +210,13 @@ func StartFollower(cfg FollowerConfig) (*Follower, error) {
 		FirstAge:    rec.First(),
 		Snapshot:    rec.CheckpointState(),
 		SnapshotAge: rec.CheckpointAge(),
-		Records:     rec.Records(),
+		Records:     make([]wal.Record, 0, rec.Count()),
+	}
+	if err := rec.Replay(func(age uint64, payload []byte) error {
+		boot.Records = append(boot.Records, wal.Record{Age: age, Payload: payload})
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 	var sc *streamConn
 	var pending []frame // frames consumed during bootstrap, not yet applied

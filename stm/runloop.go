@@ -36,11 +36,13 @@ type feed interface {
 	// exit: the feed is exhausted (batch done, or stream closed and
 	// fully claimed).
 	claim(stop func() bool) (age uint64, body Body, ok bool)
-	// committed reports that age reached its final commit. Cooperative
-	// and blocked engines report in strict age order; unordered engines
-	// report in commit order, which can differ from age order. Every
-	// mode but the cooperative one reports from the workers, so calls
-	// for different ages may overlap.
+	// committed reports that age reached its final commit. Only the
+	// cooperative engines report in strict age order (the validator
+	// reports). Every other mode reports from the workers after
+	// TryCommit returns, and an ordered blocked engine (Ordered TL2,
+	// NOrec, UndoLog) completes the age in the order inside TryCommit,
+	// so the next age's worker can report first: reports may arrive
+	// out of age order and may overlap.
 	committed(age uint64)
 	// halted reports that the loop stopped before draining (a body
 	// faulted). The feed must wake anything blocked in claim or in a

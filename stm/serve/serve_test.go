@@ -546,8 +546,11 @@ func TestServeShardedCrashRestart(t *testing.T) {
 		model[i] = 1000
 	}
 	var recovered []agedPayload
-	for i, r := range rec.Records() {
-		recovered = append(recovered, agedPayload{rec.First() + uint64(i), r.Payload})
+	if err := rec.Replay(func(age uint64, payload []byte) error {
+		recovered = append(recovered, agedPayload{age, payload})
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 	foldPayloads(t, model, recovered)
 	for i := range accounts2 {

@@ -130,7 +130,7 @@ func TestShardSubmitBatchDurable(t *testing.T) {
 	if rec.Count() != producers*per {
 		t.Fatalf("recovered %d records, want %d", rec.Count(), producers*per)
 	}
-	model := foldModel(t, rec.Records(), 0)
+	model := foldModel(t, replayed(t, rec), 0)
 	if !sameState(live, model) {
 		t.Fatal("live state diverges from sequential model of the batch-written log")
 	}

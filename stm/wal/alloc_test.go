@@ -5,7 +5,11 @@
 
 package wal
 
-import "testing"
+import (
+	"bytes"
+	"runtime"
+	"testing"
+)
 
 // TestRecordCRCAllocatesNothing: the checksum every reader of the log
 // computes per record — recovery, the cursor, a replication follower —
@@ -63,5 +67,75 @@ func TestCursorAllocs(t *testing.T) {
 		}
 	}); got != 0 {
 		t.Fatalf("Cursor.AppendFrames: %v allocations per 16-record range, want 0", got)
+	}
+}
+
+// TestRecoverHoldsNoPayloads: Recover validates and counts; it keeps
+// no record. A Recovery over a multi-segment log of tens of MiB costs
+// the heap next to nothing while held, with a checkpoint and without,
+// and Replay streams exactly the written suffix from disk.
+func TestRecoverHoldsNoPayloads(t *testing.T) {
+	const (
+		n       = 10000
+		size    = 4 << 10 // 10000 records: 39 MiB of payloads
+		ckptAge = 1000
+	)
+	payload := func(age uint64) []byte {
+		p := bytes.Repeat([]byte{byte(age), byte(age >> 8)}, size/2)
+		p[0] ^= 0xFF
+		return p
+	}
+	for _, ckpt := range []bool{false, true} {
+		dir := t.TempDir()
+		w, err := Create(dir, 0, Options{SegmentBytes: 4 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for age := uint64(0); age < n; age++ {
+			if err := w.Append(age, payload(age)); err != nil {
+				t.Fatal(err)
+			}
+			if ckpt && age+1 == ckptAge {
+				if err := w.Checkpoint(ckptAge, []byte("state")); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		r, err := Recover(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew >= 4<<20 {
+			t.Errorf("checkpoint %v: the heap grew %d KiB while the Recovery is held, want under 4 MiB", ckpt, grew>>10)
+		}
+		first := uint64(0)
+		if ckpt {
+			first = ckptAge
+		}
+		if r.First() != first || r.Next() != n || r.Count() != int(n-first) {
+			t.Fatalf("checkpoint %v: first %d next %d count %d, want %d %d %d", ckpt, r.First(), r.Next(), r.Count(), first, n, n-first)
+		}
+		want := first
+		if err := r.Replay(func(age uint64, p []byte) error {
+			if age != want || !bytes.Equal(p, payload(age)) {
+				t.Fatalf("checkpoint %v: replay yielded age %d, want %d with its payload", ckpt, age, want)
+			}
+			want++
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if want != n {
+			t.Fatalf("checkpoint %v: replay stopped at %d, want %d", ckpt, want, n)
+		}
 	}
 }

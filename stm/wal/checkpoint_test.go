@@ -116,7 +116,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if skipped != ck || skippedB == 0 {
 		t.Fatalf("skipped=%d (%d bytes), want %d records", skipped, skippedB, ck)
 	}
-	for i, rec := range r.Records() {
+	for i, rec := range replayed(t, r) {
 		want := uint64(ck + i)
 		if rec.Age != want || !bytes.Equal(rec.Payload, payloadFor(want)) {
 			t.Fatalf("suffix record %d: age %d", i, rec.Age)

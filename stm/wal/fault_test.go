@@ -46,11 +46,15 @@ func checkRecovered(t *testing.T, dir string, wantNextAtLeast uint64) *wal.Recov
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, rec := range r.Records() {
-		want := r.First() + uint64(i)
-		if rec.Age != want || !bytes.Equal(rec.Payload, pay(want)) {
-			t.Fatalf("recovered record %d: age=%d, want contiguous age %d with matching payload", i, rec.Age, want)
+	want := r.First()
+	if err := r.Replay(func(age uint64, payload []byte) error {
+		if age != want || !bytes.Equal(payload, pay(want)) {
+			t.Fatalf("recovered record %d: age=%d, want contiguous age %d with matching payload", want-r.First(), age, want)
 		}
+		want++
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 	if r.Next() < wantNextAtLeast {
 		t.Fatalf("recovered next=%d, want at least %d (acknowledged-durable prefix lost)", r.Next(), wantNextAtLeast)
@@ -453,10 +457,15 @@ func TestFailedZeroFill(t *testing.T) {
 			if r.Next() < acked || r.Truncated() {
 				t.Fatalf("recovered next %d (truncated %v) after %d acknowledged", r.Next(), r.Truncated(), acked)
 			}
-			for i, rec := range r.Records() {
-				if rec.Age != uint64(i) || !bytes.Equal(rec.Payload, big(rec.Age)) {
-					t.Fatalf("recovered record %d: age %d, payload mismatch", i, rec.Age)
+			i := uint64(0)
+			if err := r.Replay(func(age uint64, payload []byte) error {
+				if age != i || !bytes.Equal(payload, big(age)) {
+					t.Fatalf("recovered record %d: age %d, payload mismatch", i, age)
 				}
+				i++
+				return nil
+			}); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}

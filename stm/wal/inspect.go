@@ -1,7 +1,7 @@
 package wal
 
 import (
-	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -10,11 +10,12 @@ import (
 
 // This file is the log's public inspection surface: segment and
 // checkpoint listings, the exported record-frame checksum and parser,
-// and a cursor over the durable record stream. Shippers
-// (stm/repl), backup tooling and debugging commands read the log
-// through these instead of re-parsing directory names or record
-// frames themselves, so the naming scheme and framing stay private
-// implementation details with one owner.
+// and a cursor over the durable record stream (Recovery.Replay streams
+// through one too). Shippers (stm/repl), backup tooling and debugging
+// commands read the log through these instead of re-parsing directory
+// names or record frames themselves. ParseFrame and the cursor decode
+// through the same frame rule as Recover (record.go's decodeFrame), so
+// the naming scheme and framing stay private details with one owner.
 
 // SegmentInfo describes one on-disk segment file.
 type SegmentInfo struct {
@@ -87,19 +88,11 @@ func FrameSize(payload []byte) int64 { return recordSize(payload) }
 // allocated for a frame that passes. Checking the age against the one
 // expected is the caller's.
 func ParseFrame(b []byte) (age uint64, payload, rest []byte, err error) {
-	if len(b) < headerSize {
-		return 0, nil, nil, &tornError{reason: "short header"}
-	}
-	length, crc, age, err := decodeHeader(b, int64(len(b)))
+	size, age, err := decodeFrame(b, int64(len(b)), true)
 	if err != nil {
 		return 0, nil, nil, err
 	}
-	end := headerSize + int(length)
-	payload, rest = b[headerSize:end:end], b[end:]
-	if recordCRC(length, age, payload) != crc {
-		return 0, nil, nil, &tornError{reason: "checksum mismatch"}
-	}
-	return age, payload, rest, nil
+	return age, b[headerSize:size:size], b[size:], nil
 }
 
 // ErrCompacted is returned by NewCursor and Cursor.Next when the
@@ -130,33 +123,11 @@ var ErrCompacted = errors.New("wal: records compacted below the requested age")
 // segment file; Close releases it.
 type Cursor struct {
 	dir    string
-	expect uint64        // age of the next record to return
-	src    segReader     // the open segment file, if any
-	br     *bufio.Reader // reads src; kept across segment files
-	off    int64         // file offset of the record at expect
-	fresh  uint64        // br holds whole records only below this age
-	opened uint64        // segment files opened over the cursor's life
-	rolled bool          // the last file ended cleanly: the next starts at expect
-}
-
-// segReader reads a segment file from off on: the offset br's buffer
-// ends at. After a refill it
-// starts small and doubles per read: at the live tail all but the
-// newest records of a read are zero padding.
-type segReader struct {
-	f   *os.File
-	off int64
-	n   int // most bytes the next read returns
-}
-
-const firstRead = 4 << 10
-
-func (r *segReader) Read(p []byte) (int, error) {
-	p = p[:min(len(p), r.n)]
-	r.n = min(2*r.n, 1<<20)
-	n, err := r.f.ReadAt(p, r.off)
-	r.off += int64(n)
-	return n, err
+	expect uint64  // age of the next record to return
+	sc     scanner // reads the open segment file, if any, at expect
+	fresh  uint64  // sc holds whole records only below this age
+	opened uint64  // segment files opened over the cursor's life
+	rolled bool    // the last file ended cleanly: the next starts at expect
 }
 
 // NewCursor positions a cursor at age from in dir's log. The first
@@ -179,34 +150,11 @@ func (c *Cursor) Segments() uint64 { return c.opened }
 // torn tail, it is a damaged log — or ErrCompacted when the log was
 // truncated under the cursor.
 func (c *Cursor) Next(limit uint64) (age uint64, payload []byte, ok bool, err error) {
-	for {
-		if c.expect >= limit {
-			return 0, nil, false, nil
-		}
-		if err := c.ready(limit); err != nil {
-			return 0, nil, false, err
-		}
-		// The record for c.expect is fully on disk (it is below the
-		// caller's durability limit), so a clean end here can only mean
-		// the segment ended at a roll boundary: move to the next file.
-		length, crc, a, rerr := c.peek()
-		if rerr == io.EOF {
-			c.nextSegment()
-			continue
-		}
-		if rerr == nil {
-			payload, rerr = readPayload(c.br, length, crc, a)
-		}
-		if rerr != nil {
-			return 0, nil, false, fmt.Errorf("wal: cursor at age %d: %w", c.expect, rerr)
-		}
-		if a != c.expect {
-			return 0, nil, false, fmt.Errorf("wal: cursor expected age %d, segment holds %d", c.expect, a)
-		}
-		c.expect = a + 1
-		c.off += headerSize + int64(length)
-		return a, payload, true, nil
+	frame, err := c.step(limit, true)
+	if frame == nil {
+		return 0, nil, false, err
 	}
+	return c.expect - 1, bytes.Clone(frame[headerSize:]), true, nil
 }
 
 // AppendFrames appends to dst the raw frames — header and payload,
@@ -226,74 +174,65 @@ func (c *Cursor) Next(limit uint64) (age uint64, payload []byte, ok bool, err er
 // nothing; a call that met one after appending returns what it has.
 func (c *Cursor) AppendFrames(dst []byte, limit uint64, budget int) (out []byte, first uint64, n int, err error) {
 	first = c.expect
-	for start := len(dst); c.expect < limit && len(dst)-start < budget; {
-		if err = c.ready(limit); err != nil {
+	for start := len(dst); len(dst)-start < budget; n++ {
+		frame, ferr := c.step(limit, false)
+		if frame == nil {
+			if n == 0 {
+				err = ferr
+			}
 			break
 		}
-		length, _, age, rerr := c.peek()
-		if rerr == io.EOF {
+		dst = append(dst, frame...)
+	}
+	return dst, first, n, err
+}
+
+// step returns the frame of the record at expect, checking its
+// checksum when verify is set, and moves the cursor past it; nil once
+// expect reaches limit, or on an error. The frame aliases the cursor's
+// buffer until the next read. After an error the cursor closes its
+// file, to reopen at expect on the next call.
+func (c *Cursor) step(limit uint64, verify bool) ([]byte, error) {
+	for c.expect < limit {
+		if err := c.ready(limit); err != nil {
+			return nil, err
+		}
+		frame, age, err := c.sc.next(verify)
+		if err == io.EOF || err == errZeroHeader {
+			// The record for expect is fully on disk (it is below the
+			// caller's durability limit), so the end of this file's
+			// records can only be a roll boundary: on to the next file.
 			c.nextSegment()
 			continue
 		}
-		if rerr != nil {
-			err = fmt.Errorf("wal: cursor at age %d: %w", c.expect, rerr)
-			break
-		}
-		if age != c.expect {
+		if err != nil {
+			err = fmt.Errorf("wal: cursor at age %d: %w", c.expect, err)
+		} else if age != c.expect {
 			err = fmt.Errorf("wal: cursor expected age %d, segment holds %d", c.expect, age)
-			break
 		}
-		at := len(dst)
-		dst = append(dst, make([]byte, headerSize+int(length))...)
-		if _, rerr := io.ReadFull(c.br, dst[at:]); rerr != nil {
-			dst = dst[:at]
-			err = fmt.Errorf("wal: cursor at age %d: %w", c.expect, &tornError{reason: "short payload"})
-			break
+		if err != nil {
+			c.closeFile()
+			return nil, err
 		}
 		c.expect++
-		c.off += headerSize + int64(length)
-		n++
+		return frame, nil
 	}
-	if err != nil {
-		// The reader may sit mid-record; the next call reopens at expect.
-		c.closeFile()
-		if n == 0 {
-			return dst, first, 0, err
-		}
-	}
-	return dst, first, n, nil
+	return nil, nil
 }
 
 // ready positions the cursor to read the record at expect under
 // limit: it opens the segment holding it, or re-reads from the file
 // when the buffered bytes may predate the record.
 func (c *Cursor) ready(limit uint64) error {
-	if c.src.f == nil {
+	if c.sc.f == nil {
 		return c.open(limit)
 	}
 	if c.expect >= c.fresh {
-		c.refill(limit)
+		// Drop the buffer: read on from the file at expect, under limit.
+		c.sc.reset(c.sc.f, c.sc.pos(), growing)
+		c.fresh = limit
 	}
 	return nil
-}
-
-// refill drops the buffer; reading goes on from the file at the
-// cursor's offset, under limit.
-func (c *Cursor) refill(limit uint64) {
-	c.src.off, c.src.n = c.off, firstRead
-	c.br.Reset(&c.src)
-	c.fresh = limit
-}
-
-// peek parses the header at the cursor's position. A header of zeros
-// is the writer's padding past the last record: for a reader, the end
-// of the segment, as much as io.EOF is.
-func (c *Cursor) peek() (length, crc uint32, age uint64, err error) {
-	length, crc, age, err = peekHeader(c.br, int64(maxPayload)+headerSize)
-	if err == nil && length == 0 && crc == 0 && age == 0 {
-		err = io.EOF
-	}
-	return length, crc, age, err
 }
 
 // open locates and opens the segment containing c.expect, skipping
@@ -323,39 +262,29 @@ func (c *Cursor) open(limit uint64) error {
 	if err != nil {
 		return err
 	}
-	c.src.f, c.off = f, 0
-	if c.br == nil {
-		c.br = bufio.NewReaderSize(&c.src, 1<<20)
-	}
-	c.refill(limit)
+	c.sc.reset(f, 0, growing)
+	c.fresh = limit
 	c.opened++
 	// Skip records below the resume point (a cursor restarted mid-
 	// segment, or positioned at an age inside an existing segment),
 	// hopping from header to header.
 	for at := segs[idx].age; at < c.expect; at++ {
-		length, _, a, rerr := c.peek()
-		if rerr == nil {
-			if _, derr := c.br.Discard(headerSize + int(length)); derr != nil {
-				rerr = &tornError{reason: "short payload"}
-			}
+		_, a, rerr := c.sc.next(false)
+		if rerr == nil && a != at {
+			rerr = fmt.Errorf("segment holds %d at %d", a, at)
 		}
 		if rerr != nil {
 			c.closeFile()
-			return fmt.Errorf("wal: cursor skipping to age %d: %v", c.expect, rerr)
+			return fmt.Errorf("wal: cursor skipping to age %d: %w", c.expect, rerr)
 		}
-		if a != at {
-			c.closeFile()
-			return fmt.Errorf("wal: cursor skipping to age %d: segment holds %d at %d", c.expect, a, at)
-		}
-		c.off += headerSize + int64(length)
 	}
 	return nil
 }
 
 func (c *Cursor) closeFile() {
-	if c.src.f != nil {
-		c.src.f.Close()
-		c.src.f = nil
+	if c.sc.f != nil {
+		c.sc.f.Close()
+		c.sc.f = nil
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -210,8 +211,8 @@ func TestCursorRereadsTheZeroTail(t *testing.T) {
 		t.Fatalf("AppendFrames: %d records, err %v; want 10", n, err)
 	}
 	for _, c := range []*Cursor{next, frames} {
-		if hdr, err := c.br.Peek(headerSize); err != nil || !allZeroBytes(hdr) {
-			t.Fatalf("the cursor holds %x (err %v) past the frontier, want buffered zero padding", hdr, err)
+		if hdr := c.sc.buf[c.sc.r:c.sc.w]; len(hdr) < headerSize || !allZeroBytes(hdr[:headerSize]) {
+			t.Fatalf("the cursor holds %x past the frontier, want buffered zero padding", hdr[:min(len(hdr), headerSize)])
 		}
 	}
 
@@ -231,6 +232,32 @@ func TestCursorRereadsTheZeroTail(t *testing.T) {
 			t.Fatalf("shipped frame %d: age %d, err %v", age, a, err)
 		}
 		raw = rest
+	}
+}
+
+// TestCursorPastTheLogEnd: a limit beyond what a live log holds runs
+// the cursor into the tail segment's zero padding. A header of zeros
+// is the end of the segment's records, not a damaged record: Next and
+// AppendFrames both report that the log ends below the limit.
+func TestCursorPastTheLogEnd(t *testing.T) {
+	dir := t.TempDir()
+	w, err := Create(dir, 0, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	fill(t, w, 0, 10)
+	for _, read := range []string{"Next", "AppendFrames"} {
+		c, _ := NewCursor(dir, 10)
+		if read == "Next" {
+			_, _, _, err = c.Next(20)
+		} else {
+			_, _, _, err = c.AppendFrames(nil, 20, 1<<20)
+		}
+		c.Close()
+		if err == nil || !strings.Contains(err.Error(), "the log ends below the limit") {
+			t.Errorf("%s: err %v, want the log ending below the limit", read, err)
+		}
 	}
 }
 

@@ -1,11 +1,12 @@
 package wal
 
 import (
-	"bufio"
 	"encoding/binary"
-	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
+	"os"
+	"slices"
 )
 
 // Record framing. Every record is self-checking so a torn tail is
@@ -56,64 +57,127 @@ func appendRecord(buf []byte, age uint64, payload []byte) []byte {
 // recordSize returns the framed size of a payload.
 func recordSize(payload []byte) int64 { return headerSize + int64(len(payload)) }
 
-// errTorn marks a read that ended in a torn or corrupt record; the
-// wrapped detail is diagnostic only — recovery truncates at the
-// record's start either way.
+// tornError marks a read that ended in a torn or corrupt record; the
+// reason is diagnostic only — recovery truncates at the record's start
+// either way.
 type tornError struct{ reason string }
 
 func (e *tornError) Error() string { return "wal: torn record: " + e.reason }
 
-// peekHeader parses the record header at br's read position, in place
-// in br's buffer and without consuming it. remaining bounds how many
-// bytes the segment still holds past the current offset, so a garbage
-// length field from a torn tail is rejected before anything is sized
-// by it. It returns io.EOF at a clean segment end, and a *tornError
-// for a short header or an implausible length.
-func peekHeader(br *bufio.Reader, remaining int64) (length, crc uint32, age uint64, err error) {
-	hdr, err := br.Peek(headerSize)
-	if err == io.EOF && len(hdr) == 0 {
-		return 0, 0, 0, io.EOF
+// How a frame read ends when it does not end on a frame that passes:
+// on a header of zeros (the writer's padding, or a hole), or torn.
+// Readers of a file add io.EOF, no bytes at all: the clean end.
+var (
+	errZeroHeader   = &tornError{reason: "zero header"}
+	errShortHeader  = &tornError{reason: "short header"}
+	errBadLength    = &tornError{reason: "implausible length"}
+	errShortPayload = &tornError{reason: "short payload"}
+	errBadChecksum  = &tornError{reason: "checksum mismatch"}
+)
+
+// decodeFrame is the log's one frame rule. b holds the bytes from a
+// frame's start on, and room bounds how many the source can hold from
+// there, so a garbage length from a torn tail is rejected before
+// anything is sized by it. It returns the frame's size in bytes (the
+// header's, until the length is known) and its age. When b ends inside
+// the frame, the error is errShortHeader or errShortPayload and size
+// says how many bytes a whole frame needs: a reader that can fetch
+// more asks again with them. verify=false skips the checksum.
+func decodeFrame(b []byte, room int64, verify bool) (size int, age uint64, err error) {
+	if len(b) < headerSize {
+		return headerSize, 0, errShortHeader
 	}
-	if err != nil {
-		return 0, 0, 0, &tornError{reason: "short header"}
+	length := binary.LittleEndian.Uint32(b[0:4])
+	crc := binary.LittleEndian.Uint32(b[4:8])
+	age = binary.LittleEndian.Uint64(b[8:16])
+	switch size = headerSize + int(length); {
+	case length == 0 && crc == 0 && age == 0:
+		return headerSize, 0, errZeroHeader
+	case length > maxPayload || int64(length) > room-headerSize:
+		return headerSize, age, errBadLength
+	case len(b) < size:
+		return size, age, errShortPayload
+	case verify && recordCRC(length, age, b[headerSize:size]) != crc:
+		return size, age, errBadChecksum
 	}
-	return decodeHeader(hdr, remaining)
+	return size, age, nil
 }
 
-// decodeHeader parses a record header and checks its length field
-// against the remaining bytes that follow the header's start.
-func decodeHeader(hdr []byte, remaining int64) (length, crc uint32, age uint64, err error) {
-	length = binary.LittleEndian.Uint32(hdr[0:4])
-	crc = binary.LittleEndian.Uint32(hdr[4:8])
-	age = binary.LittleEndian.Uint64(hdr[8:16])
-	if length > maxPayload || int64(length) > remaining-headerSize {
-		return 0, 0, 0, &tornError{reason: fmt.Sprintf("implausible length %d", length)}
-	}
-	return length, crc, age, nil
+// scanner reads a segment file frame by frame through decodeFrame,
+// into a buffer it owns and grows only for a frame larger than it.
+// Reads start small after a reset and double up to maxRead: at a live
+// log's tail all but the newest records of a read are zero padding.
+type scanner struct {
+	f    *os.File
+	end  int64  // the file's size, or growing
+	buf  []byte // buf[r:w] are the file's bytes from pos() on
+	r, w int
+	off  int64 // the file offset of buf[w]
+	n    int   // most bytes the next read asks for
+	eof  bool  // a read met the end of the file: no more bytes until a reset
 }
 
-// readRecord reads one record from br, verifying the frame; the
-// payload is its only allocation. Errors are peekHeader's, plus a
-// *tornError for a short payload or a checksum mismatch.
-func readRecord(br *bufio.Reader, remaining int64) (age uint64, payload []byte, err error) {
-	length, crc, age, err := peekHeader(br, remaining)
-	if err != nil {
-		return 0, nil, err
+const (
+	firstRead = 4 << 10
+	maxRead   = 1 << 20
+	// growing is the end of a file a writer may still be appending to.
+	growing = math.MaxInt64
+)
+
+// reset points the scanner at offset off of f, dropping what it holds.
+func (s *scanner) reset(f *os.File, off, end int64) {
+	if s.buf == nil {
+		s.buf = make([]byte, maxRead)
 	}
-	payload, err = readPayload(br, length, crc, age)
-	return age, payload, err
+	s.f, s.end, s.off = f, end, off
+	s.r, s.w, s.n, s.eof = 0, 0, firstRead, false
 }
 
-// readPayload consumes the record whose header peekHeader just
-// parsed and returns its verified payload.
-func readPayload(br *bufio.Reader, length, crc uint32, age uint64) ([]byte, error) {
-	_, _ = br.Discard(headerSize) // cannot fail: Peek just buffered these bytes
-	payload := make([]byte, length)
-	if _, err := io.ReadFull(br, payload); err != nil {
-		return nil, &tornError{reason: "short payload"}
+// pos returns the file offset of the next frame.
+func (s *scanner) pos() int64 { return s.off - int64(s.w-s.r) }
+
+// next decodes the frame at pos and, when it passes, steps past it.
+// frame aliases the scanner's buffer until the next call. err is
+// io.EOF at the file's end, one of decodeFrame's, or an I/O failure.
+func (s *scanner) next(verify bool) (frame []byte, age uint64, err error) {
+	for {
+		b := s.buf[s.r:s.w]
+		size, age, err := decodeFrame(b, s.end-s.pos(), verify)
+		switch {
+		case size > len(b) && !s.eof:
+			if err := s.fill(size); err != nil {
+				return nil, 0, err
+			}
+			continue
+		case len(b) == 0:
+			return nil, 0, io.EOF
+		case err == nil:
+			s.r += size
+			return b[:size], age, nil
+		}
+		return nil, age, err
 	}
-	if recordCRC(length, age, payload) != crc {
-		return nil, &tornError{reason: "checksum mismatch"}
+}
+
+// fill reads until the buffer holds want bytes from pos on, or the
+// file ends.
+func (s *scanner) fill(want int) error {
+	for s.w-s.r < want && !s.eof {
+		if s.w == len(s.buf) {
+			s.w, s.r = copy(s.buf, s.buf[s.r:s.w]), 0
+			if s.w == len(s.buf) {
+				s.buf = slices.Grow(s.buf, len(s.buf))[:2*len(s.buf)]
+			}
+		}
+		n, err := s.f.ReadAt(s.buf[s.w:min(len(s.buf), s.w+s.n)], s.off)
+		s.w += n
+		s.off += int64(n)
+		s.n = min(2*s.n, maxRead)
+		if err == io.EOF {
+			s.eof = true
+		} else if err != nil {
+			return err
+		}
 	}
-	return payload, nil
+	return nil
 }

@@ -1,11 +1,11 @@
 package wal
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 )
 
@@ -17,16 +17,17 @@ type Record struct {
 }
 
 // Recovery is the result of scanning a log directory: the newest valid
-// checkpoint (if any) plus the surviving contiguous record suffix at
-// or above it, with any torn tail already truncated from disk. Replay
-// feeds the suffix to a deterministic engine seeded from the
-// checkpoint state; Writer reopens the log for appends where the
-// suffix ends.
+// checkpoint (if any) plus where the surviving contiguous record
+// suffix at or above it runs, with any torn tail already truncated
+// from disk. It holds no payloads: Replay streams the suffix from disk
+// to a deterministic engine seeded from the checkpoint state; Writer
+// reopens the log for appends where the suffix ends.
 type Recovery struct {
 	dir       string
 	first     uint64
 	next      uint64
-	recs      []Record
+	count     int    // records in [first, next)
+	countB    uint64 // their framed bytes
 	lastPath  string // surviving tail segment; "" when the directory held none
 	lastSize  int64
 	truncated bool
@@ -34,12 +35,13 @@ type Recovery struct {
 	hasCkpt   bool
 	ckptAge   uint64
 	ckptState []byte
-	skipped   int    // records below the checkpoint, not retained for replay
+	skipped   int    // records below the checkpoint, not replayed
 	skippedB  uint64 // their framed bytes
 }
 
 // Recover scans the log in dir, truncates any torn tail, and returns
-// the newest valid checkpoint plus the surviving record suffix.
+// the newest valid checkpoint plus the bounds of the surviving record
+// suffix. It validates and counts; it keeps no record.
 //
 // Checkpoint selection: the CHECKPOINT manifest's age is considered
 // first, then every `%016x.ckpt` file newest-first; the first
@@ -55,8 +57,8 @@ type Recovery struct {
 // folded into the checkpoint state in order — reproduces exactly the
 // sequential-execution state of the durable prefix. Records below the
 // checkpoint age are CRC-verified (they anchor the contiguity chain)
-// but not retained: Records and Replay expose only the suffix at or
-// above the checkpoint.
+// but not counted for replay: Count and Replay cover only the suffix
+// at or above the checkpoint.
 //
 // Recovering an empty or missing directory yields an empty prefix
 // starting at age 0 (Writer will then create the log fresh).
@@ -77,6 +79,7 @@ func Recover(dir string) (*Recovery, error) {
 	}
 	segFirst := segs[0].age
 	expect := segFirst
+	var sc scanner
 	for i, seg := range segs {
 		if seg.age != expect {
 			// A gap (lost segment) or overlap: nothing at or past this
@@ -87,7 +90,7 @@ func Recover(dir string) (*Recovery, error) {
 			r.truncated = true
 			break
 		}
-		n, torn, err := r.readSegment(seg, &expect, i == len(segs)-1)
+		n, torn, err := r.scanSegment(&sc, seg, &expect, i == len(segs)-1)
 		if err != nil {
 			return nil, err
 		}
@@ -166,11 +169,9 @@ func (r *Recovery) reconcile(segFirst uint64) error {
 			return err
 		}
 		r.truncated = true // records were genuinely lost either way
-		r.skipped += len(r.recs)
-		for _, rec := range r.recs {
-			r.skippedB += uint64(recordSize(rec.Payload))
-		}
-		r.recs = nil
+		r.skipped += r.count
+		r.skippedB += r.countB
+		r.count, r.countB = 0, 0
 		r.lastPath, r.lastSize = "", 0
 		r.first, r.next = r.ckptAge, r.ckptAge
 		return nil
@@ -179,15 +180,15 @@ func (r *Recovery) reconcile(segFirst uint64) error {
 	return nil
 }
 
-// readSegment reads one segment's records, advancing *expect per good
-// record. Records at or above the checkpoint age are retained in
-// r.recs; older ones only anchor the chain and are counted as skipped.
-// It returns the number of valid bytes and whether the segment was
-// torn (in which case it has been truncated on disk at the last good
-// record). In the log's tail segment, a remainder of nothing but zero
-// bytes is the writer's zero padding — the log's clean end, left in
-// place; anywhere else, zeros are as torn as any other bytes.
-func (r *Recovery) readSegment(seg segment, expect *uint64, tail bool) (int64, bool, error) {
+// scanSegment checks one segment's frames, advancing *expect per good
+// record and counting it: as skipped below the checkpoint age, for
+// replay at or above it. It returns the number of valid bytes and
+// whether the segment was torn (in which case it has been truncated on
+// disk at the last good record). In the log's tail segment, a
+// remainder of nothing but zero bytes is the writer's zero padding —
+// the log's clean end, left in place; anywhere else, zeros are as torn
+// as any other bytes.
+func (r *Recovery) scanSegment(sc *scanner, seg segment, expect *uint64, tail bool) (int64, bool, error) {
 	f, err := os.Open(seg.path)
 	if err != nil {
 		return 0, false, err
@@ -197,56 +198,53 @@ func (r *Recovery) readSegment(seg segment, expect *uint64, tail bool) (int64, b
 	if err != nil {
 		return 0, false, err
 	}
-	size := st.Size()
-	br := bufio.NewReaderSize(f, 1<<20)
-	var offset int64
+	sc.reset(f, 0, st.Size())
 	for {
-		age, payload, err := readRecord(br, size-offset)
+		at := sc.pos()
+		frame, age, err := sc.next(true)
 		if err == io.EOF {
-			return offset, false, nil
+			return at, false, nil
+		}
+		if _, torn := err.(*tornError); !torn && err != nil {
+			return 0, false, err
 		}
 		if err != nil || age != *expect {
 			if tail {
-				zero, zerr := allZero(f, offset, size)
-				if zerr != nil {
-					return 0, false, zerr
-				}
-				if zero {
-					return offset, false, nil
+				zero, err := zeroRest(sc, at)
+				if err != nil || zero {
+					return at, false, err
 				}
 			}
 			// Torn or corrupt tail: cut at the last good record.
-			if terr := os.Truncate(seg.path, offset); terr != nil {
-				return 0, false, terr
+			if err := os.Truncate(seg.path, at); err != nil {
+				return 0, false, err
 			}
 			r.truncated = true
-			return offset, true, nil
+			return at, true, nil
 		}
 		if r.hasCkpt && age < r.ckptAge {
 			r.skipped++
-			r.skippedB += uint64(recordSize(payload))
+			r.skippedB += uint64(len(frame))
 		} else {
-			r.recs = append(r.recs, Record{Age: age, Payload: payload})
+			r.count++
+			r.countB += uint64(len(frame))
 		}
 		*expect = age + 1
-		offset += recordSize(payload)
 	}
 }
 
-// allZero reports whether f holds only zero bytes in [from, to).
-func allZero(f *os.File, from, to int64) (bool, error) {
-	buf := make([]byte, 64<<10)
-	for from < to {
-		n, err := f.ReadAt(buf[:min(int64(len(buf)), to-from)], from)
-		for _, b := range buf[:n] {
-			if b != 0 {
-				return false, nil
-			}
-		}
-		if err != nil {
+// zeroRest reports whether sc's file holds only zero bytes from
+// offset at on.
+func zeroRest(sc *scanner, at int64) (bool, error) {
+	sc.reset(sc.f, at, sc.end)
+	for !sc.eof {
+		if err := sc.fill(maxRead); err != nil {
 			return false, err
 		}
-		from += int64(n)
+		if slices.ContainsFunc(sc.buf[sc.r:sc.w], func(c byte) bool { return c != 0 }) {
+			return false, nil
+		}
+		sc.r = sc.w
 	}
 	return true, nil
 }
@@ -264,7 +262,7 @@ func (r *Recovery) Next() uint64 { return r.next }
 
 // Count returns how many records survived for replay (records below
 // the checkpoint are not counted; see Skipped).
-func (r *Recovery) Count() int { return len(r.recs) }
+func (r *Recovery) Count() int { return r.count }
 
 // Truncated reports whether the scan found (and cut) a torn tail.
 func (r *Recovery) Truncated() bool { return r.truncated }
@@ -286,23 +284,35 @@ func (r *Recovery) CheckpointState() []byte { return r.ckptState }
 // their framed bytes.
 func (r *Recovery) Skipped() (records int, bytes uint64) { return r.skipped, r.skippedB }
 
-// Records returns the surviving replay suffix in age order. The slice
-// is the recovery's backing store; treat it as read-only.
-func (r *Recovery) Records() []Record { return r.recs }
-
-// Replay is the recovery driver: it hands every surviving payload, in
+// Replay is the recovery driver: it streams the surviving suffix
+// [First, Next) from disk through a Cursor and hands every payload, in
 // age order, to submit — typically Pipeline.SubmitEncoded of a fresh
 // pipeline configured with FirstAge = First() and seeded from
-// CheckpointState — and stops at the first error. Replaying through a
-// pipeline attached to this log's reopened Writer is safe: re-appends
-// of recovered ages are no-ops.
+// CheckpointState — and stops at the first error. Each payload is a
+// fresh allocation the callee may keep (SubmitEncoded holds the bytes
+// until the ticket resolves). Replaying through a pipeline attached to
+// this log's reopened Writer is safe: re-appends of recovered ages are
+// no-ops, and a checkpoint taken during the replay compacts only
+// segments wholly below ages already replayed. Replay reads the files,
+// so it must run before anything else removes them.
 func (r *Recovery) Replay(submit func(age uint64, payload []byte) error) error {
-	for _, rec := range r.recs {
-		if err := submit(rec.Age, rec.Payload); err != nil {
-			return fmt.Errorf("wal: replay age %d: %w", rec.Age, err)
+	c, err := NewCursor(r.dir, r.first)
+	if err != nil {
+		return err
+	}
+	defer c.Close()
+	for {
+		age, payload, ok, err := c.Next(r.next)
+		if err != nil {
+			return fmt.Errorf("wal: replay: %w", err)
+		}
+		if !ok {
+			return nil
+		}
+		if err := submit(age, payload); err != nil {
+			return fmt.Errorf("wal: replay age %d: %w", age, err)
 		}
 	}
-	return nil
 }
 
 // Writer reopens the log for appending at Next. The surviving tail
@@ -320,7 +330,7 @@ func (r *Recovery) Writer(opts Options) (*Writer, error) {
 	w := newWriter(r.dir, opts)
 	w.next.Store(r.next)
 	w.durable.Store(r.next)
-	w.nbytes.Store(totalBytes(r.recs) + r.skippedB)
+	w.nbytes.Store(r.countB + r.skippedB)
 	w.admittedB.Store(w.nbytes.Load()) // recovered history is durable: no open group
 	if r.hasCkpt {
 		w.ckptAge_.Store(r.ckptAge)
@@ -349,14 +359,6 @@ func (r *Recovery) Writer(opts Options) (*Writer, error) {
 	}
 	w.startSyncer()
 	return w, nil
-}
-
-func totalBytes(recs []Record) uint64 {
-	var n uint64
-	for _, rec := range recs {
-		n += uint64(recordSize(rec.Payload))
-	}
-	return n
 }
 
 // segment is one on-disk log file.

@@ -100,13 +100,17 @@
 // torn like any other bytes. Everything before the cut
 // is a consistent prefix of the committed order — exactly the durable
 // state. When a valid checkpoint exists, recovery loads its state and
-// keeps only the record suffix at or above the checkpoint age (torn
+// replays only the record suffix at or above the checkpoint age (torn
 // or unreadable checkpoints fall back to the previous checkpoint, or
-// to full replay). Replay then feeds the surviving payloads, in age
+// to full replay). Recover only validates and counts; it keeps no
+// payload. Replay then streams the surviving suffix from disk, in age
 // order, to a submit function (typically Pipeline.SubmitEncoded), and
 // the writer reopened from the recovery accepts new appends where the
 // prefix ends. Re-appends of already-recovered ages are ignored, so a
 // replay that flows through a WAL-attached pipeline is idempotent.
+//
+// Recover, Cursor and ParseFrame decode frames through one frame rule
+// (record.go): the header, the length bound and the CRC-32C.
 package wal
 
 import (

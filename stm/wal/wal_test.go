@@ -36,13 +36,30 @@ func writeLog(t *testing.T, dir string, first, n uint64, opts Options) {
 	}
 }
 
+// replayed collects the records Replay streams.
+func replayed(t testing.TB, r *Recovery) []Record {
+	t.Helper()
+	var recs []Record
+	if err := r.Replay(func(age uint64, payload []byte) error {
+		recs = append(recs, Record{Age: age, Payload: payload})
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return recs
+}
+
 func checkPrefix(t *testing.T, r *Recovery, first, n uint64) {
 	t.Helper()
 	if r.First() != first || r.Next() != first+n || uint64(r.Count()) != n {
 		t.Fatalf("recovered first=%d next=%d count=%d; want first=%d next=%d count=%d",
 			r.First(), r.Next(), r.Count(), first, first+n, n)
 	}
-	for i, rec := range r.Records() {
+	recs := replayed(t, r)
+	if len(recs) != r.Count() {
+		t.Fatalf("replay yielded %d records, Count %d", len(recs), r.Count())
+	}
+	for i, rec := range recs {
 		want := first + uint64(i)
 		if rec.Age != want {
 			t.Fatalf("record %d has age %d, want %d", i, rec.Age, want)
@@ -159,10 +176,8 @@ func TestIdempotentReplayAppends(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Replaying recovered ages through the writer must be a no-op.
-	for _, rec := range r.Records() {
-		if err := w.Append(rec.Age, rec.Payload); err != nil {
-			t.Fatalf("replay append age %d: %v", rec.Age, err)
-		}
+	if err := r.Replay(w.Append); err != nil {
+		t.Fatal(err)
 	}
 	if w.Next() != 50 {
 		t.Fatalf("Next moved to %d during replay, want 50", w.Next())
