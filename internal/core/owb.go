@@ -421,7 +421,7 @@ func (t *OWBTxn) releaseLocks(n int) {
 // Commit finalizes a reachable exposed transaction (Algorithm 1 lines
 // 95–108): re-validate the read-set, release locks, become committed.
 // Called by the executor's validator role once every lower age has
-// committed.
+// committed; its Order.Complete right after is what wakes the waiters.
 func (t *OWBTxn) Commit() bool {
 	for spin := 0; ; spin++ {
 		s := t.status.Load()
@@ -452,7 +452,6 @@ func (t *OWBTxn) Commit() bool {
 		t.writes[i].lock.writer.CompareAndSwap(t, nil)
 	}
 	t.status.Store(meta.StatusCommitted)
-	t.eng.cfg.Order.Kick()
 	return true
 }
 

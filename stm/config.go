@@ -26,9 +26,12 @@ type Config struct {
 	// MaxReaders bounds visible-reader slots per lock record
 	// (default 40, the paper's setting).
 	MaxReaders int
-	// Window bounds how far ahead of the last committed age workers
-	// may start new transactions (Algorithm 5's MAX; default
-	// 8*Workers, minimum 2*Workers). Only cooperative engines use it.
+	// Window is the ceiling of the run-ahead window: how far ahead of
+	// the last committed age workers may start new transactions
+	// (Algorithm 5's MAX; default 8*Workers, minimum 2*Workers). The
+	// window in force starts here, halves (down to 2*Workers) each
+	// time an exposed transaction fails at the commit frontier, and
+	// regrows by one per clean commit. Only cooperative engines use it.
 	Window int
 	// SpinBudget bounds optimistic spinning before self-aborting on a
 	// busy resource (default 64).

@@ -19,6 +19,14 @@ import (
 // assumptions removed: the loop has no fixed transaction count, and
 // every age carries its own Body.
 //
+// Speculation is throttled by what the loop observes at the frontier.
+// A failed attempt retries only after one more commit than the
+// frontier it started at (capped at its own age): the lower age that
+// beat it must commit before a re-run can win. And the run-ahead
+// window narrows while exposed attempts fail at the frontier, halving
+// per failure down to 2*Workers, and regrows by one per clean commit
+// up to Config.Window.
+//
 // The steady-state path is allocation-free: each loop goroutine owns a
 // wctx bundling a descriptor pool (meta.TxnPool — recycled descriptors
 // with generation stamps) and a padded stats cell, and the commit ring
@@ -110,6 +118,17 @@ type loop struct {
 	stopped atomic.Bool
 	fault   atomic.Pointer[Fault]
 	kick    chan struct{}
+
+	// window is the run-ahead window in force (cooperative engines):
+	// workers read it at every claim, and only the holder of the
+	// validator token writes it — a failed exposed attempt halves it
+	// (floor 2*Workers), each clean commit regrows it by one up to
+	// Config.Window. It is stored only when it changes, so under few
+	// conflicts the line stays read-only; the pads keep the token and
+	// gate flags, written on every validate, off it.
+	_      [64]byte
+	window atomic.Uint64
+	_      [56]byte
 }
 
 // newLoop wires a loop over a fresh engine. span bounds how many ages
@@ -134,6 +153,7 @@ func newLoop(cfg Config, eng meta.Engine, order *meta.Order, stats *meta.Stats, 
 		kick:    make(chan struct{}, 1),
 	}
 	l.stopf = l.stop
+	l.window.Store(uint64(cfg.Window))
 	if l.mode == meta.ModeCooperative {
 		size := uint64(1)
 		for size < 4*span {
@@ -244,16 +264,17 @@ func (l *loop) committable() bool {
 func (l *loop) worker() {
 	defer l.kickMain() // wake the validator loop on exit
 	w := l.newCtx()
-	window := uint64(l.cfg.Window)
 	for !l.stop() {
 		age, body, ok := l.feed.claim(l.stopf)
 		if !ok {
 			return
 		}
-		if l.mode == meta.ModeCooperative && age >= l.base+window {
+		if l.mode == meta.ModeCooperative {
 			// Throttle: stay within the run-ahead window of the commit
 			// frontier (Algorithm 5 lines 18–24).
-			l.order.WaitReachable(age-window, l.stopf)
+			if window := l.window.Load(); age >= l.base+window {
+				l.order.WaitReachable(age-window, l.stopf)
+			}
 		}
 		if !l.runOne(w, age, body) {
 			return
@@ -268,6 +289,7 @@ func (l *loop) worker() {
 // (other modes) state, retrying aborted attempts with recycled
 // descriptors. Returns false if the loop stopped.
 func (l *loop) runOne(w *wctx, age uint64, body Body) bool {
+	var front uint64 // the commit frontier when the last attempt started
 	for attempt := 0; ; attempt++ {
 		if l.stop() {
 			return false
@@ -277,11 +299,15 @@ func (l *loop) runOne(w *wctx, age uint64, body Body) bool {
 		}
 		if attempt > 0 {
 			w.cell.Retry()
-			// Algorithm 5 line 18: a transaction aborted more than
-			// LIMIT times waits for the commit frontier to close in
-			// (first to a small gap, then all the way to
-			// reachability), which starves out retry storms under
-			// heavy conflicts. Blocked and lite engines get the same
+			// Algorithm 5 line 18: an aborted transaction waits for
+			// the commit frontier before it runs again. Whatever
+			// beat the last attempt (a lower age's lock or write) is
+			// still there until a lower age commits, so a retry
+			// waits for one commit past the frontier the last
+			// attempt saw, capped at its own age: an age that was
+			// already reachable must not wait for its own commit.
+			// One aborted RetriesBeforeReachable times waits until
+			// it is reachable. Blocked and lite engines get the same
 			// treatment (the bounded-buffer stalling of the paper's
 			// blocking baselines).
 			switch {
@@ -300,16 +326,14 @@ func (l *loop) runOne(w *wctx, age uint64, body Body) bool {
 				l.order.WaitReachable(age, l.stopf)
 			case attempt >= meta.RetriesBeforeReachable:
 				l.order.WaitReachable(age, l.stopf)
-			case attempt >= 3:
-				gap := uint64(2 * l.workers)
-				if age > l.base+gap {
-					l.order.WaitReachable(age-gap, l.stopf)
-				}
+			default:
+				l.order.WaitReachable(min(front+1, age), l.stopf)
 			}
 		}
 		if l.trace.Sampled(age) {
 			l.trace.Record(age, obs.StageExecute)
 		}
+		front = l.order.Committed()
 		txn := w.src.NewTxn(age)
 		if !l.sandbox(w, txn, body) {
 			continue
@@ -405,9 +429,15 @@ func (l *loop) validate(w *wctx) {
 			txn.Cleanup() // cleaner role
 			w.src.Retire(txn)
 			l.feed.committed(next)
+			if win := l.window.Load(); win < uint64(l.cfg.Window) {
+				l.window.Store(win + 1)
+			}
 			continue
 		}
 		w.src.Retire(txn) // the exposed attempt aborted; re-drive the age
+		if win, floor := l.window.Load(), uint64(2*l.cfg.Workers); win > floor {
+			l.window.Store(max(win/2, floor))
+		}
 		l.reexecute(w, next, body)
 	}
 }

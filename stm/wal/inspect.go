@@ -258,17 +258,23 @@ func (c *Cursor) open(limit uint64) error {
 		return fmt.Errorf("wal: cursor at age %d: the log ends below the limit", c.expect)
 	}
 	c.rolled = false
-	f, err := os.Open(segs[idx].path)
+	return c.openAt(segs[idx].path, 0, segs[idx].age, limit)
+}
+
+// openAt opens the segment file at path and reads on from byte off,
+// where the record for age from begins.
+func (c *Cursor) openAt(path string, off int64, from, limit uint64) error {
+	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
-	c.sc.reset(f, 0, growing)
+	c.sc.reset(f, off, growing)
 	c.fresh = limit
 	c.opened++
 	// Skip records below the resume point (a cursor restarted mid-
 	// segment, or positioned at an age inside an existing segment),
 	// hopping from header to header.
-	for at := segs[idx].age; at < c.expect; at++ {
+	for at := from; at < c.expect; at++ {
 		_, a, rerr := c.sc.next(false)
 		if rerr == nil && a != at {
 			rerr = fmt.Errorf("segment holds %d at %d", a, at)

@@ -30,6 +30,8 @@ type Recovery struct {
 	countB    uint64 // their framed bytes
 	lastPath  string // surviving tail segment; "" when the directory held none
 	lastSize  int64
+	firstPath string // segment holding First()'s record; "" when the suffix is empty
+	firstOff  int64  // that record's byte offset in it
 	truncated bool
 
 	hasCkpt   bool
@@ -172,7 +174,7 @@ func (r *Recovery) reconcile(segFirst uint64) error {
 		r.skipped += r.count
 		r.skippedB += r.countB
 		r.count, r.countB = 0, 0
-		r.lastPath, r.lastSize = "", 0
+		r.lastPath, r.lastSize, r.firstPath = "", 0, ""
 		r.first, r.next = r.ckptAge, r.ckptAge
 		return nil
 	}
@@ -226,6 +228,9 @@ func (r *Recovery) scanSegment(sc *scanner, seg segment, expect *uint64, tail bo
 			r.skipped++
 			r.skippedB += uint64(len(frame))
 		} else {
+			if r.count == 0 {
+				r.firstPath, r.firstOff = seg.path, at // where Replay starts
+			}
 			r.count++
 			r.countB += uint64(len(frame))
 		}
@@ -294,11 +299,16 @@ func (r *Recovery) Skipped() (records int, bytes uint64) { return r.skipped, r.s
 // this log's reopened Writer is safe: re-appends of recovered ages are
 // no-ops, and a checkpoint taken during the replay compacts only
 // segments wholly below ages already replayed. Replay reads the files,
-// so it must run before anything else removes them.
+// so it must run before anything else removes them. It opens the
+// segment where the scan found First()'s record, at that record, so
+// nothing below the checkpoint is read twice.
 func (r *Recovery) Replay(submit func(age uint64, payload []byte) error) error {
-	c, err := NewCursor(r.dir, r.first)
-	if err != nil {
-		return err
+	if r.firstPath == "" {
+		return nil // an empty suffix
+	}
+	c := &Cursor{dir: r.dir, expect: r.first}
+	if err := c.openAt(r.firstPath, r.firstOff, r.first, r.next); err != nil {
+		return fmt.Errorf("wal: replay: %w", err)
 	}
 	defer c.Close()
 	for {
