@@ -176,10 +176,21 @@ func AbortCause(r any) (Cause, bool) {
 }
 
 // spinYieldThreshold is the number of tight-loop iterations before a
-// spinner starts yielding to the scheduler. On a single-hardware-thread
-// host (the evaluation environment of this reproduction) yielding
-// immediately is essential for progress, so the threshold is tiny.
+// spinner starts yielding to the scheduler. A spinner usually waits on
+// a goroutine that needs a processor to make the progress it waits
+// for: with fewer processors than runnable goroutines (GOMAXPROCS=1
+// above all) only a yield lets that goroutine run, so the threshold is
+// tiny.
 const spinYieldThreshold = 2
+
+// spinWaitPolls is how many times Spin polls before it gives up: the
+// spin half of every wait that can also park (Order's waits, the
+// cross-shard rendezvous). Each poll yields between checks, so the
+// budget lasts a few scheduler round trips, about as long as one
+// commit on a busy pipeline: long enough to cover the common wait for
+// the next frontier step, short enough that a wait for a stalled age
+// soon parks instead of polling.
+const spinWaitPolls = 32
 
 // Pause is the backoff primitive used inside every spin loop: cheap for
 // the first iterations, then it yields the processor so the goroutine
@@ -188,4 +199,20 @@ func Pause(i int) {
 	if i > spinYieldThreshold {
 		runtime.Gosched()
 	}
+}
+
+// Spin polls ready up to spinWaitPolls times, yielding the processor
+// between polls, and reports whether ready held. A wait that can park
+// calls it first: a park and the wake-up that ends it cost a round
+// trip through the scheduler that outlasts the short waits of a busy
+// pipeline, and the yields keep the goroutine being waited on running
+// even on one processor. On false the caller parks.
+func Spin(ready func() bool) bool {
+	for range spinWaitPolls {
+		if ready() {
+			return true
+		}
+		runtime.Gosched()
+	}
+	return ready()
 }

@@ -15,8 +15,12 @@ import (
 // The frontier is open-ended: nothing in Order assumes a batch size, so
 // the same state serves a one-shot Executor.Run and an unbounded
 // stm.Pipeline. The committed count is an atomic for cheap reads on hot
-// paths; a condition variable provides sleeping waits so that
-// turn-waiting does not burn the (single) CPU.
+// paths. Every wait follows one rule: spin briefly (Spin polls the
+// condition, yielding between polls), then sleep on a condition
+// variable, so a wait for the next commit or two — most waits — seldom
+// pays for a park and its wake-up, and a wait for a stalled age does
+// not keep a processor busy. Sleepers register in a count before their
+// last check, so Complete and Kick wake only when someone sleeps.
 type Order struct {
 	// committed is the hottest word in the system — every reachability
 	// check, frontier poll and ring scan loads it — so it gets its own
@@ -28,6 +32,16 @@ type Order struct {
 	_         [56]byte
 	halted    atomic.Bool   // run stopped; all waits must return
 	haltc     chan struct{} // closed by Halt, for select-based waiters
+
+	// sleepers counts the waiters parked (or about to park) on cond. A
+	// waiter increments it under mu before its final check of the
+	// condition and decrements it under mu after it; a waker changes
+	// the condition first and then loads the count, taking mu and
+	// broadcasting only when it is nonzero. Both sides are sequentially
+	// consistent atomics, so either the waiter's check sees the change
+	// or the waker sees the waiter — and then its broadcast, under mu,
+	// cannot fall between the waiter's check and its Wait.
+	sleepers atomic.Int32
 
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -67,17 +81,13 @@ func (o *Order) WaitTurn(age uint64, doomed func() bool) bool {
 		// commit" contract for a whole chain of parked waiters.
 		return !o.halted.Load()
 	}
-	o.mu.Lock()
-	for o.committed.Load() != age {
-		if o.halted.Load() || (doomed != nil && doomed()) {
-			o.mu.Unlock()
-			return false
-		}
-		o.cond.Wait()
+	ready := func() bool {
+		return o.committed.Load() == age || o.halted.Load() || (doomed != nil && doomed())
 	}
-	halted := o.halted.Load()
-	o.mu.Unlock()
-	return !halted
+	if !Spin(ready) {
+		o.sleep(ready)
+	}
+	return o.committed.Load() == age && !o.halted.Load()
 }
 
 // RetriesBeforeReachable is the retry throttle's last step: an age
@@ -93,31 +103,43 @@ func (o *Order) WaitReachable(age uint64, cancel func() bool) {
 	if o.committed.Load() >= age {
 		return
 	}
+	ready := func() bool {
+		return o.committed.Load() >= age || o.halted.Load() || (cancel != nil && cancel())
+	}
+	if !Spin(ready) {
+		o.sleep(ready)
+	}
+}
+
+// sleep parks on the condition variable until ready holds: the sleep
+// half of the wait rule. The sleeper is counted before the first check
+// under mu (see Order.sleepers).
+func (o *Order) sleep(ready func() bool) {
 	o.mu.Lock()
-	for o.committed.Load() < age {
-		if o.halted.Load() || (cancel != nil && cancel()) {
-			break
-		}
+	o.sleepers.Add(1)
+	for !ready() {
 		o.cond.Wait()
 	}
+	o.sleepers.Add(-1)
 	o.mu.Unlock()
 }
 
 // Complete marks age as committed (it must be the current turn) and
-// wakes every waiter.
+// wakes every sleeping waiter.
 func (o *Order) Complete(age uint64) {
-	o.mu.Lock()
-	if o.committed.Load() != age {
-		o.mu.Unlock()
+	if !o.committed.CompareAndSwap(age, age+1) {
 		panic("meta: Order.Complete out of order")
 	}
-	o.committed.Store(age + 1)
-	o.cond.Broadcast()
-	o.mu.Unlock()
+	o.Kick()
 }
 
-// Kick wakes all waiters so they can re-check their doom flags.
+// Kick wakes all sleeping waiters so they can re-check their doom or
+// cancel flags; spinning waiters re-check on their own. It takes the
+// mutex only when a sleeper is registered (see Order.sleepers).
 func (o *Order) Kick() {
+	if o.sleepers.Load() == 0 {
+		return
+	}
 	o.mu.Lock()
 	o.cond.Broadcast()
 	o.mu.Unlock()

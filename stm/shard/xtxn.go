@@ -200,6 +200,28 @@ func (x *xtxn) timeoutFault(s int) {
 	panic(stopPanic{x.sp.fault.Load()})
 }
 
+// await waits until ready holds, with x.mu held on entry and on
+// return, by the commit path's wait rule: spin first (meta.Spin, each
+// poll taking x.mu), then park on x.cond. Participants of a rendezvous
+// usually arrive within a commit or two of each other, sooner than a
+// park and its wake-up take.
+func (x *xtxn) await(ready func() bool) {
+	if ready() {
+		return
+	}
+	x.mu.Unlock()
+	meta.Spin(func() bool {
+		x.mu.Lock()
+		ok := ready()
+		x.mu.Unlock()
+		return ok
+	})
+	x.mu.Lock()
+	for !ready() {
+		x.cond.Wait()
+	}
+}
+
 func (x *xtxn) allLive() bool {
 	for i := range x.parts {
 		if x.parts[i].txn == nil {
@@ -301,9 +323,9 @@ func (x *xtxn) runPeer(tx stm.Tx, h *part) {
 	// A timeout only releases a peer whose rendezvous never formed: once
 	// a round is running the home owns our handle and completion (done,
 	// dead, or a failure) is coming.
-	for !x.done && x.failed == nil && !h.dead && !(x.expired && !x.roundActive) {
-		x.cond.Wait()
-	}
+	x.await(func() bool {
+		return x.done || x.failed != nil || h.dead || (x.expired && !x.roundActive)
+	})
 	switch {
 	case h.dead:
 		cause := h.cause
@@ -357,9 +379,7 @@ func (x *xtxn) runHome(tx stm.Tx) {
 	}
 	h.txn, h.dead = tx, false
 	x.armTimeout()
-	for x.failed == nil && !x.allLive() && !x.expired {
-		x.cond.Wait()
-	}
+	x.await(func() bool { return x.failed != nil || x.allLive() || x.expired })
 	if x.failed != nil {
 		f := x.failed
 		h.txn = nil
