@@ -48,7 +48,10 @@ func (c CodecFunc) Decode(data []byte) (Body, error) { return c.DecodeFunc(data)
 // wal.Writer. The pipeline appends the encoded payload of every
 // committed age, in age order, as the commit frontier advances;
 // the log decides when those appends reach stable storage (group
-// commit) and reports progress through the registered observer.
+// commit) and reports progress through the registered observer. A log
+// with AppendMore(age, payload, more bool) error (wal.Writer) gets that
+// instead of Append: more says another age is already on its way, so
+// the log can size a sync group to the commit burst.
 type DurableLog interface {
 	// Append hands the log the payload committed at age. Ages arrive
 	// contiguously; appending an age the log already holds must be a
@@ -141,15 +144,6 @@ type CheckpointSink interface {
 	// frontier age and truncates log history the checkpoint makes
 	// redundant.
 	Checkpoint(age uint64, state []byte) error
-}
-
-// burstLog is the optional durable-log extension that lets the log
-// size a sync group to the commit burst, implemented by wal.Writer:
-// AppendMore is Append plus whether the pipeline already knows of
-// another age on its way to the log (MSG_MORE, for group commit). A
-// DurableLog that does not implement it gets plain Append.
-type burstLog interface {
-	AppendMore(age uint64, payload []byte, more bool) error
 }
 
 // ErrPayloadRequired refuses a Body request (Submit, SubmitFunc, a

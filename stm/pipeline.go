@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/orderedstm/ostm/internal/frontier"
 	"github.com/orderedstm/ostm/internal/meta"
 	"github.com/orderedstm/ostm/stm/obs"
 )
@@ -146,11 +147,6 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 		cdone: make(chan struct{}),
 	}
 	p.bodies.New = func() any { return new([]Body) }
-	if s.dur != nil {
-		// The log reports durability progress straight into the
-		// stream, which resolves WaitDurable tickets there.
-		s.dur.log.Notify(s.durableTo)
-	}
 	if sink, ok := cfg.WAL.(CheckpointSink); ok && cfg.Snapshotter != nil {
 		p.ckptSink = sink
 		p.lastCkpt = cfg.FirstAge
@@ -161,8 +157,8 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 		l.trace = p.po.trace
 	}
 	if cfg.CheckpointEvery > 0 {
-		s.ckptEvery = cfg.CheckpointEvery
 		s.ckptKick = make(chan struct{}, 1)
+		s.dur.Kick(cfg.CheckpointEvery, s.ckptKick)
 		go p.ckptLoop()
 	} else {
 		close(p.cdone)
@@ -521,23 +517,17 @@ func (p *Pipeline) Close() error {
 		}
 		if d := p.s.dur; d != nil {
 			// Make the tail durable: everything the drain committed has
-			// been appended; one final sync closes the durability gap
-			// and (via the observer) resolves the WaitDurable tickets
-			// still deferred. The log stays open — its owner closes it.
-			err := d.log.Sync()
+			// been appended; one final sync closes the durability gap,
+			// and its result goes through the observer's path too, so a
+			// failure the observer never reported (a log torn down under
+			// us, or one that reports sync errors without a notification)
+			// fails the parked WaitDurable tickets with the
+			// DurabilityError Close reports. The log stays open — its
+			// owner closes it.
+			err := p.cfg.WAL.Sync()
 			p.s.mu.Lock()
-			if err == nil {
-				err = d.err // an append failed earlier; the prefix is frozen
-			} else if d.err == nil {
-				// The closing sync failed through a path that never fired
-				// the durability observer (possible when the log was torn
-				// down under us, and for any DurableLog that reports sync
-				// errors without a notification). Latch it so settle
-				// resolves the still-parked WaitDurable tickets with the
-				// same DurabilityError Close reports — not ErrClosed —
-				// and exactly once.
-				d.err = err
-			}
+			d.Synced(p.cfg.WAL.Durable(), err)
+			err = d.Err // or an append failed earlier; the prefix is frozen
 			p.s.mu.Unlock()
 			if err != nil {
 				p.closeErr = &DurabilityError{Err: err}
@@ -619,7 +609,7 @@ func (p *Pipeline) Durable() uint64 {
 	if p.s.dur == nil {
 		return 0
 	}
-	return p.s.dur.log.Durable()
+	return p.cfg.WAL.Durable()
 }
 
 // Checkpoint takes a checkpoint now: it freezes the claim gate at the
@@ -649,7 +639,7 @@ func (p *Pipeline) Checkpoint() (uint64, error) {
 		s.mu.Unlock()
 		return p.lastCkpt, &Stopped{Fault: f}
 	}
-	if err := s.dur.err; err != nil {
+	if err := s.dur.Err; err != nil {
 		s.mu.Unlock()
 		return p.lastCkpt, &DurabilityError{Err: err}
 	}
@@ -826,15 +816,6 @@ type tslot struct {
 	ts  int64 // as tcell.ts
 }
 
-// pslot is one slot of the durable payload ring; full distinguishes
-// an occupied slot from a consumed one (payloads may legitimately be
-// empty).
-type pslot struct {
-	age  uint64
-	p    []byte
-	full bool
-}
-
 // gateBit is the claim cursor's checkpoint gate: while it is set,
 // workers claim nothing. The checkpointer sets it to freeze a quiescent
 // frontier (no speculative execution — not even an aborted attempt's
@@ -876,26 +857,25 @@ const gateBit = 1 << 63
 type stream struct {
 	// Set before the workers start (closed: stored once, under mu)
 	// and read by every side.
-	entries   []pipeEntry
-	emask     uint64
-	tcells    []tcell // ticket ring; same geometry as entries
-	base      uint64  // first age of the stream
-	capacity  int
-	closed    atomic.Bool
-	ckptEvery uint64           // Config.CheckpointEvery, 0 when disabled
-	ckptKick  chan struct{}    // signals the checkpointer goroutine
-	onCommit  func(age uint64) // Config.OnCommit, nil when unset
-	dur       *durState        // durability state, nil without a WAL
-	po        *pipeObs         // observability, nil without Config.Obs
+	entries  []pipeEntry
+	emask    uint64
+	tcells   []tcell // ticket ring; same geometry as entries
+	base     uint64  // first age of the stream
+	capacity int
+	closed   atomic.Bool
+	ckptKick chan struct{}         // the feed signals the checkpointer; nil when disabled
+	onCommit func(age uint64)      // Config.OnCommit, nil when unset
+	dur      *frontier.Feed[tslot] // the log's feed, nil without a WAL; under mu
+	wait     bool                  // Config.WaitDurable
+	po       *pipeObs              // observability, nil without Config.Obs
 
 	// What producers write on every submit, off the lines above.
-	_         [64]byte
-	mu        sync.Mutex
-	work      *sync.Cond       // idle workers
-	commits   *sync.Cond       // producers at Capacity, Drain, Checkpoint
-	tickets   map[uint64]tslot // overflow for out-of-order commit skew; under mu
-	fault     *Fault           // under mu
-	sinceCkpt uint64           // commits since the last checkpoint kick; under mu
+	_       [64]byte
+	mu      sync.Mutex
+	work    *sync.Cond       // idle workers
+	commits *sync.Cond       // producers at Capacity, Drain, Checkpoint
+	tickets map[uint64]tslot // overflow for out-of-order commit skew; under mu
+	fault   *Fault           // under mu
 
 	// The counters producers, workers and the validator share, one
 	// writer side each, on lines of their own.
@@ -907,103 +887,6 @@ type stream struct {
 	ncommitted atomic.Uint64 // count of committed transactions
 	waiters    atomic.Int32  // goroutines registered to park on commits
 	_          [52]byte
-}
-
-// durState is the stream's durability bookkeeping: payload retention
-// between submit and commit, the contiguous log frontier, and the
-// tickets deferred past commit by WaitDurable. All fields are guarded
-// by the stream mutex.
-type durState struct {
-	log   DurableLog
-	burst burstLog // log, when it takes the more-is-coming hint; else nil
-	wait  bool     // Config.WaitDurable
-	next  uint64   // next age to hand to the log (contiguous frontier)
-	// pring retains each in-flight age's encoded payload until that
-	// age commits. Like the ticket ring, slots are age-tagged with a
-	// map escape: commit-order skew (unordered engines, STMLite's
-	// concurrent write-backs) lets backpressure admit age+size while
-	// an older age's payload still occupies the slot, so post evicts
-	// the occupant into overflow instead of clobbering it. In-order
-	// engines never overflow.
-	pring    []pslot
-	overflow map[uint64][]byte
-	// pend holds payloads of ages reported out of frontier order
-	// (any engine whose workers report their own commits can put one
-	// here; the log still receives a strictly contiguous sequence).
-	pend map[uint64][]byte
-	// waitq holds committed tickets whose age is not yet durable
-	// (WaitDurable), in commit order — ascending age on every in-order
-	// engine — so durableTo pops from the front while age < next
-	// instead of ranging over every deferred ticket at each sync
-	// point. A ticket that commits below the queue's newest age
-	// (commit-order skew) escapes to waitSkew, as tslots/tickets do.
-	waitq    ticketFIFO
-	waitSkew map[uint64]tslot
-	err      error // first log failure; the durable prefix is frozen
-}
-
-// ticketFIFO is a queue of tickets in arrival order.
-type ticketFIFO struct {
-	buf  []tslot
-	head int
-}
-
-func (q *ticketFIFO) push(t tslot) {
-	if len(q.buf) == cap(q.buf) && q.head > len(q.buf)/2 {
-		// Mostly consumed: slide the live tail down instead of growing.
-		n := copy(q.buf, q.buf[q.head:])
-		clear(q.buf[n:])
-		q.buf, q.head = q.buf[:n], 0
-	}
-	q.buf = append(q.buf, t)
-}
-
-// front returns the oldest ticket; its t is nil when the queue is
-// empty.
-func (q *ticketFIFO) front() tslot {
-	if q.head == len(q.buf) {
-		return tslot{}
-	}
-	return q.buf[q.head]
-}
-
-// back returns the newest ticket; its t is nil when the queue is
-// empty.
-func (q *ticketFIFO) back() tslot {
-	if q.head == len(q.buf) {
-		return tslot{}
-	}
-	return q.buf[len(q.buf)-1]
-}
-
-func (q *ticketFIFO) pop() {
-	q.buf[q.head] = tslot{}
-	if q.head++; q.head == len(q.buf) {
-		q.buf, q.head = q.buf[:0], 0
-	}
-}
-
-// deferTicket parks a committed WaitDurable ticket until durableTo
-// reaches its age.
-func (d *durState) deferTicket(sl tslot) {
-	if b := d.waitq.back(); b.t != nil && b.age > sl.age {
-		d.waitSkew[sl.age] = sl
-		return
-	}
-	d.waitq.push(sl)
-}
-
-// failDeferred resolves every ticket still parked for durability with
-// err.
-func (d *durState) failDeferred(err error) {
-	for sl := d.waitq.front(); sl.t != nil; sl = d.waitq.front() {
-		d.waitq.pop()
-		sl.t.resolve(err)
-	}
-	for age, sl := range d.waitSkew {
-		delete(d.waitSkew, age)
-		sl.t.resolve(err)
-	}
 }
 
 func newStream(cfg Config) *stream {
@@ -1023,16 +906,11 @@ func newStream(cfg Config) *stream {
 	s.submitted.Store(cfg.FirstAge)
 	s.cursor.Store(cfg.FirstAge)
 	if cfg.WAL != nil {
-		s.dur = &durState{
-			log:      cfg.WAL,
-			wait:     cfg.WaitDurable,
-			next:     cfg.FirstAge,
-			pring:    make([]pslot, size),
-			overflow: make(map[uint64][]byte),
-			pend:     make(map[uint64][]byte),
-			waitSkew: make(map[uint64]tslot),
-		}
-		s.dur.burst, _ = cfg.WAL.(burstLog)
+		s.dur = frontier.NewFeed(cfg.WAL, cfg.FirstAge, int(size), s.resolveDurable)
+		s.wait = cfg.WaitDurable
+		// The log reports durability progress straight into the
+		// stream's feed, which resolves WaitDurable tickets there.
+		cfg.WAL.Notify(s.durableTo)
 	}
 	s.work = sync.NewCond(&s.mu)
 	s.commits = sync.NewCond(&s.mu)
@@ -1068,13 +946,7 @@ func (s *stream) post(t *Ticket, body Body, payload []byte) bool {
 		s.tickets[age] = tslot{age: age, t: t, ts: ts}
 	}
 	if d := s.dur; d != nil {
-		sl := &d.pring[age&s.emask]
-		if sl.full {
-			// Commit-order skew: the previous tenant has not committed
-			// yet; keep its payload reachable by age.
-			d.overflow[sl.age] = sl.p
-		}
-		sl.age, sl.p, sl.full = age, payload, true
+		d.Put(age, payload, tslot{}, 1)
 	}
 	e := &s.entries[age&s.emask]
 	for e.stamp.Load() != 0 {
@@ -1182,15 +1054,13 @@ func (s *stream) committed(age uint64) {
 }
 
 // durableStep is a WAL pipeline's part of committed, called with mu
-// held: OnCommit, the log append, the WaitDurable deferral and the
-// checkpoint kick, in that order. It returns the ticket still to
-// resolve at commit, nil once deferred or failed.
+// held: OnCommit, then the hand-over to the log's feed. It returns the
+// ticket still to resolve at commit, nil once the feed took it.
 func (s *stream) durableStep(age uint64, tk tslot) *Ticket {
 	d, t := s.dur, tk.t
 	if s.onCommit != nil {
 		s.onCommit(age)
 	}
-	s.logAge(age)
 	// Only WaitDurable couples ticket resolution to the log: a plain
 	// durable pipeline acknowledges at commit — even after a log
 	// failure the transaction did commit, so its ticket stays nil
@@ -1198,28 +1068,22 @@ func (s *stream) durableStep(age uint64, tk tslot) *Ticket {
 	// the caller through WaitDurable tickets and Close. (After a fault
 	// t is nil unless the age completed before the stop landed:
 	// halted's sweep left exactly those for us.)
-	if t != nil && d.wait {
-		switch {
-		case d.err != nil:
-			// The log is dead: the transaction committed in memory, but
-			// the durability promise Wait is waiting on cannot be kept.
-			t.resolve(&DurabilityError{Err: d.err})
-			t = nil
-		case age >= d.log.Durable():
-			d.deferTicket(tk) // resolved by durableTo at a sync point
-			t = nil
-		}
+	wait := t != nil && s.wait
+	if wait {
+		t = nil
 	}
-	if s.ckptEvery > 0 {
-		s.sinceCkpt++
-		if s.sinceCkpt >= s.ckptEvery {
-			s.sinceCkpt = 0
-			select {
-			case s.ckptKick <- struct{}{}:
-			default: // a checkpoint is already pending or in progress
-			}
-		}
+	if age != d.Next() {
+		// A report that overtook an older age's: its payload waits past
+		// this age's ticket resolution, which releases the caller's
+		// buffer (the SubmitEncoded contract) — so keep a copy.
+		e := d.At(age)
+		e.Payload = append([]byte(nil), e.Payload...)
 	}
+	// The commit-frontier hook: appends are contiguous and only buffer
+	// (group commit happens in the log's syncer), so the commit path
+	// never waits on storage, and an age above a fault's permanent gap
+	// is never appended — the log's prefix property.
+	d.Complete(age, tk, wait)
 	return t
 }
 
@@ -1234,94 +1098,25 @@ func (s *stream) takeOverflow(age uint64) tslot {
 	return tk
 }
 
-// logAge is the commit-frontier hook: it consumes the age's retained
-// payload and extends the write-ahead log's strictly contiguous
-// record sequence. A report at the frontier appends right here; one
-// that arrives ahead of it — any engine whose workers report their
-// own commits, ordered blocked engines included — parks its payload
-// until the frontier reaches it. An
-// age above a permanent gap — a racing commit that landed past a
-// fault — parks forever, which is exactly the prefix property the
-// log guarantees. Called with mu held, before the age is counted as
-// committed; Append only buffers (group commit happens in the log's
-// syncer), so the commit path never waits on storage. A log that takes
-// the hint is told whether more is coming: another submitted age is
-// still uncommitted, or a parked successor is appended next.
-func (s *stream) logAge(age uint64) {
-	d := s.dur
-	var p []byte
-	if sl := &d.pring[age&s.emask]; sl.full && sl.age == age {
-		p = sl.p
-		sl.p, sl.full = nil, false
-	} else {
-		p = d.overflow[age]
-		delete(d.overflow, age)
-	}
-	if d.err != nil {
-		return
-	}
-	if age != d.next {
-		// Parked past this age's ticket resolution, which releases the
-		// caller's buffer (the SubmitEncoded contract) — so park a
-		// copy, not the caller's bytes. Only a report that overtook
-		// an older age's ever pays this.
-		d.pend[age] = append([]byte(nil), p...)
-		return
-	}
-	inflight := s.submitted.Load()-s.reported() > 1
-	for {
-		succ, parked := d.pend[d.next+1]
-		var err error
-		if d.burst != nil {
-			err = d.burst.AppendMore(d.next, p, inflight || parked)
-		} else {
-			err = d.log.Append(d.next, p)
-		}
-		if err != nil {
-			d.err = err
-			return
-		}
-		d.next++
-		if !parked {
-			return
-		}
-		p = succ
-		delete(d.pend, d.next)
-	}
-}
-
 // durableTo is the log's durability observer (registered via Notify):
 // every age below next is now on stable storage, so WaitDurable
-// tickets up to there resolve. A log failure resolves every deferred
-// ticket with the durability error instead — their transactions
-// committed in memory, but the promise Wait was waiting on is broken.
+// tickets up to there resolve. A log failure resolves every committed
+// one with the durability error instead — their transactions committed
+// in memory, but the promise Wait was waiting on is broken.
 func (s *stream) durableTo(next uint64, err error) {
 	s.mu.Lock()
-	d := s.dur
-	if err != nil && d.err == nil {
-		d.err = err
-	}
-	if d.err != nil {
-		d.failDeferred(&DurabilityError{Err: d.err})
-		s.mu.Unlock()
-		return
-	}
-	for sl := d.waitq.front(); sl.t != nil && sl.age < next; sl = d.waitq.front() {
-		d.waitq.pop()
-		s.resolveDurable(sl)
-	}
-	for age, sl := range d.waitSkew {
-		if age < next {
-			delete(d.waitSkew, age)
-			s.resolveDurable(sl)
-		}
-	}
+	s.dur.Synced(next, err)
 	s.mu.Unlock()
 }
 
 // resolveDurable acknowledges a WaitDurable ticket whose age reached
-// stable storage. Called with mu held.
-func (s *stream) resolveDurable(sl tslot) {
+// stable storage, or fails it with the log's failure. Called with mu
+// held.
+func (s *stream) resolveDurable(sl tslot, err error) {
+	if err != nil {
+		sl.t.resolve(&DurabilityError{Err: err})
+		return
+	}
 	if po := s.po; po != nil {
 		if sl.ts != 0 {
 			po.resolveLat.Observe(time.Now().UnixNano() - sl.ts)
@@ -1452,14 +1247,16 @@ func (s *stream) settle() {
 	s.mu.Lock()
 	s.resolveOutstanding(s.fault, 0)
 	if d := s.dur; d != nil {
+		var err error
 		switch {
-		case d.err != nil:
-			d.failDeferred(&DurabilityError{Err: d.err})
+		case d.Err != nil:
+			err = &DurabilityError{Err: d.Err}
 		case s.fault != nil:
-			d.failDeferred(&Stopped{Fault: s.fault})
+			err = &Stopped{Fault: s.fault}
 		default:
-			d.failDeferred(ErrClosed)
+			err = ErrClosed
 		}
+		d.Settle(func(sl tslot) { sl.t.resolve(err) })
 	}
 	s.mu.Unlock()
 }

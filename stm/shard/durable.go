@@ -4,6 +4,7 @@ import (
 	"math"
 	"sync"
 
+	"github.com/orderedstm/ostm/internal/frontier"
 	"github.com/orderedstm/ostm/stm"
 )
 
@@ -34,54 +35,37 @@ type Codec interface {
 // (stm.Config.OnCommit); a global age completes when all its local
 // submissions committed — one for a single-shard transaction, one
 // fence per involved shard for a cross-shard one. Shards drain
-// independently, so completions arrive out of global order; the log
-// still receives a strictly contiguous global-age sequence, because
-// advance only appends at the frontier.
+// independently, so completions arrive out of global order; the feed
+// still hands the log a strictly contiguous global-age sequence.
 type durRouter struct {
 	sp   *ShardedPipeline
 	log  stm.DurableLog
 	wait bool
 
-	mu      sync.Mutex
-	cond    *sync.Cond // broadcast when next advances, the log fails, or the system faults
-	next    uint64     // next global age to append (contiguous frontier)
-	entries map[uint64]*durEntry
-	local   []map[uint64]uint64 // per shard: local age → global age
-	waiting map[uint64]*Ticket  // appended, not yet durable (WaitDurable)
-	err     error               // first log failure; the durable prefix is frozen
-
-	// Automatic checkpoint trigger; zero unless Config.CheckpointEvery
-	// is set. advance counts appended ages and kicks the checkpointer
-	// once enough have landed since the last checkpoint.
-	ckptEvery uint64
-	sinceCkpt uint64        // guarded by mu
-	ckptKick  chan struct{} // capacity 1
+	mu   sync.Mutex
+	cond *sync.Cond // broadcast when the frontier advances, the log fails, or the system faults
+	// feed holds every registered global age until the log has it, and
+	// its router-resolved ticket until the age is durable.
+	feed *frontier.Feed[*Ticket]
+	// toGlobal maps each shard's in-flight local ages to global ages.
+	toGlobal []*frontier.Tracker[uint64]
+	ckptKick chan struct{} // the feed signals the checkpointer; nil when disabled
 }
 
-// durEntry tracks one global age from submission to its log append.
-type durEntry struct {
-	g         uint64
-	payload   []byte
-	remaining int     // local commits still outstanding
-	done      bool    // committed on every involved shard
-	t         *Ticket // router-resolved ticket (WaitDurable), nil otherwise
-}
-
-func newDurRouter(sp *ShardedPipeline, log stm.DurableLog, wait bool, first uint64, shards int) *durRouter {
-	dr := &durRouter{
-		sp:      sp,
-		log:     log,
-		wait:    wait,
-		next:    first,
-		entries: make(map[uint64]*durEntry),
-		local:   make([]map[uint64]uint64, shards),
-		waiting: make(map[uint64]*Ticket),
-	}
-	for s := range dr.local {
-		dr.local[s] = make(map[uint64]uint64)
-	}
+// track completes the router before its first submission: it makes the
+// frontier rings, sized to each shard's Capacity, and subscribes to the
+// log's durability reports. The feed covers every shard's Capacity
+// twice over, for the completed ages a slower shard holds back; a local
+// ring covers its shard's plus the age a submission maps before it
+// waits for room, twice over too.
+func (dr *durRouter) track(first uint64, capacity int) {
 	dr.cond = sync.NewCond(&dr.mu)
-	return dr
+	dr.feed = frontier.NewFeed(dr.log, first, 2*dr.sp.shards*capacity, resolveDurable)
+	dr.toGlobal = make([]*frontier.Tracker[uint64], dr.sp.shards)
+	for s := range dr.toGlobal {
+		dr.toGlobal[s] = frontier.New[uint64](2 * capacity)
+	}
+	dr.log.Notify(dr.durableTo)
 }
 
 // add registers a global age before any of its local submissions can
@@ -90,15 +74,15 @@ func newDurRouter(sp *ShardedPipeline, log stm.DurableLog, wait bool, first uint
 // (made here for a single-shard ticket, which has none), and add
 // reports true.
 func (dr *durRouter) add(g uint64, payload []byte, involved int, t *Ticket) bool {
-	e := &durEntry{g: g, payload: payload, remaining: involved}
+	var tk *Ticket
 	if dr.wait {
 		if t.res == nil {
 			t.res = new(outcome)
 		}
-		e.t = t
+		tk = t
 	}
 	dr.mu.Lock()
-	dr.entries[g] = e
+	dr.feed.Put(g, payload, tk, involved)
 	dr.mu.Unlock()
 	return dr.wait
 }
@@ -108,90 +92,33 @@ func (dr *durRouter) add(g uint64, payload []byte, involved int, t *Ticket) bool
 // never observe an unmapped age.
 func (dr *durRouter) mapLocal(s int, la, g uint64) {
 	dr.mu.Lock()
-	dr.local[s][la] = g
+	dr.toGlobal[s].Put(la, g)
 	dr.mu.Unlock()
 }
 
-// unmapLocal backs out a mapping whose submission was refused (the
-// local age was never consumed and will be reassigned).
-func (dr *durRouter) unmapLocal(s int, la uint64) {
+// withdraw backs out global age g and its mapping from shard s's local
+// age la, whose submission was refused: the local age was never
+// consumed and will be reassigned, and g can never complete (local
+// submissions of g already in flight find no entry, which the feed
+// ignores). Its ticket (if any) is resolved by the caller's error
+// path.
+func (dr *durRouter) withdraw(s int, la, g uint64) {
 	dr.mu.Lock()
-	delete(dr.local[s], la)
-	dr.mu.Unlock()
-}
-
-// drop abandons an entry whose submission failed entirely; its ticket
-// (if any) is resolved by the caller's error path.
-func (dr *durRouter) drop(g uint64) {
-	dr.mu.Lock()
-	delete(dr.entries, g)
+	dr.toGlobal[s].Take(la)
+	dr.feed.Take(g)
 	dr.mu.Unlock()
 }
 
 // localCommit is the per-shard commit hook: shard s committed its
-// local age la. Runs on the shard's commit path (its stream lock is
-// held) — it only updates counters and, at the global frontier,
-// buffers log appends.
+// local age la. Shard pipelines carry no log, so their commit reports
+// call it without any stream lock, from every worker of the shard at
+// once (see stm.Config.OnCommit); dr.mu serializes it. It only updates
+// counters and, at the global frontier, buffers log appends.
 func (dr *durRouter) localCommit(s int, la uint64) {
 	dr.mu.Lock()
-	g, ok := dr.local[s][la]
-	if !ok {
-		dr.mu.Unlock()
-		return // not tracked (registration backed out on a refused submit)
-	}
-	delete(dr.local[s], la)
-	if e := dr.entries[g]; e != nil {
-		if e.remaining--; e.remaining == 0 {
-			e.done = true
-			dr.advance()
-		}
-	}
-	dr.mu.Unlock()
-}
-
-// advance extends the contiguous global frontier: appends every
-// completed age at the front of the entries map to the log, resolving
-// or parking WaitDurable tickets. Called with dr.mu held.
-func (dr *durRouter) advance() {
-	start := dr.next
-	defer func() {
-		if dr.next == start {
-			return
-		}
+	defer dr.mu.Unlock()
+	if g, ok := dr.toGlobal[s].Take(la); ok && dr.feed.Complete(g, nil, false) > 0 {
 		dr.cond.Broadcast()
-		if dr.ckptEvery > 0 {
-			if dr.sinceCkpt += dr.next - start; dr.sinceCkpt >= dr.ckptEvery {
-				dr.sinceCkpt = 0
-				select {
-				case dr.ckptKick <- struct{}{}:
-				default: // a kick is already pending
-				}
-			}
-		}
-	}()
-	for {
-		e := dr.entries[dr.next]
-		if e == nil || !e.done {
-			return
-		}
-		if dr.err == nil {
-			if err := dr.log.Append(e.g, e.payload); err != nil {
-				dr.err = err
-			}
-		}
-		if e.t != nil {
-			switch {
-			case dr.err != nil:
-				resolveTicket(e.t, &stm.DurabilityError{Err: dr.err})
-			case e.g < dr.log.Durable():
-				resolveTicket(e.t, nil)
-			default:
-				dr.waiting[e.g] = e.t // resolved by durableTo at a sync point
-			}
-			e.t = nil
-		}
-		delete(dr.entries, dr.next)
-		dr.next++
 	}
 }
 
@@ -199,19 +126,9 @@ func (dr *durRouter) advance() {
 // next is on stable storage.
 func (dr *durRouter) durableTo(next uint64, err error) {
 	dr.mu.Lock()
-	if err != nil && dr.err == nil {
-		dr.err = err
+	dr.feed.Synced(next, err)
+	if err != nil {
 		dr.cond.Broadcast() // release any frontier wait; the log is dead
-	}
-	for g, t := range dr.waiting {
-		switch {
-		case dr.err != nil:
-			delete(dr.waiting, g)
-			resolveTicket(t, &stm.DurabilityError{Err: dr.err})
-		case g < next:
-			delete(dr.waiting, g)
-			resolveTicket(t, nil)
-		}
 	}
 	dr.mu.Unlock()
 }
@@ -232,28 +149,23 @@ func (dr *durRouter) durableTo(next uint64, err error) {
 // completed on all its shards before the stop and only awaits its
 // commit report (the run-loop reports every completed age), so
 // localCommit appends it and it resolves with the truth.
-func (dr *durRouter) sweepFail(f *stm.Fault) {
+func (dr *durRouter) sweepFail() {
 	dr.mu.Lock()
 	cut := uint64(math.MaxUint64)
-	for s, m := range dr.local {
-		for la, g := range m {
+	for s, r := range dr.toGlobal {
+		r.Range(func(la uint64, g *uint64) {
 			// On a stopped pipeline WaitFrontier does not wait.
-			if g < cut && !dr.sp.pipes[s].WaitFrontier(la+1) {
-				cut = g
+			if *g < cut && !dr.sp.pipes[s].WaitFrontier(la+1) {
+				cut = *g
 			}
-		}
+		})
 	}
-	for _, e := range dr.entries {
-		if e.t == nil || e.g < cut {
-			continue
+	dr.feed.Range(func(g uint64, e *frontier.Entry[*Ticket]) {
+		if e.Ticket != nil && g >= cut {
+			resolveTicket(e.Ticket, dr.sp.translate(g, stm.ErrClosed))
+			e.Ticket = nil
 		}
-		if f != nil && e.g == f.Age {
-			resolveTicket(e.t, f)
-		} else {
-			resolveTicket(e.t, &stm.Stopped{Fault: f})
-		}
-		e.t = nil
-	}
+	})
 	dr.cond.Broadcast() // the fault is visible; release any frontier wait
 	dr.mu.Unlock()
 }
@@ -263,7 +175,7 @@ func (dr *durRouter) sweepFail(f *stm.Fault) {
 func (dr *durRouter) frontier() uint64 {
 	dr.mu.Lock()
 	defer dr.mu.Unlock()
-	return dr.next
+	return dr.feed.Next()
 }
 
 // waitFrontier blocks until the contiguous global frontier reaches g
@@ -273,52 +185,44 @@ func (dr *durRouter) frontier() uint64 {
 func (dr *durRouter) waitFrontier(g uint64) error {
 	dr.mu.Lock()
 	defer dr.mu.Unlock()
-	for dr.next < g && dr.err == nil && dr.sp.fault.Load() == nil {
+	for dr.feed.Next() < g && dr.feed.Err == nil && dr.sp.fault.Load() == nil {
 		dr.cond.Wait()
 	}
-	if dr.err != nil {
-		return &stm.DurabilityError{Err: dr.err}
+	if err := dr.feed.Err; err != nil {
+		return &stm.DurabilityError{Err: err}
 	}
-	if f := dr.sp.fault.Load(); f != nil && dr.next < g {
+	if f := dr.sp.fault.Load(); f != nil && dr.feed.Next() < g {
 		return &stm.Stopped{Fault: f}
 	}
 	return nil
 }
 
-// settle is the teardown backstop after the closing sync: nothing may
-// stay unresolved once Close returns.
-func (dr *durRouter) settle(f *stm.Fault) {
-	dr.mu.Lock()
-	fail := func(t *Ticket, g uint64) {
-		switch {
-		case dr.err != nil:
-			resolveTicket(t, &stm.DurabilityError{Err: dr.err})
-		case f != nil && g == f.Age:
-			resolveTicket(t, f)
-		case f != nil:
-			resolveTicket(t, &stm.Stopped{Fault: f})
-		default:
-			resolveTicket(t, stm.ErrClosed)
-		}
-	}
-	for g, t := range dr.waiting {
-		delete(dr.waiting, g)
-		fail(t, g)
-	}
-	for _, e := range dr.entries {
-		if e.t != nil {
-			fail(e.t, e.g)
-			e.t = nil
-		}
-	}
-	dr.mu.Unlock()
-}
-
-// lastErr returns the latched log failure, if any.
-func (dr *durRouter) lastErr() error {
+// settle is the teardown backstop after the closing sync, whose result
+// is syncErr: nothing may stay unresolved once Close returns. The
+// result goes through the observer's path first, so a failure the
+// observer never reported fails the parked tickets with the
+// DurabilityError Close reports. It returns the log's failure.
+func (dr *durRouter) settle(syncErr error) error {
 	dr.mu.Lock()
 	defer dr.mu.Unlock()
-	return dr.err
+	dr.feed.Synced(dr.log.Durable(), syncErr)
+	dr.feed.Settle(func(t *Ticket) {
+		err := dr.sp.translate(t.g, stm.ErrClosed) // the fault's vocabulary
+		if dr.feed.Err != nil {
+			err = &stm.DurabilityError{Err: dr.feed.Err}
+		}
+		resolveTicket(t, err)
+	})
+	return dr.feed.Err
+}
+
+// resolveDurable is the feed's resolution of a WaitDurable ticket: nil
+// once its age is durable, else the log's failure.
+func resolveDurable(t *Ticket, err error) {
+	if err != nil {
+		err = &stm.DurabilityError{Err: err}
+	}
+	resolveTicket(t, err)
 }
 
 // resolveTicket completes a router-resolved ticket. Every caller holds

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -521,6 +522,49 @@ func TestShardedWaitDurableDefersUntilSync(t *testing.T) {
 	}
 	if err := sp.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// muteFailLog is a log whose Sync fails without ever firing the
+// durability observer.
+type muteFailLog struct{}
+
+func (muteFailLog) Append(uint64, []byte) error         { return nil }
+func (muteFailLog) Notify(func(next uint64, err error)) {}
+func (muteFailLog) Sync() error                         { return syscall.EIO }
+func (muteFailLog) Durable() uint64                     { return 0 }
+
+// TestShardedWaitDurableCloseSyncFailureWithoutNotify: a closing sync
+// that fails without a notification fails every parked WaitDurable
+// ticket with the DurabilityError Close reports, not ErrClosed.
+func TestShardedWaitDurableCloseSyncFailureWithoutNotify(t *testing.T) {
+	accounts := newDurAccounts()
+	sp, err := shard.New(shard.Config{
+		Shards:      2,
+		Pipeline:    stm.Config{Algorithm: stm.OUL, Workers: 2},
+		WAL:         muteFailLog{},
+		Codec:       xferCodec{accounts: accounts},
+		WaitDurable: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tickets []*shard.Ticket
+	for g := uint64(0); g < 16; g++ {
+		tk, err := sp.SubmitEncoded(xferFor(g).encode())
+		if err != nil {
+			t.Fatal(err)
+		}
+		tickets = append(tickets, tk)
+	}
+	var de *stm.DurabilityError
+	if err := sp.Close(); !errors.As(err, &de) {
+		t.Fatalf("Close = %v, want DurabilityError", err)
+	}
+	for _, tk := range tickets {
+		if err := tk.Wait(); !errors.As(err, &de) {
+			t.Fatalf("ticket %d resolved with %v, want the DurabilityError Close reported", tk.Age(), err)
+		}
 	}
 }
 

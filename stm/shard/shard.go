@@ -225,19 +225,11 @@ func New(cfg Config) (*ShardedPipeline, error) {
 		copy(sp.localNext, cfg.LocalFirstAges)
 	}
 	if cfg.WAL != nil {
-		sp.dr = newDurRouter(sp, cfg.WAL, cfg.WaitDurable, first, cfg.Shards)
-		cfg.WAL.Notify(sp.dr.durableTo)
+		sp.dr = &durRouter{sp: sp, log: cfg.WAL, wait: cfg.WaitDurable}
 	}
 	if sink, ok := cfg.WAL.(stm.CheckpointSink); ok && cfg.Snapshotter != nil {
 		sp.ckptSink = sink
 		sp.snap = cfg.Snapshotter
-	}
-	if cfg.CheckpointEvery > 0 {
-		sp.dr.ckptEvery = cfg.CheckpointEvery
-		sp.dr.ckptKick = make(chan struct{}, 1)
-		go sp.ckptLoop()
-	} else {
-		close(sp.ckdone)
 	}
 	if cfg.Obs != nil {
 		sp.so = newShardObs(cfg.Obs, sp)
@@ -267,6 +259,16 @@ func New(cfg Config) (*ShardedPipeline, error) {
 			return nil, err
 		}
 		sp.pipes = append(sp.pipes, p)
+	}
+	if sp.dr != nil {
+		sp.dr.track(first, sp.pipes[0].Config().Capacity)
+	}
+	if cfg.CheckpointEvery > 0 {
+		sp.dr.ckptKick = make(chan struct{}, 1)
+		sp.dr.feed.Kick(cfg.CheckpointEvery, sp.dr.ckptKick)
+		go sp.ckptLoop()
+	} else {
+		close(sp.ckdone)
 	}
 	return sp, nil
 }
@@ -485,8 +487,7 @@ func (sp *ShardedPipeline) SubmitBatch(ctx context.Context, reqs []Request, out 
 			// Refused suffix: those ages can never complete; unwind their
 			// registrations so the frontier tracker never waits on them.
 			for k := len(lts); k < len(pend[s]); k++ {
-				sp.dr.unmapLocal(s, base+uint64(k))
-				sp.dr.drop(pendTxn[s][k].g)
+				sp.dr.withdraw(s, base+uint64(k), pendTxn[s][k].g)
 			}
 		}
 		pend[s], pendTxn[s], pendIdx[s] = pend[s][:0], pendTxn[s][:0], pendIdx[s][:0]
@@ -618,8 +619,7 @@ func (sp *ShardedPipeline) submitLocal(ctx context.Context, g uint64, s int, bod
 	lt, err := sp.pipes[s].SubmitCtx(ctx, stm.Request{Body: l.run, Ticket: &l.lt})
 	if err != nil {
 		if sp.dr != nil {
-			sp.dr.unmapLocal(s, sp.localNext[s])
-			sp.dr.drop(g)
+			sp.dr.withdraw(s, sp.localNext[s], g)
 		}
 		if errors.Is(err, stm.ErrCanceled) {
 			return nil, err // withdrawn whole; route rolls the age back
@@ -668,12 +668,9 @@ func (sp *ShardedPipeline) submitCross(ctx context.Context, g uint64, involved [
 		_, err := sp.pipes[s].SubmitCtx(fctx, stm.Request{Body: h.fence, Ticket: &h.ft})
 		if err != nil {
 			if sp.dr != nil {
-				// The refused age can never complete, so stop tracking it
-				// (fences already in flight find no entry, which
-				// localCommit tolerates; the frontier stays frozen below
-				// the fault either way). The ticket never escapes.
-				sp.dr.unmapLocal(s, sp.localNext[s])
-				sp.dr.drop(g)
+				// The frontier stays frozen below the fault either way.
+				// The ticket never escapes.
+				sp.dr.withdraw(s, sp.localNext[s], g)
 			}
 			sp.forget(x)
 			if errors.Is(err, stm.ErrCanceled) {
@@ -732,7 +729,7 @@ func (sp *ShardedPipeline) fail(f *stm.Fault) {
 		x.fail(f)
 	}
 	if sp.dr != nil {
-		sp.dr.sweepFail(f)
+		sp.dr.sweepFail()
 	}
 }
 
@@ -800,14 +797,10 @@ func (sp *ShardedPipeline) Close() error {
 			// WaitDurable tickets still parked, and settle clears
 			// anything stranded above a fault's gap. The log stays
 			// open — its owner closes it.
-			err := sp.dr.log.Sync()
-			if err == nil {
-				err = sp.dr.lastErr()
-			}
+			err := sp.dr.settle(sp.dr.log.Sync())
 			if err != nil && first == nil {
 				first = &stm.DurabilityError{Err: err}
 			}
-			sp.dr.settle(sp.fault.Load())
 		}
 		sp.closeErr = first
 		if sp.closeErr == nil {

@@ -2,6 +2,7 @@ package stm_test
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"runtime"
@@ -182,68 +183,160 @@ func runWakeups(t *testing.T, alg stm.Algorithm, workers int, durable bool) {
 // wait for that claimer to release the slot. Each body checks that it
 // runs at the age its submission was assigned: a slot rewritten before
 // its claimer read it would run the newer body at the older age.
+//
+// The durable inputs run the ordered engines whose workers report their
+// own commits on a WaitDurable log, where the same skew reaches the
+// log's frontier tracker: an age reported ahead of its predecessor
+// waits for it, and one still held when a later age comes round to its
+// slot must move aside rather than be overwritten. Window 20 puts the
+// Capacity floor at 32, a full ring, so one overtaking report is enough
+// for that. Every ticket must resolve nil, and the log must replay
+// exactly ages [0, n), each with its own payload, to the live state.
 func TestSubmissionSlotReuseUnderSkew(t *testing.T) {
-	const n = 50000
 	var skewed uint64 // commit reports below an age already reported
 	for _, alg := range []stm.Algorithm{stm.TL2, stm.NOrec, stm.UndoLogVis, stm.UndoLogInvis, stm.STMLite} {
-		t.Run(alg.String(), func(t *testing.T) {
-			vars := stm.NewVars(4)
-			var (
-				wrong        atomic.Int64
-				top, reorder atomic.Uint64
-			)
-			p, err := stm.NewPipeline(stm.Config{
-				Algorithm: alg,
-				Workers:   4,
-				Capacity:  1, // raised to the floor, Window+Workers+8
-				OnCommit: func(age uint64) {
-					for {
-						m := top.Load()
-						if age < m {
-							reorder.Add(1)
-							return
-						}
-						if top.CompareAndSwap(m, age) {
-							return
-						}
-					}
-				},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < n; i++ {
-				_, err := p.Submit(func(tx stm.Tx, age int) {
-					if age != i {
-						wrong.CompareAndSwap(0, int64(i)<<32|int64(age))
-					}
-					v := &vars[i%len(vars)]
-					tx.Write(v, tx.Read(v)+1)
-					if i%8 == 0 {
-						runtime.Gosched()
-					}
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := p.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if x := wrong.Load(); x != 0 {
-				t.Fatalf("the body of submission %d ran at age %d", x>>32, uint32(x))
-			}
-			var total uint64
-			for i := range vars {
-				total += vars[i].Load()
-			}
-			if total != n {
-				t.Fatalf("%d increments landed, want %d", total, n)
-			}
-			skewed += reorder.Load()
-		})
+		t.Run(alg.String(), func(t *testing.T) { skewed += runSlotReuse(t, alg, false) })
+	}
+	for _, alg := range []stm.Algorithm{stm.STMLite, stm.OrderedTL2, stm.OrderedNOrec, stm.OrderedUndoLogVis, stm.OrderedUndoLogInvis} {
+		t.Run("durable/"+alg.String(), func(t *testing.T) { skewed += runSlotReuse(t, alg, true) })
 	}
 	if skewed == 0 {
 		t.Fatal("no engine reported a commit out of age order; the test exercised no skew")
 	}
+}
+
+// runSlotReuse streams n transfers through one pipeline, each body
+// checking its age, checks the final state — the sequential fold of
+// the log on a durable pipeline, the conserved total otherwise — and
+// returns how many commits were reported below an age already
+// reported.
+func runSlotReuse(t *testing.T, alg stm.Algorithm, durable bool) uint64 {
+	n := 50000
+	if durable {
+		n = 20000
+	}
+	accounts := newAccounts(durableAccounts, 1000)
+	var (
+		wrong        atomic.Int64
+		top, reorder atomic.Uint64
+	)
+	// body is submission i's transfer.
+	body := func(i uint64) stm.Body {
+		tf := transferFor(i)
+		return func(tx stm.Tx, age int) {
+			if uint64(age) != i {
+				wrong.CompareAndSwap(0, int64(i)<<32|int64(age))
+			}
+			amt := uint64(age%5) + 1
+			if bf := tx.Read(&accounts[tf.from]); bf >= amt && tf.from != tf.to {
+				tx.Write(&accounts[tf.from], bf-amt)
+				tx.Write(&accounts[tf.to], tx.Read(&accounts[tf.to])+amt)
+			}
+			if i%8 == 0 {
+				runtime.Gosched()
+			}
+		}
+	}
+	cfg := stm.Config{
+		Algorithm: alg,
+		Workers:   4,
+		Capacity:  1, // raised to the floor, Window+Workers+8
+		OnCommit: func(age uint64) {
+			for {
+				m := top.Load()
+				if age < m {
+					reorder.Add(1)
+					return
+				}
+				if top.CompareAndSwap(m, age) {
+					return
+				}
+			}
+		},
+	}
+	var (
+		dir string
+		w   *wal.Writer
+	)
+	if durable {
+		dir = t.TempDir()
+		var err error
+		if w, err = wal.Create(dir, 0, wal.Options{SyncEveryN: 64}); err != nil {
+			t.Fatal(err)
+		}
+		// A durable payload is the submission's index.
+		cfg.Codec = stm.CodecFunc{DecodeFunc: func(data []byte) (stm.Body, error) {
+			return body(binary.LittleEndian.Uint64(data)), nil
+		}}
+		cfg.WAL, cfg.WaitDurable, cfg.Window = w, true, 20
+	}
+	p, err := stm.NewPipeline(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tickets := make([]*stm.Ticket, n)
+	for i := range tickets {
+		if durable {
+			tickets[i], err = p.SubmitEncoded(binary.LittleEndian.AppendUint64(nil, uint64(i)))
+		} else {
+			tickets[i], err = p.Submit(body(uint64(i)))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, tk := range tickets {
+		if err := tk.Wait(); err != nil {
+			t.Fatalf("ticket %d: %v", i, err)
+		}
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if x := wrong.Load(); x != 0 {
+		t.Fatalf("the body of submission %d ran at age %d", x>>32, uint32(x))
+	}
+	live := snapshot(accounts)
+	if !durable {
+		// The unordered engines promise no order, only atomicity.
+		var total uint64
+		for _, v := range live {
+			total += v
+		}
+		if total != durableAccounts*1000 {
+			t.Fatalf("balances sum to %d, want %d", total, durableAccounts*1000)
+		}
+		return reorder.Load()
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := wal.Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := replayed(t, rec)
+	if len(recs) != n {
+		t.Fatalf("the log replays %d records, want %d", len(recs), n)
+	}
+	for k, r := range recs {
+		if i := binary.LittleEndian.Uint64(r.Payload); r.Age != uint64(k) || i != uint64(k) {
+			t.Fatalf("record %d: age %d with the payload of submission %d", k, r.Age, i)
+		}
+	}
+	model := make([]uint64, durableAccounts)
+	for i := range model {
+		model[i] = 1000
+	}
+	for age := uint64(0); age < uint64(n); age++ {
+		tf, amt := transferFor(age), age%5+1
+		if model[tf.from] >= amt && tf.from != tf.to {
+			model[tf.from] -= amt
+			model[tf.to] += amt
+		}
+	}
+	if !equalState(live, model) {
+		t.Fatal("the live state diverges from the sequential fold of the log")
+	}
+	return reorder.Load()
 }

@@ -141,7 +141,7 @@ func (t *Ticket) arm(age uint64) bool {
 
 // resolve completes the ticket. Every caller first takes the ticket
 // out of the stream — out of its ring cell with a Swap, or out of the
-// overflow map or the WaitDurable queue under the stream's mutex — so
+// overflow map or the log's feed under the stream's mutex — so
 // a ticket is resolved at most once per life. A commit stores nothing;
 // any other outcome costs the one pointer it is kept behind.
 func (t *Ticket) resolve(err error) {
