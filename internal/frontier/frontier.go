@@ -185,23 +185,23 @@ func (f *Feed[T]) Next() uint64 { return f.next }
 func (f *Feed[T]) Kick(every uint64, kick chan<- struct{}) { f.every, f.kick = every, kick }
 
 // Complete counts one completion of a registered age (a withdrawn one
-// is ignored); with attach, tk becomes the age's ticket. At the last
-// completion the age is done, and Complete appends the run the
+// is ignored); a tk other than the zero T becomes its ticket. At the
+// last completion the age is done, and Complete appends the run the
 // frontier can now pass: each ticket then resolves at once if its age
 // is durable already, or waits for Synced. It returns how many ages it
 // appended.
-func (f *Feed[T]) Complete(age uint64, tk T, attach bool) uint64 {
+func (f *Feed[T]) Complete(age uint64, tk T) uint64 {
 	sl := f.find(age)
 	if sl == nil {
 		return 0
 	}
-	if attach {
+	var zero T
+	if tk != zero {
 		sl.v.Ticket = tk
 	}
 	if sl.v.Pending--; sl.v.Pending > 0 {
 		return 0
 	}
-	var zero T
 	if f.Err != nil && sl.v.Ticket != zero {
 		f.resolve(sl.v.Ticket, f.Err)
 		sl.v.Ticket = zero

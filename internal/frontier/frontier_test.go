@@ -67,7 +67,7 @@ func TestInOrder(t *testing.T) {
 	f, _ := newFeed(log, 10, 0, 4)
 	for age := uint64(10); age < 30; age++ {
 		f.Put(age, payload(age), 0, 1)
-		if n := f.Complete(age, 0, false); n != 1 {
+		if n := f.Complete(age, 0); n != 1 {
 			t.Fatalf("Complete(%d) appended %d ages, want 1", age, n)
 		}
 	}
@@ -88,7 +88,7 @@ func TestOutOfOrder(t *testing.T) {
 	}{
 		{2, 0}, {1, 0}, {5, 0}, {0, 3}, {4, 3}, {3, 6},
 	} {
-		f.Complete(step.done, 0, false)
+		f.Complete(step.done, 0)
 		if f.Next() != step.next {
 			t.Fatalf("after Complete(%d): frontier %d, want %d", step.done, f.Next(), step.next)
 		}
@@ -101,7 +101,7 @@ func TestOutOfOrder(t *testing.T) {
 func TestCollisionOverflows(t *testing.T) {
 	log := &memLog{}
 	f, _ := newFeed(log, 0, 4, 4)
-	f.Complete(1, 0, false)
+	f.Complete(1, 0)
 	f.Put(4, payload(4), 0, 1) // slot 0: age 0 moves aside
 	f.Put(5, payload(5), 0, 1) // slot 1: age 1, done, moves aside
 	if e := f.At(0); e == nil || string(e.Payload) != string(payload(0)) {
@@ -111,10 +111,10 @@ func TestCollisionOverflows(t *testing.T) {
 		t.Fatalf("%d ages in overflow and %d held, want 2 and 6", len(f.over), f.n)
 	}
 	for _, age := range []uint64{5, 4, 3, 2} {
-		f.Complete(age, 0, false)
+		f.Complete(age, 0)
 	}
 	checkLog(t, log, 0, 0)
-	f.Complete(0, 0, false)
+	f.Complete(0, 0)
 	checkLog(t, log, 0, 6)
 	if f.n != 0 || len(f.over) != 0 || f.At(0) != nil || f.At(1) != nil {
 		t.Fatal("appended ages are still held")
@@ -130,7 +130,7 @@ func TestDrainStopsAtGap(t *testing.T) {
 		t.Fatal("Take(3) found nothing")
 	}
 	for age := uint64(0); age < 8; age++ {
-		f.Complete(age, 0, false)
+		f.Complete(age, 0)
 	}
 	checkLog(t, log, 0, 3)
 	if f.Next() != 3 || f.n != 4 {
@@ -144,11 +144,11 @@ func TestPendingCompletions(t *testing.T) {
 	log := &memLog{}
 	f, _ := newFeed(log, 0, 2, 4)
 	f.At(0).Pending = 3
-	f.Complete(1, 0, false)
-	f.Complete(0, 0, false)
-	f.Complete(0, 0, false)
+	f.Complete(1, 0)
+	f.Complete(0, 0)
+	f.Complete(0, 0)
 	checkLog(t, log, 0, 0)
-	if n := f.Complete(0, 0, false); n != 2 {
+	if n := f.Complete(0, 0); n != 2 {
 		t.Fatalf("the last completion appended %d ages, want 2", n)
 	}
 	checkLog(t, log, 0, 2)
@@ -165,10 +165,10 @@ func TestFeedFIFOAtFrontier(t *testing.T) {
 	f.At(2).Ticket = 0 // no ticket
 	f.At(3).Ticket = 0 // attached at completion, as the stream does
 	f.At(5).Pending = 2
-	f.Complete(1, 0, false)
-	f.Complete(3, 4, true)
-	f.Complete(0, 0, false)
-	f.Complete(2, 0, false)
+	f.Complete(1, 0)
+	f.Complete(3, 4)
+	f.Complete(0, 0)
+	f.Complete(2, 0)
 	if len(*got) != 0 {
 		t.Fatalf("resolved %v before any sync", *got)
 	}
@@ -182,12 +182,12 @@ func TestFeedFIFOAtFrontier(t *testing.T) {
 		t.Fatalf("resolved %v below 4, want %v", *got, want)
 	}
 	log.durable = 5 // the log already holds age 4: it resolves at its append
-	f.Complete(4, 0, false)
-	f.Complete(5, 0, false) // one of two completions
+	f.Complete(4, 0)
+	f.Complete(5, 0) // one of two completions
 	if want := []resolution{{1, nil}, {2, nil}, {4, nil}, {5, nil}}; !slices.Equal(*got, want) || f.Next() != 5 {
 		t.Fatalf("resolved %v, frontier %d", *got, f.Next())
 	}
-	if n := f.Complete(5, 0, false); n != 1 || !slices.Equal(log.more, []bool{true, true, true, true, true, false}) {
+	if n := f.Complete(5, 0); n != 1 || !slices.Equal(log.more, []bool{true, true, true, true, true, false}) {
 		t.Fatalf("the last completion appended %d; hints %v", n, log.more)
 	}
 	f.Synced(6, nil)
@@ -204,7 +204,7 @@ func TestFeedReleaseRegrows(t *testing.T) {
 	var want []resolution
 	for age := uint64(0); age < 200; age++ {
 		f.Put(age, nil, int(age)+1, 1)
-		f.Complete(age, 0, false)
+		f.Complete(age, 0)
 		if age%7 == 6 {
 			f.Synced(age-2, nil)
 			for tk := len(want) + 1; tk <= int(age)-2; tk++ {
@@ -225,19 +225,19 @@ func TestFeedFaultSweep(t *testing.T) {
 	log := &memLog{}
 	f, got := newFeed(log, 0, 8, 4)
 	for _, age := range []uint64{0, 1, 3, 4} { // 0 and 1 appended, 3 and 4 behind 2
-		f.Complete(age, 0, false)
+		f.Complete(age, 0)
 	}
 	f.Synced(0, boom)
 	if want := []resolution{{1, boom}, {2, boom}, {4, boom}, {5, boom}}; !sameSet(*got, want) {
 		t.Fatalf("resolved %v at the failure, want %v", *got, want)
 	}
 	*got = nil
-	f.Complete(6, 0, false)
+	f.Complete(6, 0)
 	if want := []resolution{{7, boom}}; !slices.Equal(*got, want) {
 		t.Fatalf("a completion after the failure resolved %v, want %v", *got, want)
 	}
 	*got = nil
-	f.Complete(2, 0, false) // the gap fills: 2 to 4 drain, and no ticket resolves twice
+	f.Complete(2, 0) // the gap fills: 2 to 4 drain, and no ticket resolves twice
 	if want := []resolution{{3, boom}}; !slices.Equal(*got, want) || f.Next() != 5 {
 		t.Fatalf("resolved %v, frontier %d", *got, f.Next())
 	}
@@ -256,10 +256,10 @@ func TestAppendFailure(t *testing.T) {
 	boom := errors.New("boom")
 	log := &memLog{}
 	f, got := newFeed(log, 0, 4, 4)
-	f.Complete(0, 0, false)
+	f.Complete(0, 0)
 	log.err = boom
-	f.Complete(1, 0, false)
-	f.Complete(2, 0, false)
+	f.Complete(1, 0)
+	f.Complete(2, 0)
 	if f.Err != boom || f.Next() != 3 {
 		t.Fatalf("Err %v, frontier %d", f.Err, f.Next())
 	}
@@ -298,7 +298,7 @@ func TestRandomSkew(t *testing.T) {
 			next++
 		}
 		i := rng.Intn(len(live))
-		f.Complete(live[i], 0, false)
+		f.Complete(live[i], 0)
 		live = slices.Delete(live, i, i+1)
 		if low := slices.Min(append([]uint64{next}, live...)); f.Next() != low {
 			t.Fatalf("frontier %d, lowest unfinished age %d", f.Next(), low)

@@ -906,7 +906,8 @@ func newStream(cfg Config) *stream {
 	s.submitted.Store(cfg.FirstAge)
 	s.cursor.Store(cfg.FirstAge)
 	if cfg.WAL != nil {
-		s.dur = frontier.NewFeed(cfg.WAL, cfg.FirstAge, int(size), s.resolveDurable)
+		// Twice the bound: under skew an age waits past Capacity to append.
+		s.dur = frontier.NewFeed(cfg.WAL, cfg.FirstAge, int(2*size), s.resolveDurable)
 		s.wait = cfg.WaitDurable
 		// The log reports durability progress straight into the
 		// stream's feed, which resolves WaitDurable tickets there.
@@ -1068,9 +1069,9 @@ func (s *stream) durableStep(age uint64, tk tslot) *Ticket {
 	// the caller through WaitDurable tickets and Close. (After a fault
 	// t is nil unless the age completed before the stop landed:
 	// halted's sweep left exactly those for us.)
-	wait := t != nil && s.wait
-	if wait {
-		t = nil
+	var wt tslot // the ticket the feed resolves once the age is durable
+	if t != nil && s.wait {
+		wt, t = tk, nil
 	}
 	if age != d.Next() {
 		// A report that overtook an older age's: its payload waits past
@@ -1083,7 +1084,7 @@ func (s *stream) durableStep(age uint64, tk tslot) *Ticket {
 	// (group commit happens in the log's syncer), so the commit path
 	// never waits on storage, and an age above a fault's permanent gap
 	// is never appended — the log's prefix property.
-	d.Complete(age, tk, wait)
+	d.Complete(age, wt)
 	return t
 }
 

@@ -117,7 +117,7 @@ func (dr *durRouter) withdraw(s int, la, g uint64) {
 func (dr *durRouter) localCommit(s int, la uint64) {
 	dr.mu.Lock()
 	defer dr.mu.Unlock()
-	if g, ok := dr.toGlobal[s].Take(la); ok && dr.feed.Complete(g, nil, false) > 0 {
+	if g, ok := dr.toGlobal[s].Take(la); ok && dr.feed.Complete(g, nil) > 0 {
 		dr.cond.Broadcast()
 	}
 }

@@ -206,16 +206,17 @@ func TestSubmissionSlotReuseUnderSkew(t *testing.T) {
 }
 
 // runSlotReuse streams n transfers through one pipeline, each body
-// checking its age, checks the final state — the sequential fold of
-// the log on a durable pipeline, the conserved total otherwise — and
-// returns how many commits were reported below an age already
-// reported.
+// checking its age and counting itself, checks that exactly n bodies
+// committed and the final state — the sequential fold of the log on a
+// durable pipeline, the conserved total otherwise — and returns how
+// many commits were reported below an age already reported.
 func runSlotReuse(t *testing.T, alg stm.Algorithm, durable bool) uint64 {
 	n := 50000
 	if durable {
 		n = 20000
 	}
 	accounts := newAccounts(durableAccounts, 1000)
+	counts := stm.NewVars(4) // committed bodies, striped by submission
 	var (
 		wrong        atomic.Int64
 		top, reorder atomic.Uint64
@@ -232,6 +233,8 @@ func runSlotReuse(t *testing.T, alg stm.Algorithm, durable bool) uint64 {
 				tx.Write(&accounts[tf.from], bf-amt)
 				tx.Write(&accounts[tf.to], tx.Read(&accounts[tf.to])+amt)
 			}
+			c := &counts[i%uint64(len(counts))]
+			tx.Write(c, tx.Read(c)+1)
 			if i%8 == 0 {
 				runtime.Gosched()
 			}
@@ -295,6 +298,15 @@ func runSlotReuse(t *testing.T, alg stm.Algorithm, durable bool) uint64 {
 	}
 	if x := wrong.Load(); x != 0 {
 		t.Fatalf("the body of submission %d ran at age %d", x>>32, uint32(x))
+	}
+	// Every submission's effect lands exactly once: a lost or repeated
+	// commit would still conserve the total below.
+	var committed uint64
+	for _, v := range snapshot(counts) {
+		committed += v
+	}
+	if committed != uint64(n) {
+		t.Fatalf("%d bodies committed, want %d", committed, n)
 	}
 	live := snapshot(accounts)
 	if !durable {
