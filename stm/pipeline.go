@@ -886,7 +886,7 @@ type stream struct {
 	_          [56]byte
 	ncommitted atomic.Uint64 // count of committed transactions
 	waiters    atomic.Int32  // goroutines registered to park on commits
-	_          [52]byte
+	_          [84]byte      // to whole lines, so it starts on one (TestStreamFillsWholeLines)
 }
 
 func newStream(cfg Config) *stream {
