@@ -34,11 +34,12 @@ func (fixedCodec) Encode(any) ([]byte, error)        { return nil, nil }
 func (c fixedCodec) Decode([]byte) (stm.Body, error) { return c.body, nil }
 
 // TestSubmitAllocs pins the acknowledgement path's allocation count:
-// Submit costs the ticket and nothing else (no channel, no queue
-// entry); a batch of requests that bring their own tickets, appended
-// into a slice the caller keeps, costs nothing at all; and a batch
-// without them costs one ticket block however many transactions it
-// carries.
+// Submit and SubmitEncoded cost the ticket and nothing else (no
+// channel, no queue entry, no batch scratch); SubmitFunc costs the
+// TicketOf and its body; a batch of requests that bring their own
+// tickets, appended into a slice the caller keeps, costs nothing at
+// all; and a batch without them costs one ticket block however many
+// transactions it carries.
 func TestSubmitAllocs(t *testing.T) {
 	counter := stm.NewVar(0)
 	body := func(tx stm.Tx, _ int) { tx.Write(counter, tx.Read(counter)+1) }
@@ -58,6 +59,38 @@ func TestSubmitAllocs(t *testing.T) {
 		}
 	}); n > 1 {
 		t.Errorf("Submit: %v allocations per transaction, want 1 (the ticket)", n)
+	}
+	// The stream's own path: the Codec here allocates nothing, so the
+	// ticket is all there is.
+	payload := []byte{1}
+	if n := testing.AllocsPerRun(2000, func() {
+		tk, err := p.SubmitEncoded(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := spinUntilResolved(tk); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 1 {
+		t.Errorf("SubmitEncoded: %v allocations per transaction, want 1 beyond the Codec's own (the ticket)", n)
+	}
+	// A TicketOf embeds its Ticket, so the pair is one object; the body
+	// the stream runs is the TicketOf's bound method, the second.
+	fn := func(tx stm.Tx, _ int) uint64 {
+		v := tx.Read(counter) + 1
+		tx.Write(counter, v)
+		return v
+	}
+	if n := testing.AllocsPerRun(2000, func() {
+		tk, err := stm.SubmitFunc(context.Background(), p, fn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := spinUntilResolved(&tk.Ticket); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 2 {
+		t.Errorf("SubmitFunc: %v allocations per transaction, want 2 (the TicketOf, and its bound run method the stream holds as the body)", n)
 	}
 
 	tickets := make([]stm.Ticket, 8)

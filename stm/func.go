@@ -82,7 +82,7 @@ func SubmitFunc[R any](ctx context.Context, p *Pipeline, fn Func[R]) (*TicketOf[
 		return nil, ErrPayloadRequired
 	}
 	t := &TicketOf[R]{fn: fn}
-	if err := p.submitWith(ctx, &t.Ticket, t.run, nil); err != nil {
+	if _, err := p.submitOne(ctx, &t.Ticket, t.run, nil); err != nil {
 		return nil, err
 	}
 	return t, nil

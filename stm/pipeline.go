@@ -220,7 +220,7 @@ func (p *Pipeline) SubmitEncoded(data []byte) (*Ticket, error) {
 	if err != nil {
 		return nil, err
 	}
-	return p.submit(nil, nil, body, data)
+	return p.submitOne(nil, nil, body, data)
 }
 
 // SubmitCtx hands the pipeline the next transaction of the stream. It
@@ -241,7 +241,7 @@ func (p *Pipeline) SubmitCtx(ctx context.Context, r Request) (*Ticket, error) {
 	if err != nil {
 		return nil, err
 	}
-	return p.submit(ctx, r.Ticket, body, r.Encoded)
+	return p.submitOne(ctx, r.Ticket, body, r.Encoded)
 }
 
 // bodyOf checks a request's form and returns the body it runs.
@@ -276,82 +276,27 @@ func (p *Pipeline) decode(data []byte) (Body, error) {
 	return body, nil
 }
 
-// submit is the single-transaction core: t is the caller's ticket, or
-// nil for a fresh one — then the transaction's one allocation; ctx (nil
-// for the uncancellable entry points) bounds the backpressure wait.
-func (p *Pipeline) submit(ctx context.Context, t *Ticket, body Body, payload []byte) (*Ticket, error) {
+// submitOne is a one-request call into submitBatch, through arrays on
+// the stack: t is the caller's ticket (the Request's, or the Ticket a
+// TicketOf embeds, so submission costs one allocation for the pair),
+// or nil for a fresh one — then the transaction's one allocation.
+func (p *Pipeline) submitOne(ctx context.Context, t *Ticket, body Body, payload []byte) (*Ticket, error) {
 	if t == nil {
 		t = new(Ticket)
 	}
-	if err := p.submitWith(ctx, t, body, payload); err != nil {
+	bodies := [1]Body{body}
+	reqs := [1]Request{{Encoded: payload, Ticket: t}}
+	var out [1]*Ticket
+	if _, err := p.submitBatch(ctx, bodies[:], reqs[:], 0, out[:0]); err != nil {
 		return nil, err
 	}
 	return t, nil
 }
 
-// submitWith posts body onto the stream through the given ticket (the
-// caller's Request.Ticket, a fresh one, or the Ticket a TicketOf
-// embeds, so submission costs one allocation for the pair): it applies
-// backpressure, assigns the next age, registers the ticket, and (for
-// durable pipelines) retains the payload until the commit frontier
-// hands the age to the WAL. A non-nil ctx makes the backpressure wait
-// cancellable: cancellation before an age is assigned withdraws the
-// submission with an error wrapping ErrCanceled; after assignment the
-// context is not consulted, so an accepted age is never lost.
-func (p *Pipeline) submitWith(ctx context.Context, t *Ticket, body Body, payload []byte) error {
-	s := p.s
-	var unwatch func() bool
-	defer func() {
-		if unwatch != nil {
-			unwatch()
-		}
-	}()
-	var waitT0 int64
-	s.mu.Lock()
-	for {
-		if s.fault != nil {
-			f := s.fault
-			s.mu.Unlock()
-			return &Stopped{Fault: f}
-		}
-		if s.closed.Load() {
-			s.mu.Unlock()
-			return ErrClosed
-		}
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				s.mu.Unlock()
-				return fmt.Errorf("%w before an age was assigned: %w", ErrCanceled, err)
-			}
-		}
-		if s.hasRoom() {
-			break
-		}
-		if ctx != nil && unwatch == nil && ctx.Done() != nil {
-			unwatch = s.wakeOnDone(ctx)
-		}
-		if po := p.po; po != nil && waitT0 == 0 {
-			waitT0 = time.Now().UnixNano()
-			po.submitWaits.Inc()
-		}
-		s.awaitRoom() // backpressure: wait for the commit frontier
-	}
-	if waitT0 != 0 {
-		p.po.submitWait.Observe(time.Now().UnixNano() - waitT0)
-	}
-	if !s.post(t, body, payload) {
-		s.mu.Unlock()
-		return errTicketInFlight
-	}
-	s.work.Broadcast() // wake idle workers
-	s.mu.Unlock()
-	return nil
-}
-
 // SubmitBatch submits the requests as consecutive ages of the stream,
 // taking the stream lock once for the whole batch instead of once per
-// transaction — the batched producer path for high-throughput feeders,
-// servers and the shard router. Every request is checked (and decoded)
+// transaction. Its core is the stream's only one: every other submit
+// entry point is a call into it with one request. Every request is checked (and decoded)
 // before any age is assigned, so a malformed request refuses the whole
 // batch. Backpressure applies inside the batch: once Capacity
 // submissions are in flight, the call blocks until the commit frontier
@@ -393,7 +338,7 @@ func (p *Pipeline) SubmitBatch(ctx context.Context, reqs []Request, out []*Ticke
 	return p.submitBatch(ctx, *scratch, reqs, fresh, out)
 }
 
-// submitBatch is the batched core: bodies[i] runs as reqs[i], whose
+// submitBatch is the submission core: bodies[i] runs as reqs[i], whose
 // Encoded bytes a durable pipeline retains and whose Ticket, when set,
 // is its ticket; fresh counts the requests without one. A non-nil ctx
 // makes the per-request backpressure wait cancellable with SubmitCtx's

@@ -34,7 +34,8 @@ func TestCodeOfNilAllocs(t *testing.T) {
 
 // TestBurstRoundTripAllocs pins a loopback round trip of an 8-frame
 // burst: SubmitMany, ingress batching, commit, the coalesced response
-// write, the client's read loop, and the wait for the last call.
+// write, the client's read loop, and the wait for the last call; then
+// that of a single Submit.
 //
 // The round trip measures 2 objects per burst on go1.24, not per
 // transaction, both the client's: SubmitMany's Call block and pointer
@@ -86,6 +87,21 @@ func TestBurstRoundTripAllocs(t *testing.T) {
 	t.Logf("%v allocations per %d-frame burst", n, len(burst))
 	if n > budget {
 		t.Fatalf("round trip of a %d-frame burst: %v allocations, budget %d", len(burst), n, budget)
+	}
+
+	// A single Submit shares SubmitMany's write path through arrays on
+	// the stack: its Call is the round trip's one object.
+	one := burst[0]
+	if n := testing.AllocsPerRun(2000, func() {
+		call, err := c.Submit(one)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := call.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 1 {
+		t.Fatalf("round trip of one Submit: %v allocations, want 1 (the Call)", n)
 	}
 }
 

@@ -173,6 +173,15 @@ func (c *Client) SubmitTimeout(payload []byte, d time.Duration) (*Call, error) {
 	return c.submit(payload, uint32(ms))
 }
 
+func (c *Client) submit(payload []byte, deadlineMS uint32) (*Call, error) {
+	call := new(Call)
+	calls, payloads := [1]*Call{call}, [1][]byte{payload}
+	if err := c.send(calls[:], payloads[:], deadlineMS); err != nil {
+		return nil, err
+	}
+	return call, nil
+}
+
 // SubmitMany writes the payloads as one contiguous burst of frames in
 // a single write, so they reach the server together and its ingress
 // batcher coalesces them into one batched submission (consecutive
@@ -182,22 +191,35 @@ func (c *Client) SubmitMany(payloads [][]byte) ([]*Call, error) {
 	if len(payloads) == 0 {
 		return nil, nil
 	}
+	block := make([]Call, len(payloads)) // the burst is the unit of allocation
+	calls := make([]*Call, len(payloads))
+	for i := range calls {
+		calls[i] = &block[i]
+	}
+	if err := c.send(calls, payloads, 0); err != nil {
+		return nil, err
+	}
+	return calls, nil
+}
+
+// send is the client's one write path: it registers calls[i] for
+// payloads[i] under consecutive ids and writes their frames, each with
+// the given deadline, in a single Write; a failed write takes them
+// back out and fails the connection's later submissions too.
+func (c *Client) send(calls []*Call, payloads [][]byte, deadlineMS uint32) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	if c.closed {
-		return nil, fmt.Errorf("serve: submit on closed connection")
+		return fmt.Errorf("serve: submit on closed connection")
 	}
 	if c.writeEr != nil {
-		return nil, c.writeEr
+		return c.writeEr
 	}
-	block := make([]Call, len(payloads)) // the burst is the unit of allocation
-	calls := make([]*Call, len(payloads))
-	first := c.nextID // the burst's ids are consecutive
+	first := c.nextID
 	c.wbuf = c.wbuf[:0]
 	c.rmu.Lock()
 	for i, pl := range payloads {
-		calls[i] = &block[i]
-		c.wbuf = appendRequestFrame(c.wbuf, c.register(calls[i], pl), 0, pl)
+		c.wbuf = appendRequestFrame(c.wbuf, c.register(calls[i], pl), deadlineMS, pl)
 	}
 	c.rmu.Unlock()
 	if _, err := c.conn.Write(c.wbuf); err != nil {
@@ -207,9 +229,9 @@ func (c *Client) SubmitMany(payloads [][]byte) ([]*Call, error) {
 		}
 		c.rmu.Unlock()
 		c.writeEr = fmt.Errorf("serve: write frames: %w", err)
-		return nil, c.writeEr
+		return c.writeEr
 	}
-	return calls, nil
+	return nil
 }
 
 // register enters call in the pending ring under the next id, which
@@ -234,30 +256,6 @@ func (c *Client) unregister(id uint64) (call *Call, payload []byte) {
 		delete(c.retained, id)
 	}
 	return c.pending.take(id), payload
-}
-
-func (c *Client) submit(payload []byte, deadlineMS uint32) (*Call, error) {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	if c.closed {
-		return nil, fmt.Errorf("serve: submit on closed connection")
-	}
-	if c.writeEr != nil {
-		return nil, c.writeEr
-	}
-	call := new(Call)
-	c.rmu.Lock()
-	id := c.register(call, payload)
-	c.rmu.Unlock()
-	c.wbuf = appendRequestFrame(c.wbuf[:0], id, deadlineMS, payload)
-	if _, err := c.conn.Write(c.wbuf); err != nil {
-		c.rmu.Lock()
-		c.unregister(id)
-		c.rmu.Unlock()
-		c.writeEr = fmt.Errorf("serve: write frame: %w", err)
-		return nil, c.writeEr
-	}
-	return call, nil
 }
 
 func (c *Client) readLoop() {

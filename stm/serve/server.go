@@ -31,12 +31,12 @@ type ticket interface {
 // backend abstracts the two pipeline shapes behind the encoded
 // requests the wire carries. Each stream owns one, so its request
 // scratch is per connection and a burst allocates nothing new. batch
-// submits datas, which will be the stream's entries seq, seq+1, ...;
-// it appends the accepted tickets to out (the caller's scratch) and
-// returns it.
+// submits datas under ctx, appends their tickets to out (the caller's
+// scratch: the accepted prefix, or one per payload with nil where one
+// was refused) and returns it. When slotted, datas are the stream's
+// entries seq, seq+1, ... and may take their ticket-ring slots.
 type backend interface {
-	one(ctx context.Context, data []byte) (ticket, error)
-	batch(ctx context.Context, datas [][]byte, seq uint64, out []ticket) ([]ticket, error)
+	batch(ctx context.Context, datas [][]byte, seq uint64, slotted bool, out []ticket) ([]ticket, error)
 }
 
 type pipeBackend struct {
@@ -46,18 +46,14 @@ type pipeBackend struct {
 	lts  []*stm.Ticket
 }
 
-func (b *pipeBackend) one(ctx context.Context, data []byte) (ticket, error) {
-	t, err := b.p.SubmitCtx(ctx, stm.Request{Encoded: data})
-	if t == nil {
-		return nil, err
-	}
-	return t, err
-}
-
-func (b *pipeBackend) batch(ctx context.Context, datas [][]byte, seq uint64, out []ticket) ([]ticket, error) {
+func (b *pipeBackend) batch(ctx context.Context, datas [][]byte, seq uint64, slotted bool, out []ticket) ([]ticket, error) {
 	for i, data := range datas {
 		// A nil slot (the writer is far behind) lets the pipeline make one.
-		b.reqs = append(b.reqs, stm.Request{Encoded: data, Ticket: b.ring.slot(seq + uint64(i))})
+		var t *stm.Ticket
+		if slotted {
+			t = b.ring.slot(seq + uint64(i))
+		}
+		b.reqs = append(b.reqs, stm.Request{Encoded: data, Ticket: t})
 	}
 	var err error
 	b.lts, err = b.p.SubmitBatch(ctx, b.reqs, b.lts[:0])
@@ -76,15 +72,7 @@ type shardBackend struct {
 	lts  []*shard.Ticket
 }
 
-func (b *shardBackend) one(ctx context.Context, data []byte) (ticket, error) {
-	t, err := b.sp.SubmitCtx(ctx, shard.Request{Encoded: data})
-	if t == nil {
-		return nil, err
-	}
-	return t, err
-}
-
-func (b *shardBackend) batch(ctx context.Context, datas [][]byte, _ uint64, out []ticket) ([]ticket, error) {
+func (b *shardBackend) batch(ctx context.Context, datas [][]byte, _ uint64, _ bool, out []ticket) ([]ticket, error) {
 	for _, data := range datas {
 		b.reqs = append(b.reqs, shard.Request{Encoded: data})
 	}
@@ -432,10 +420,10 @@ func (s *Server) serveStream(ctx context.Context, cancel context.CancelFunc, con
 	// together (complete in the read buffer) and carry no deadline are
 	// coalesced into one batched submission — one sequencer lock per
 	// run instead of per frame; a deadline-bearing frame flushes the
-	// run and submits alone under its own context so cancellation has
-	// a per-request scope. Submission order always equals frame order,
-	// which is what makes the response stream's commit-order contract
-	// hold.
+	// run and submits as a batch of one under its own context so
+	// cancellation has a per-request scope. Submission order always
+	// equals frame order, which is what makes the response stream's
+	// commit-order contract hold.
 	var (
 		b       backend
 		queued  uint64   // entries sent to the writer
@@ -456,26 +444,35 @@ func (s *Server) serveStream(ctx context.Context, cancel context.CancelFunc, con
 		queue <- e
 		queued++
 	}
-	flushRun := func() {
+	// submitRun submits the run under sctx, the stream's context or a
+	// deadline frame's own, and queues its entries, each with its ticket
+	// or the reason it was refused.
+	submitRun := func(sctx context.Context, slotted bool) {
 		if len(run) == 0 {
 			return
 		}
 		tickets = tickets[:0]
 		err := s.gateErr()
 		if err == nil {
-			tickets, err = b.batch(ctx, runData, queued, tickets)
+			tickets, err = b.batch(sctx, runData, queued, slotted, tickets)
 		}
 		for i, e := range run {
 			if i < len(tickets) && tickets[i] != nil {
 				e.t = tickets[i]
-			} else if e.err = err; e.err == nil {
-				e.err = errors.New("serve: submission refused")
+			} else {
+				if e.err = err; e.err == nil {
+					e.err = errors.New("serve: submission refused")
+				}
+				if e.cancel != nil {
+					e.cancel() // no ticket to wait on
+				}
 			}
 			send(e)
 		}
 		clear(tickets)
 		runData, run = runData[:0], run[:0]
 	}
+	flushRun := func() { submitRun(ctx, true) }
 	lost := ctx.Done()
 ingress:
 	for {
@@ -507,18 +504,12 @@ ingress:
 			continue
 		}
 		flushRun()
-		if gerr := s.gateErr(); gerr != nil {
-			send(entry{id: id, err: gerr, mark: ar.Mark()})
-			continue
-		}
 		dctx, dcancel := context.WithTimeout(ctx, time.Duration(deadlineMS)*time.Millisecond)
-		t, serr := b.one(dctx, payload)
-		if serr != nil {
-			dcancel()
-			send(entry{id: id, err: serr, mark: ar.Mark()})
-			continue
-		}
-		send(entry{id: id, t: t, ctx: dctx, cancel: dcancel, mark: ar.Mark()})
+		runData = append(runData, payload)
+		run = append(run, entry{id: id, ctx: dctx, cancel: dcancel, mark: ar.Mark()})
+		// Its response may be written before its ticket resolves, so the
+		// ticket is the pipeline's, not a ring slot.
+		submitRun(dctx, false)
 	}
 	flushRun()
 	close(queue)

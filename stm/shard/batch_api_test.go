@@ -196,3 +196,169 @@ func TestShardSubmitBatchCanceled(t *testing.T) {
 		t.Fatalf("Submitted = %d, want 3", got)
 	}
 }
+
+// holdCodec is xferCodec whose self-transfers (a no-op in the fold)
+// wait for hold to close before they run: one of them holds its
+// shard's commit frontier, so submissions behind it fill the shard's
+// Capacity and park.
+type holdCodec struct {
+	xferCodec
+	hold <-chan struct{}
+}
+
+func (c holdCodec) Decode(data []byte) (stm.Access, stm.Body, error) {
+	access, body, err := c.xferCodec.Decode(data)
+	if err == nil && string(data[:4]) == string(data[4:]) {
+		hold := c.hold
+		return access, func(tx stm.Tx, age int) { <-hold; body(tx, age) }, nil
+	}
+	return access, body, err
+}
+
+// TestShardSubmitBatchCancelDuringBackpressure: a batch parked at a
+// shard's Capacity honours ctx there with SubmitCtx's withdrawal rule.
+// It returns promptly with an error wrapping stm.ErrCanceled; the
+// accepted prefix (a cross-shard request among it) keeps its tickets,
+// which resolve nil once the frontier moves; the refused positions are
+// nil and consumed no global age, so the next submission gets the next
+// contiguous one. The durable variant's log recovers without a gap.
+func TestShardSubmitBatchCancelDuringBackpressure(t *testing.T) {
+	for _, durable := range []bool{false, true} {
+		name := "volatile"
+		if durable {
+			name = "durable"
+		}
+		t.Run(name, func(t *testing.T) { batchCancelDuringBackpressure(t, durable) })
+	}
+}
+
+func batchCancelDuringBackpressure(t *testing.T, durable bool) {
+	accounts := newDurAccounts()
+	hold := make(chan struct{})
+	var releaseOnce sync.Once
+	release := func() { releaseOnce.Do(func() { close(hold) }) }
+	codec := holdCodec{xferCodec{accounts: accounts}, hold}
+	cfg := shard.Config{Shards: 2, Pipeline: stm.Config{Algorithm: stm.OWB, Workers: 2}}
+	dir := t.TempDir()
+	var w *wal.Writer
+	if durable {
+		var err error
+		if w, err = wal.Create(dir, 0, wal.Options{}); err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
+		cfg.WAL, cfg.Codec = w, codec
+	}
+	sp, err := shard.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sp.Close()
+	defer release() // before Close, which drains the held age
+	req := func(x xfer) shard.Request {
+		if durable {
+			return shard.Request{Encoded: x.encode()}
+		}
+		access, body, err := codec.Decode(x.encode())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return shard.Request{Access: access, Body: body}
+	}
+	bk := bucketsOf(sp, accounts)
+	local := func(i int) xfer {
+		a := bk[0]
+		return xfer{from: uint32(a[i%len(a)]), to: uint32(a[(i+1)%len(a)])}
+	}
+
+	holder, err := sp.SubmitCtx(context.Background(), req(xfer{from: uint32(bk[0][0]), to: uint32(bk[0][0])}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Shard 0 has room for capacity-1 more: the batch's first
+	// capacity-1 requests (the second spans both shards) are accepted
+	// and the next one parks.
+	capacity := sp.PipelineConfig().Capacity
+	reqs := make([]shard.Request, capacity+4)
+	for i := range reqs {
+		reqs[i] = req(local(i + 1))
+	}
+	reqs[1] = req(xfer{from: uint32(bk[0][1]), to: uint32(bk[1][0])})
+	accepted := capacity - 1
+
+	ctx, cancel := context.WithCancel(context.Background())
+	type res struct {
+		tks []*shard.Ticket
+		err error
+	}
+	done := make(chan res, 1)
+	go func() {
+		out, err := sp.SubmitBatch(ctx, reqs, nil)
+		done <- res{out, err}
+	}()
+	select {
+	case r := <-done:
+		t.Fatalf("SubmitBatch returned (%d tickets, %v) while shard 0 was full", len(r.tks), r.err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	cancel()
+	var r res
+	select {
+	case r = <-done:
+	case <-time.After(5 * time.Second):
+		release() // let the parked batch finish so the router can close
+		t.Fatal("canceled SubmitBatch stayed parked at the shard's Capacity")
+	}
+	if !errors.Is(r.err, stm.ErrCanceled) || !errors.Is(r.err, context.Canceled) {
+		t.Fatalf("canceled batch returned %v, want ErrCanceled wrapping context.Canceled", r.err)
+	}
+	if len(r.tks) != len(reqs) {
+		t.Fatalf("batch returned %d positions for %d requests", len(r.tks), len(reqs))
+	}
+	for i, tk := range r.tks {
+		if (tk != nil) != (i < accepted) {
+			t.Fatalf("position %d: ticket %v, want the first %d accepted and the rest nil", i, tk, accepted)
+		}
+	}
+	if got := sp.Submitted(); got != uint64(1+accepted) {
+		t.Fatalf("Submitted = %d, want %d (the holder and the accepted prefix)", got, 1+accepted)
+	}
+
+	release()
+	for _, tk := range append([]*shard.Ticket{holder}, r.tks[:accepted]...) {
+		if err := tk.Wait(); err != nil {
+			t.Fatalf("age %d: %v", tk.Age(), err)
+		}
+	}
+	next, err := sp.SubmitCtx(context.Background(), req(local(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.Age() != uint64(1+accepted) {
+		t.Fatalf("next submission got age %d, want %d", next.Age(), 1+accepted)
+	}
+	if err := next.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sp.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !durable {
+		return
+	}
+	live := stateOf(accounts)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := wal.Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Count() != 2+accepted {
+		t.Fatalf("recovered %d records, want %d", rec.Count(), 2+accepted)
+	}
+	// foldModel fails on any record out of contiguous age order.
+	if model := foldModel(t, replayed(t, rec), 0); !sameState(live, model) {
+		t.Fatal("live state diverges from the sequential model of the log")
+	}
+}

@@ -376,12 +376,10 @@ func (sp *ShardedPipeline) decode(data []byte) (stm.Access, stm.Body, []byte, er
 	return access, body, owned, nil
 }
 
-// route is the single-transaction core; ctx (nil for the
-// uncancellable entry points) bounds the shard-side backpressure wait,
-// and data is nil on non-durable routers, else the encoded payload the
-// WAL will store. On cancellation the assigned global age is rolled
-// back — safe because sp.mu is held from assignment to rollback, so
-// the age was never observable.
+// route is the single-request entry into the submission core; ctx
+// (nil for the uncancellable entry points) bounds the shard-side
+// backpressure wait, and data is nil on non-durable routers, else the
+// encoded payload the WAL will store.
 func (sp *ShardedPipeline) route(ctx context.Context, access stm.Access, body stm.Body, data []byte) (*Ticket, error) {
 	home, involved, err := sp.partitions(access)
 	if err != nil {
@@ -389,6 +387,15 @@ func (sp *ShardedPipeline) route(ctx context.Context, access stm.Access, body st
 	}
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
+	return sp.routeLocked(ctx, home, involved, body, data)
+}
+
+// routeLocked is the router's one submission core, called with sp.mu
+// held: it assigns the next global age and hands the transaction to
+// its shards — home alone, or every shard in involved. On cancellation
+// the assigned global age is rolled back — safe because sp.mu is held
+// from assignment to rollback, so the age was never observable.
+func (sp *ShardedPipeline) routeLocked(ctx context.Context, home int, involved []int, body stm.Body, data []byte) (*Ticket, error) {
 	if f := sp.fault.Load(); f != nil {
 		return nil, &stm.Stopped{Fault: f}
 	}
@@ -398,6 +405,7 @@ func (sp *ShardedPipeline) route(ctx context.Context, access stm.Access, body st
 	g := sp.nextG
 	sp.nextG++
 	var t *Ticket
+	var err error
 	if involved == nil {
 		t, err = sp.submitLocal(ctx, g, home, body, data)
 	} else {
@@ -416,30 +424,19 @@ func (sp *ShardedPipeline) route(ctx context.Context, access stm.Access, body st
 // SubmitBatch submits the requests as consecutive global ages, taking
 // the router's sequencer lock once for the whole batch. Every request
 // is checked (and an encoded one copied and decoded) before any age is
-// assigned, so a malformed request refuses the whole batch.
-// Single-shard runs are forwarded to their shard's
-// Pipeline.SubmitBatch (one per-shard stream lock per run instead of
-// one per transaction); cross-shard requests flush the pending runs of
-// their involved shards first, so every shard still receives its
-// slice of the global age sequence in order — the invariant the
-// determinism argument rests on.
+// assigned, so a malformed request refuses the whole batch and appends
+// nothing. Then each request goes through the router's one submission
+// core in order, exactly as consecutive SubmitCtx calls would, but
+// with no other producer's age between them.
 //
 // It appends one Ticket per request to out, index-aligned with reqs,
 // and returns the extended slice. On a fault, after Close, or on a
-// cancellation of ctx — observed between requests, before the next
-// global age is assigned — the batch stops early: accepted requests
-// keep their (valid) tickets, refused positions are nil, and the
-// error reports why. A malformed request refuses the whole batch and
-// appends nothing. ctx is not consulted inside a shard's
-// backpressure park once a flush began, so an assigned age is never
-// withdrawn. Backpressure applies inside the batch exactly as for
-// consecutive Submits.
-//
-// On durable routers each single-shard request registers its global
-// age and local-age mapping at queue time — before any shard sees it —
-// so the commit hook can never observe an unmapped age, exactly like
-// submitLocal; a flush refusal unwinds the registrations of the
-// refused suffix.
+// cancellation of ctx the batch stops at the first request refused:
+// accepted requests keep their (valid) tickets, refused positions are
+// nil, and the error reports why. ctx follows SubmitCtx's withdrawal
+// rule, inside a shard's backpressure park too: the request it
+// cancels gives its global age back, and an accepted age is never
+// withdrawn.
 func (sp *ShardedPipeline) SubmitBatch(ctx context.Context, reqs []Request, out []*Ticket) ([]*Ticket, error) {
 	type routed struct {
 		body     stm.Body
@@ -462,102 +459,14 @@ func (sp *ShardedPipeline) SubmitBatch(ctx context.Context, reqs []Request, out 
 	out = slices.Grow(out, len(reqs))[:n+len(reqs)]
 	res := out[n:] // index-aligned with reqs
 	clear(res)
-	pend := make([][]stm.Request, sp.shards)  // per-shard run of local submissions
-	pendTxn := make([][]*localTxn, sp.shards) // the submission per pending request
-	pendIdx := make([][]int, sp.shards)       // request index per pending request
-	var lts []*stm.Ticket                     // scratch of the per-shard SubmitBatch
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
-	flush := func(s int) error {
-		if len(pend[s]) == 0 {
-			return nil
-		}
-		var err error
-		lts, err = sp.pipes[s].SubmitBatch(nil, pend[s], lts[:0])
-		base := sp.localNext[s]
-		sp.localNext[s] += uint64(len(lts))
-		for k, lt := range lts {
-			l := pendTxn[s][k]
-			if l.res == nil { // else WaitDurable: resolved by the router
-				l.local = lt
-			}
-			res[pendIdx[s][k]] = &l.Ticket
-		}
-		if sp.dr != nil {
-			// Refused suffix: those ages can never complete; unwind their
-			// registrations so the frontier tracker never waits on them.
-			for k := len(lts); k < len(pend[s]); k++ {
-				sp.dr.withdraw(s, base+uint64(k), pendTxn[s][k].g)
-			}
-		}
-		pend[s], pendTxn[s], pendIdx[s] = pend[s][:0], pendTxn[s][:0], pendIdx[s][:0]
-		return err
-	}
-	flushAll := func() error {
-		var first error
-		for s := 0; s < sp.shards; s++ {
-			if err := flush(s); err != nil && first == nil {
-				first = err
-			}
-		}
-		return first
-	}
-	// batchErr rewrites a shard-local refusal into the global
-	// vocabulary without a specific faulting age.
-	batchErr := func(err error) error {
-		if f := sp.fault.Load(); f != nil {
-			return &stm.Stopped{Fault: f}
-		}
-		return err
-	}
-	for i := range reqs {
-		if f := sp.fault.Load(); f != nil {
-			flushAll()
-			return out, &stm.Stopped{Fault: f}
-		}
-		if sp.closed {
-			flushAll()
-			return out, stm.ErrClosed
-		}
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				flushAll()
-				return out, fmt.Errorf("%w before an age was assigned: %w", stm.ErrCanceled, err)
-			}
-		}
-		g := sp.nextG
-		sp.nextG++
-		r := routes[i]
-		if r.involved == nil {
-			s := r.home
-			l := &localTxn{Ticket: Ticket{g: g, sp: sp}, body: r.body, shard: s}
-			if sp.dr != nil {
-				sp.dr.add(g, r.data, 1, &l.Ticket)
-				sp.dr.mapLocal(s, sp.localNext[s]+uint64(len(pend[s])), g)
-			}
-			pend[s] = append(pend[s], stm.Request{Body: l.run, Ticket: &l.lt})
-			pendTxn[s] = append(pendTxn[s], l)
-			pendIdx[s] = append(pendIdx[s], i)
-			continue
-		}
-		// Cross-shard: its fences must reach every involved shard after
-		// the locals already assigned lower global ages there.
-		for _, s := range r.involved {
-			if err := flush(s); err != nil {
-				flushAll()
-				return out, batchErr(err)
-			}
-		}
-		sp.ncross.Add(1)
-		t, err := sp.submitCross(nil, g, r.involved, r.body, r.data)
+	for i, r := range routes {
+		t, err := sp.routeLocked(ctx, r.home, r.involved, r.body, r.data)
 		if err != nil {
-			flushAll()
-			return out, batchErr(err)
+			return out, err
 		}
 		res[i] = t
-	}
-	if err := flushAll(); err != nil {
-		return out, batchErr(err)
 	}
 	return out, nil
 }
@@ -604,8 +513,8 @@ func (sp *ShardedPipeline) partitions(a stm.Access) (home int, involved []int, e
 // shard's local age sequence. Called with sp.mu held; the per-shard
 // Submit may block on that shard's backpressure, which paces the
 // whole router — the global sequencer is intentionally the one
-// serialization point (and what makes route's cancellation rollback
-// sound). The shard's ticket is the one the record embeds, so the
+// serialization point (and what makes routeLocked's cancellation
+// rollback sound). The shard's ticket is the one the record embeds, so the
 // submission is one object. On durable routers the global age and its
 // local mapping are registered *before* the shard sees the submission,
 // so the commit hook can never observe an unmapped age.
@@ -622,7 +531,7 @@ func (sp *ShardedPipeline) submitLocal(ctx context.Context, g uint64, s int, bod
 			sp.dr.withdraw(s, sp.localNext[s], g)
 		}
 		if errors.Is(err, stm.ErrCanceled) {
-			return nil, err // withdrawn whole; route rolls the age back
+			return nil, err // withdrawn whole; routeLocked rolls the age back
 		}
 		return nil, sp.translate(g, err)
 	}
@@ -675,7 +584,7 @@ func (sp *ShardedPipeline) submitCross(ctx context.Context, g uint64, involved [
 			sp.forget(x)
 			if errors.Is(err, stm.ErrCanceled) {
 				// First fence, nothing accepted anywhere: withdraw the
-				// whole submission; route rolls the global age back.
+				// whole submission; routeLocked rolls the global age back.
 				return nil, err
 			}
 			// A shard refused the fence, which only happens when the

@@ -64,10 +64,15 @@
 // decodes into one. Pipeline and stm/shard's ShardedPipeline expose
 // the same four methods over it:
 //
-//	SubmitCtx(ctx, Request)            one transaction (the core)
+//	SubmitCtx(ctx, Request)            one transaction
 //	SubmitBatch(ctx, []Request, out)   consecutive ages under one lock hold
 //	Submit(body)                       SubmitCtx shortcut: no context, a body
 //	SubmitEncoded(data)                SubmitCtx shortcut: no context, bytes
+//
+// Each shape has one submission core. The Pipeline's is its batch:
+// every other entry point, SubmitFunc and SubmitEncodedT included,
+// submits a batch of one. The router's is its single request: its
+// SubmitBatch runs that core per request under one sequencer hold.
 //
 // A context is consulted only before an age is assigned (refusal
 // wraps ErrCanceled); an accepted age is never withdrawn — cancel a

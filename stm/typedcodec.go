@@ -94,7 +94,7 @@ func SubmitEncodedT[Req, R any](ctx context.Context, p *Pipeline, data []byte) (
 		return nil, fmt.Errorf("stm: decode payload: %w", err)
 	}
 	t := &TicketOf[R]{fn: c.handler(req)}
-	if err := p.submitWith(ctx, &t.Ticket, t.run, data); err != nil {
+	if _, err := p.submitOne(ctx, &t.Ticket, t.run, data); err != nil {
 		return nil, err
 	}
 	return t, nil
