@@ -763,6 +763,7 @@ func main() {
 		TxPerSec:        stm.Throughput(ncommitted, elapsed),
 		LatencyUS:       latencyFrom(reg),
 		FrontierLag:     lagMax,
+		DirectShare:     directShare(reg, commits),
 		Commits:         commits,
 		Aborts:          aborts,
 		Retries:         retries,
@@ -817,6 +818,7 @@ func main() {
 		fmt.Printf("  resolve latency  p50=%.1fµs  p95=%.1fµs  p99=%.1fµs  p999=%.1fµs  max=%.1fµs\n",
 			rep.LatencyUS["p50"], rep.LatencyUS["p95"], rep.LatencyUS["p99"], rep.LatencyUS["p999"], rep.LatencyUS["max"])
 		fmt.Printf("  frontier lag (max sampled)=%.0f\n", rep.FrontierLag)
+		fmt.Printf("  direct share of commits=%.3f  mode switches=%.0f\n", rep.DirectShare, modeSwitches(reg))
 	}
 	fmt.Printf("  aborts=%d retries=%d\n", rep.Aborts, rep.Retries)
 	if rep.Aborts > 0 {
@@ -869,6 +871,7 @@ type report struct {
 	TxPerSec        float64            `json:"tx_per_s"`
 	LatencyUS       map[string]float64 `json:"latency_us"`
 	FrontierLag     float64            `json:"frontier_lag"`
+	DirectShare     float64            `json:"direct_share"` // -1 without -obs
 	Commits         uint64             `json:"commits"`
 	Aborts          uint64             `json:"aborts"`
 	Retries         uint64             `json:"retries"`
@@ -889,6 +892,26 @@ type report struct {
 	CheckpointAge   uint64             `json:"checkpoint_age,omitempty"`
 	PerShard        []shardStats       `json:"per_shard,omitempty"`
 	HeapBytes       []uint64           `json:"heap_bytes"`
+}
+
+// directShare is the fraction of commits the run-loop ran directly
+// (ostm_pipeline_direct_commits_total, summed over shards; engines
+// without a direct mode register none and read 0). It needs -obs: -1
+// without the registry.
+func directShare(reg *obs.Registry, commits uint64) float64 {
+	if reg == nil {
+		return -1
+	}
+	if commits == 0 {
+		return 0
+	}
+	n, _ := reg.Sum("ostm_pipeline_direct_commits_total")
+	return n / float64(commits)
+}
+
+func modeSwitches(reg *obs.Registry) float64 {
+	n, _ := reg.Sum("ostm_pipeline_mode_switches_total")
+	return n
 }
 
 // latencyFrom derives the commit-latency percentiles (µs) from the

@@ -111,12 +111,12 @@ type batchFeed struct {
 	next atomic.Uint64
 }
 
-func (b *batchFeed) claim(func() bool) (uint64, Body, bool) {
+func (b *batchFeed) claim(*wctx, func() bool) (uint64, Body, bool, bool) {
 	age := b.next.Add(1) - 1
 	if age >= b.n {
-		return 0, nil, false
+		return 0, nil, false, false
 	}
-	return age, b.body, true
+	return age, b.body, false, true
 }
 
 func (b *batchFeed) committed(uint64)      {}

@@ -109,6 +109,7 @@ func TestValueLatchDiscardsAbortedAttempts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	stm.PinSpeculative(p) // aborted attempts exist only under speculation
 	fn := func(tx stm.Tx, age int) uint64 {
 		v := stm.ReadT(tx, counter)
 		stm.WriteT(tx, counter, v+1)

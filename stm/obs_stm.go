@@ -72,6 +72,14 @@ func newPipeObs(r *obs.Registry, p *Pipeline) *pipeObs {
 			func() float64 { return float64(p.Stats().Aborts[cause]) })
 	}
 
+	if p.l.modal != nil {
+		r.CounterFunc("ostm_pipeline_direct_commits_total",
+			"commits of ages the run-loop ran directly, in order, outside the engine",
+			func() float64 { return float64(p.l.modes.directN.Load()) })
+		r.CounterFunc("ostm_pipeline_mode_switches_total",
+			"switches of the run-loop between speculative and direct execution",
+			func() float64 { return float64(p.l.modes.flips.Load()) })
+	}
 	r.CounterFunc("ostm_submitted_total",
 		"transactions accepted into the stream",
 		func() float64 { return float64(p.Submitted()) })
@@ -95,7 +103,7 @@ func newPipeObs(r *obs.Registry, p *Pipeline) *pipeObs {
 			// The cursor first: it never passes submitted, so the later
 			// read of submitted keeps the difference non-negative.
 			s := p.s
-			claimed := s.cursor.Load() &^ gateBit
+			claimed := s.cursor.Load() &^ (gateBit | directBit)
 			return float64(s.submitted.Load() - claimed)
 		})
 	if p.s.dur != nil {

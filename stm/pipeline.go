@@ -96,8 +96,8 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 	if cfg.WaitDurable && cfg.WAL == nil {
 		return nil, errors.New("stm: Config.WaitDurable requires Config.WAL")
 	}
-	if cfg.FirstAge >= gateBit {
-		return nil, errors.New("stm: Config.FirstAge must be below 2^63")
+	if cfg.FirstAge >= directBit {
+		return nil, errors.New("stm: Config.FirstAge must be below 2^62")
 	}
 	if cfg.CheckpointEvery > 0 {
 		if cfg.WAL == nil {
@@ -136,6 +136,9 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 	// in-progress age per worker.
 	span := uint64(cfg.Capacity + cfg.Workers + 8)
 	l := newLoop(cfg, eng, order, stats, s, span, 0)
+	if pipelineHook != nil {
+		pipelineHook(l)
+	}
 	p := &Pipeline{
 		cfg:   cfg,
 		eng:   eng,
@@ -591,13 +594,15 @@ func (p *Pipeline) Checkpoint() (uint64, error) {
 	var gate uint64
 	for {
 		// Only Checkpoint sets the gate bit, and ckptMu serializes it,
-		// so the cursor is ungated here; the CAS fails only on a claim.
-		gate = s.cursor.Load()
+		// so the cursor is ungated here; the CAS fails only on a claim
+		// or a mode switch.
+		cur := s.cursor.Load()
+		gate = cur &^ directBit
 		if gate <= p.lastCkpt {
 			s.mu.Unlock()
 			return p.lastCkpt, nil // no commits since the last checkpoint
 		}
-		if s.cursor.CompareAndSwap(gate, gate|gateBit) {
+		if s.cursor.CompareAndSwap(cur, cur|gateBit) {
 			break
 		}
 	}
@@ -612,7 +617,7 @@ func (p *Pipeline) Checkpoint() (uint64, error) {
 	s.waiters.Add(-1)
 	if s.fault != nil {
 		f := s.fault
-		s.lift(gate)
+		s.lift()
 		s.mu.Unlock()
 		return p.lastCkpt, &Stopped{Fault: f}
 	}
@@ -623,7 +628,7 @@ func (p *Pipeline) Checkpoint() (uint64, error) {
 	p.WaitStable()
 	state, serr := p.cfg.Snapshotter.Snapshot()
 	s.mu.Lock()
-	s.lift(gate)
+	s.lift()
 	s.mu.Unlock()
 	if serr != nil {
 		err := fmt.Errorf("stm: checkpoint snapshot at age %d: %w", gate, serr)
@@ -771,6 +776,16 @@ type tslot struct {
 // test needs no second comparison.
 const gateBit = 1 << 63
 
+// directBit is the claim cursor's execution mode: an age claimed while
+// it is set runs directly (runloop.go, runDirect), one claimed while it
+// is clear runs speculatively. Mode and age change in one word, so an
+// age's mode is fixed by the claim that takes it, and a switch is a
+// point in the claim order: every age below it was claimed in the old
+// mode, every age from it on in the new one. Only cooperative engines
+// over a stream ever set it. It sits below gateBit, so a gated cursor
+// still compares above every age once directBit is masked off.
+const directBit = 1 << 62
+
 // stream implements feed for the pipeline: a bounded ring of
 // submissions between the producer side (Submit/Drain/Close) and the
 // run-loop's workers.
@@ -786,9 +801,10 @@ const gateBit = 1 << 63
 // Sleeping. Idle workers park on work. Everything that gives them
 // something to do — a post, the gate's lift, close, a stop — happens
 // under mu, which a worker holds from its re-check of the cursor into
-// Wait, so no wakeup is lost. Producers at Capacity, Drain and
-// Checkpoint park on commits until the commit count reaches their
-// target. The count moves without mu, so a sleeper registers in
+// Wait, so no wakeup is lost. In direct mode the workers without the
+// direct seat park on bench instead (see seat), by the same rule.
+// Producers at Capacity, Drain and Checkpoint park on commits until
+// the commit count reaches their target. The count moves without mu, so a sleeper registers in
 // waiters (under mu) before it checks the count, and a commit first
 // adds to the count and then, only if waiters is non-zero, takes mu to
 // broadcast. Both are sequentially consistent atomics, so one of two
@@ -818,6 +834,7 @@ type stream struct {
 	_       [64]byte
 	mu      sync.Mutex
 	work    *sync.Cond       // idle workers
+	bench   *sync.Cond       // workers kept out of direct mode (see seat)
 	commits *sync.Cond       // producers at Capacity, Drain, Checkpoint
 	tickets map[uint64]tslot // overflow for out-of-order commit skew; under mu
 	fault   *Fault           // under mu
@@ -827,11 +844,13 @@ type stream struct {
 	_          [64]byte
 	submitted  atomic.Uint64 // next age to assign; stored under mu
 	_          [56]byte
-	cursor     atomic.Uint64 // next age to hand to a worker, plus gateBit
+	cursor     atomic.Uint64 // next age to hand to a worker, plus gateBit and directBit
 	_          [56]byte
 	ncommitted atomic.Uint64 // count of committed transactions
 	waiters    atomic.Int32  // goroutines registered to park on commits
-	_          [84]byte      // to whole lines, so it starts on one (TestStreamFillsWholeLines)
+	dtok       atomic.Bool   // a worker holds the direct seat (see seat)
+	idles      atomic.Uint64 // claims that parked with nothing to claim (or behind the checkpoint gate)
+	_          [64]byte      // to whole lines, so it starts on one (TestStreamFillsWholeLines)
 }
 
 func newStream(cfg Config) *stream {
@@ -859,6 +878,7 @@ func newStream(cfg Config) *stream {
 		cfg.WAL.Notify(s.durableTo)
 	}
 	s.work = sync.NewCond(&s.mu)
+	s.bench = sync.NewCond(&s.mu)
 	s.commits = sync.NewCond(&s.mu)
 	return s
 }
@@ -907,32 +927,109 @@ func (s *stream) post(t *Ticket, body Body, payload []byte) bool {
 	return true
 }
 
-// claim implements feed: hand out submitted ages in order, parking
-// while the stream is open but has nothing to claim.
-func (s *stream) claim(stop func() bool) (uint64, Body, bool) {
+// claim implements feed: hand out submitted ages in order, each in the
+// mode the cursor is in when the claim takes it, parking while the
+// stream is open but has nothing to claim. In direct mode only the
+// worker holding the direct seat claims; the others wait on the bench.
+func (s *stream) claim(w *wctx, stop func() bool) (uint64, Body, bool, bool) {
 	for {
 		if stop() {
-			return 0, nil, false
+			s.unseat(w)
+			return 0, nil, false, false
 		}
 		cur := s.cursor.Load()
-		if cur < s.submitted.Load() {
+		direct := cur&directBit != 0
+		if direct != w.direct && !s.seat(w, direct, stop) {
+			continue // benched until the seat frees or the mode changes
+		}
+		if age := cur &^ directBit; age < s.submitted.Load() {
 			if !s.cursor.CompareAndSwap(cur, cur+1) {
-				continue // another worker took it
+				continue // another worker took it, or the mode changed
 			}
-			e := &s.entries[cur&s.emask]
+			e := &s.entries[age&s.emask]
 			body := e.body
 			e.body = nil
 			e.stamp.Store(0) // release: post may write the slot again
-			return cur, body, true
+			return age, body, direct, true
 		}
 		if s.exhausted() {
-			return 0, nil, false
+			s.unseat(w)
+			return 0, nil, false, false
 		}
 		s.mu.Lock()
-		if !stop() && !s.exhausted() && s.cursor.Load() >= s.submitted.Load() {
+		if !stop() && !s.exhausted() && s.cursor.Load()&^directBit >= s.submitted.Load() {
+			s.idles.Add(1)
 			s.work.Wait()
 		}
 		s.mu.Unlock()
+	}
+}
+
+// seat moves the calling worker into the mode the cursor is in. Into
+// speculation it just gives up the direct seat, if it held it. Into
+// direct mode it takes the seat: one worker runs the direct ages one
+// after another, as the Sequential engine's single worker does. A
+// worker that finds the seat taken parks on the bench until the seat
+// frees, the cursor leaves direct mode, the loop stops or the stream is
+// exhausted, and reports false; it does not spin. Every change to
+// those conditions is made before the waker takes mu to broadcast, and
+// the bench holds mu from its check into Wait, so no wakeup is lost.
+func (s *stream) seat(w *wctx, direct bool, stop func() bool) bool {
+	if !direct {
+		s.unseat(w)
+		return true
+	}
+	if s.dtok.CompareAndSwap(false, true) {
+		w.direct = true
+		return true
+	}
+	s.mu.Lock()
+	for s.dtok.Load() && s.cursor.Load()&directBit != 0 && !stop() && !s.exhausted() {
+		s.bench.Wait()
+	}
+	s.mu.Unlock()
+	return false
+}
+
+// unseat gives up the direct seat if w holds it and wakes the bench.
+func (s *stream) unseat(w *wctx) {
+	if !w.direct {
+		return
+	}
+	w.direct = false
+	s.dtok.Store(false)
+	s.wakeBench()
+}
+
+func (s *stream) wakeBench() {
+	s.mu.Lock()
+	s.bench.Broadcast()
+	s.mu.Unlock()
+}
+
+// setDirect switches the mode new claims take. It stores the switch's
+// age, the first claim the new mode will take, in *from before the
+// switch lands, so a worker that claims in the new mode finds it
+// there. A switch to speculation wakes the bench.
+func (s *stream) setDirect(on bool, from *atomic.Uint64) {
+	for {
+		cur := s.cursor.Load()
+		next := cur &^ directBit
+		if on {
+			next |= directBit
+		}
+		if next == cur {
+			return
+		}
+		if !on {
+			from.Store(cur &^ (directBit | gateBit))
+		}
+		if s.cursor.CompareAndSwap(cur, next) {
+			break
+		}
+	}
+	if !on {
+		s.wakeBench()
 	}
 }
 
@@ -941,7 +1038,7 @@ func (s *stream) claim(stop func() bool) (uint64, Body, bool) {
 // gate is not: the checkpointer always lifts its gate, and the tail
 // must still be driven to commit.)
 func (s *stream) exhausted() bool {
-	return s.closed.Load() && s.cursor.Load()&^gateBit == s.submitted.Load()
+	return s.closed.Load() && s.cursor.Load()&^(gateBit|directBit) == s.submitted.Load()
 }
 
 // committed implements feed: take the age's ticket, hand the age to
@@ -1089,6 +1186,7 @@ func (s *stream) halted(f *Fault, frontier uint64) {
 	s.fault = f
 	s.resolveOutstanding(f, frontier)
 	s.work.Broadcast()
+	s.bench.Broadcast()
 	s.commits.Broadcast()
 }
 
@@ -1137,14 +1235,15 @@ func (s *stream) close() {
 	s.mu.Lock()
 	s.closed.Store(true)
 	s.work.Broadcast()
+	s.bench.Broadcast()
 	s.commits.Broadcast() // producers parked at Capacity refuse now
 	s.mu.Unlock()
 }
 
-// lift clears the checkpoint gate that froze claims at gate and wakes
-// the workers it held back. Called with mu held.
-func (s *stream) lift(gate uint64) {
-	s.cursor.Store(gate)
+// lift clears the checkpoint gate and wakes the workers it held back;
+// the cursor keeps its age and its mode. Called with mu held.
+func (s *stream) lift() {
+	s.cursor.And(^uint64(gateBit))
 	s.work.Broadcast()
 }
 

@@ -168,59 +168,73 @@ func TestPipelineStreamingEquivalence(t *testing.T) {
 // report the fault.
 func TestPipelineFaultSemantics(t *testing.T) {
 	for _, alg := range []stm.Algorithm{stm.Sequential, stm.OUL, stm.OWB, stm.OrderedTL2} {
-		t.Run(alg.String(), func(t *testing.T) {
-			p, err := stm.NewPipeline(stm.Config{Algorithm: alg, Workers: 4})
-			if err != nil {
-				t.Fatal(err)
+		for _, spec := range []bool{false, true} {
+			if spec && alg != stm.OWB && alg != stm.OUL {
+				continue
 			}
-			v := stm.NewVar(0)
-			var tickets []*stm.Ticket
-			for i := 0; i < 100; i++ {
-				i := i
-				tk, err := p.Submit(func(tx stm.Tx, age int) {
-					if i == 37 {
-						panic("boom")
-					}
-					tx.Write(v, tx.Read(v)+1)
-				})
-				if err != nil {
-					break // pipeline may stop while we are still submitting
-				}
-				tickets = append(tickets, tk)
+			name := alg.String()
+			if spec {
+				name += "/speculative"
 			}
-			err = p.Close()
-			var f *stm.Fault
-			if !errors.As(err, &f) || f.Age != 37 || f.Value != "boom" {
-				t.Fatalf("Close error = %v, want fault at 37", err)
+			t.Run(name, func(t *testing.T) { runFaultSemantics(t, alg, spec) })
+		}
+	}
+}
+
+func runFaultSemantics(t *testing.T, alg stm.Algorithm, spec bool) {
+	p, err := stm.NewPipeline(stm.Config{Algorithm: alg, Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spec {
+		stm.PinSpeculative(p)
+	}
+	v := stm.NewVar(0)
+	var tickets []*stm.Ticket
+	for i := 0; i < 100; i++ {
+		i := i
+		tk, err := p.Submit(func(tx stm.Tx, age int) {
+			if i == 37 {
+				panic("boom")
 			}
-			werr := tickets[37].Wait()
-			if !errors.As(werr, &f) || f.Age != 37 {
-				t.Fatalf("ticket 37 resolved with %v", werr)
-			}
-			sawStopped := false
-			for i, tk := range tickets {
-				if i == 37 {
-					continue
-				}
-				werr := tk.Wait() // must not hang
-				if i < 37 && werr != nil {
-					t.Fatalf("ticket %d below the fault resolved with %v", i, werr)
-				}
-				var st *stm.Stopped
-				if errors.As(werr, &st) {
-					sawStopped = true
-					if st.Fault.Age != 37 {
-						t.Fatalf("stopped ticket %d carries fault age %d", i, st.Fault.Age)
-					}
-				}
-			}
-			if len(tickets) > 38 && !sawStopped {
-				t.Fatal("no ticket resolved with *Stopped despite submissions past the fault")
-			}
-			if _, err := p.Submit(func(tx stm.Tx, age int) {}); err == nil {
-				t.Fatal("Submit after fault succeeded")
-			}
+			tx.Write(v, tx.Read(v)+1)
 		})
+		if err != nil {
+			break // pipeline may stop while we are still submitting
+		}
+		tickets = append(tickets, tk)
+	}
+	err = p.Close()
+	var f *stm.Fault
+	if !errors.As(err, &f) || f.Age != 37 || f.Value != "boom" {
+		t.Fatalf("Close error = %v, want fault at 37", err)
+	}
+	werr := tickets[37].Wait()
+	if !errors.As(werr, &f) || f.Age != 37 {
+		t.Fatalf("ticket 37 resolved with %v", werr)
+	}
+	sawStopped := false
+	for i, tk := range tickets {
+		if i == 37 {
+			continue
+		}
+		werr := tk.Wait() // must not hang
+		if i < 37 && werr != nil {
+			t.Fatalf("ticket %d below the fault resolved with %v", i, werr)
+		}
+		var st *stm.Stopped
+		if errors.As(werr, &st) {
+			sawStopped = true
+			if st.Fault.Age != 37 {
+				t.Fatalf("stopped ticket %d carries fault age %d", i, st.Fault.Age)
+			}
+		}
+	}
+	if len(tickets) > 38 && !sawStopped {
+		t.Fatal("no ticket resolved with *Stopped despite submissions past the fault")
+	}
+	if _, err := p.Submit(func(tx stm.Tx, age int) {}); err == nil {
+		t.Fatal("Submit after fault succeeded")
 	}
 }
 
@@ -249,6 +263,7 @@ func TestFaultWaitsForLowerAges(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			stm.PinSpeculative(p) // a direct age never runs ahead of the frontier
 			var tks []*stm.Ticket
 			var recs []wal.Record
 			for age := uint64(0); age < 5; age++ {
@@ -436,19 +451,27 @@ func TestPipelineEveryAlgorithm(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i := 0; i < n; i++ {
-				i := i
-				_, err := p.Submit(func(tx stm.Tx, age int) {
-					r := rng.New(uint64(i) * 17)
-					v := &vars[r.Intn(16)]
-					tx.Write(v, tx.Read(v)+1)
-				})
-				if err != nil {
-					t.Fatal(err)
+			// A hang (one was seen once under -race, in claim's park) ends
+			// in a goroutine dump instead of the test binary's timeout.
+			withWatchdog(t, p.Committed, func() {
+				for i := 0; i < n; i++ {
+					i := i
+					_, err := p.Submit(func(tx stm.Tx, age int) {
+						r := rng.New(uint64(i) * 17)
+						v := &vars[r.Intn(16)]
+						tx.Write(v, tx.Read(v)+1)
+					})
+					if err != nil {
+						t.Error(err)
+						return
+					}
 				}
-			}
-			if err := p.Close(); err != nil {
-				t.Fatal(err)
+				if err := p.Close(); err != nil {
+					t.Error(err)
+				}
+			})
+			if t.Failed() {
+				return
 			}
 			var total uint64
 			for i := range vars {

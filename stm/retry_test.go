@@ -41,6 +41,7 @@ func runRetryGate(t *testing.T, alg stm.Algorithm, workers, window int) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	stm.PinSpeculative(p) // retries happen only under speculation
 	done := make(chan error, 1)
 	go func() {
 		for i := 0; i < n; i++ {

@@ -19,6 +19,14 @@ import (
 // assumptions removed: the loop has no fixed transaction count, and
 // every age carries its own Body.
 //
+// Over a stream, the cooperative engines also run ages *directly*: one
+// worker at a time, each age only once every lower age has committed,
+// straight against memory with no engine bookkeeping — what the
+// Sequential engine does. A policy on the commit path times epochs of
+// commits in each mode and keeps the faster (mode.go); an age's mode is
+// fixed by the claim that takes it (see runDirect for why nothing
+// speculative ever overlaps a direct age).
+//
 // Speculation is throttled by what the loop observes at the frontier.
 // A failed attempt retries only after one more commit than the
 // frontier it started at (capped at its own age): the lower age that
@@ -38,15 +46,16 @@ import (
 // stream (pipeline.go) serves an unbounded sequence of heterogeneous
 // submissions.
 type feed interface {
-	// claim hands the calling worker the next age and its body. It may
-	// block while more work can still arrive; a blocked claim must
-	// return when stop() becomes true. ok=false tells the worker to
-	// exit: the feed is exhausted (batch done, or stream closed and
-	// fully claimed).
-	claim(stop func() bool) (age uint64, body Body, ok bool)
+	// claim hands the calling worker w the next age, its body, and
+	// whether the age runs directly. It may block while more work can
+	// still arrive; a blocked claim must return when stop() becomes
+	// true. ok=false tells the worker to exit: the feed is exhausted
+	// (batch done, or stream closed and fully claimed).
+	claim(w *wctx, stop func() bool) (age uint64, body Body, direct, ok bool)
 	// committed reports that age reached its final commit. Only the
-	// cooperative engines report in strict age order (the validator
-	// reports). Every other mode reports from the workers after
+	// cooperative engines report in strict age order (the holder of
+	// the validator token reports, for a speculative age and a direct
+	// one alike). Every other mode reports from the workers after
 	// TryCommit returns, and an ordered blocked engine (Ordered TL2,
 	// NOrec, UndoLog) completes the age in the order inside TryCommit,
 	// so the next age's worker can report first: reports may arrive
@@ -86,6 +95,10 @@ type wctx struct {
 	// unreached marks an attempt abandoned on a panic at an age the
 	// order could not yet reach; the retry first waits for that age.
 	unreached bool
+	// direct marks the goroutine holding the stream's direct seat: the
+	// one worker that claims while the stream is in direct mode.
+	direct bool
+	dtx    directTxn // the descriptor of this goroutine's direct ages
 }
 
 // freshSource is the no-recycling descriptor source: one fresh
@@ -111,6 +124,7 @@ type loop struct {
 
 	stopf   func() bool    // hoisted l.stop closure (avoids per-call method-value allocs)
 	trace   *obs.TraceRing // sampled lifecycle trace; nil without Config.Obs
+	modal   *stream        // the feed whose claims switch mode; nil for a batch or a non-cooperative engine
 	ring    []ringSlot
 	mask    uint64
 	vtok    atomic.Bool
@@ -118,6 +132,9 @@ type loop struct {
 	stopped atomic.Bool
 	fault   atomic.Pointer[Fault]
 	kick    chan struct{}
+	// modes is the mode policy's state: written by the holder of vtok
+	// on every commit, so it shares that line.
+	modes modeState
 
 	// window is the run-ahead window in force (cooperative engines):
 	// workers read it at every claim, and only the holder of the
@@ -126,9 +143,14 @@ type loop struct {
 	// Config.Window. It is stored only when it changes, so under few
 	// conflicts the line stays read-only; the pads keep the token and
 	// gate flags, written on every validate, off it.
-	_      [64]byte
-	window atomic.Uint64
-	_      [56]byte
+	//
+	// specFrom, read at every speculative claim and written once per
+	// switch to speculation, shares the read-mostly line: it is the
+	// first age of the newest speculative segment (see worker).
+	_        [64]byte
+	window   atomic.Uint64
+	specFrom atomic.Uint64
+	_        [48]byte
 }
 
 // newLoop wires a loop over a fresh engine. span bounds how many ages
@@ -168,6 +190,11 @@ func newLoop(cfg Config, eng meta.Engine, order *meta.Order, stats *meta.Stats, 
 		}
 		l.ring = make([]ringSlot, size)
 		l.mask = size - 1
+		if st, ok := f.(*stream); ok {
+			l.modal = st
+			l.modes.start()
+			st.setDirect(true, &l.specFrom) // start direct (mode.go)
+		}
 	}
 	return l
 }
@@ -265,11 +292,24 @@ func (l *loop) worker() {
 	defer l.kickMain() // wake the validator loop on exit
 	w := l.newCtx()
 	for !l.stop() {
-		age, body, ok := l.feed.claim(l.stopf)
+		age, body, direct, ok := l.feed.claim(w, l.stopf)
 		if !ok {
 			return
 		}
+		if direct {
+			if !l.runDirect(w, age, body) {
+				return
+			}
+			continue
+		}
 		if l.mode == meta.ModeCooperative {
+			// A speculative segment starts none of its ages before the
+			// frontier reaches its first age: no direct age below it is
+			// still running then. specFrom may already name a later
+			// segment's start; min keeps the wait below this age.
+			if from := min(l.specFrom.Load(), age); l.order.Committed() < from {
+				l.order.WaitReachable(from, l.stopf)
+			}
 			// Throttle: stay within the run-ahead window of the commit
 			// frontier (Algorithm 5 lines 18–24).
 			if window := l.window.Load(); age >= l.base+window {
@@ -356,6 +396,53 @@ func (l *loop) runOne(w *wctx, age uint64, body Body) bool {
 	}
 }
 
+// runDirect runs a direct age: once every lower age has committed, the
+// worker takes the validator token, runs the body straight against
+// memory through its directTxn, and commits the age as the validator
+// would. The token orders its commit report after the last speculative
+// one and lets the mode policy see commits one at a time; no other
+// validator work exists while a direct age runs.
+//
+// Nothing speculative overlaps a direct age, which matters because its
+// writes bump no lock versions and register with no reader: every
+// lower age has committed before it starts (the wait below), and a
+// higher speculative age starts only once the frontier has reached its
+// segment's first age (worker), which is above this one. An abort
+// signal — a cross-shard rendezvous restarting its round — undoes the
+// attempt and runs it again; any other panic is the age's fault, as
+// the age is reachable. Returns false if the loop stopped.
+func (l *loop) runDirect(w *wctx, age uint64, body Body) bool {
+	l.order.WaitReachable(age, l.stopf)
+	for spin := 0; !l.vtok.CompareAndSwap(false, true); spin++ {
+		if l.stop() {
+			return false
+		}
+		meta.Pause(spin) // the validator finishing the last speculative commit
+	}
+	txn := &w.dtx
+	for {
+		if l.stop() {
+			l.vtok.Store(false)
+			return false
+		}
+		if l.trace.Sampled(age) {
+			l.trace.Record(age, obs.StageExecute)
+		}
+		txn.begin(age)
+		if l.sandbox(w, txn, body) {
+			break
+		}
+		w.cell.Retry()
+	}
+	txn.end()
+	l.order.Complete(age)
+	w.cell.Commit()
+	l.feed.committed(age)
+	l.noteCommit(age, true)
+	l.vtok.Store(false)
+	return true
+}
+
 // sandbox runs the body, containing speculative faults: an abort
 // signal or a doomed/invalid snapshot leads to a retry. So does any
 // panic at an age the order cannot reach yet: in the sequential fold
@@ -429,6 +516,7 @@ func (l *loop) validate(w *wctx) {
 			txn.Cleanup() // cleaner role
 			w.src.Retire(txn)
 			l.feed.committed(next)
+			l.noteCommit(next, false)
 			if win := l.window.Load(); win < uint64(l.cfg.Window) {
 				l.window.Store(win + 1)
 			}
@@ -478,6 +566,7 @@ func (l *loop) reexecute(w *wctx, age uint64, body Body) {
 			txn.Cleanup()
 			w.src.Retire(txn)
 			l.feed.committed(age)
+			l.noteCommit(age, false)
 			return
 		}
 		w.src.Retire(txn)

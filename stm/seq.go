@@ -65,3 +65,57 @@ func (t *seqTxn) Commit() bool    { return true }
 func (t *seqTxn) Cleanup()        {}
 func (t *seqTxn) AbandonAttempt() {}
 func (t *seqTxn) Doomed() bool    { return false }
+
+// directTxn is the descriptor of an age a cooperative engine's stream
+// runs directly (runloop.go, runDirect): reads and writes go straight
+// to memory, as seqTxn's do, and nothing touches the engine's lock
+// table, version words or reader slots. It keeps an undo log so an
+// abandoned attempt leaves memory as it found it, as a speculative one
+// would: a cross-shard round restart re-runs the body over the state
+// the round started from, and a faulting body's partial writes never
+// land. The order is completed by the run-loop, not by TryCommit.
+type directTxn struct {
+	age  uint64
+	undo []undoRec
+}
+
+type undoRec struct {
+	v   *meta.Var
+	old uint64
+}
+
+// maxKeptUndo bounds the undo log a worker keeps between ages, so one
+// huge transaction does not pin its log for the stream's lifetime.
+const maxKeptUndo = 4096
+
+func (t *directTxn) begin(age uint64) {
+	t.age = age
+	t.undo = t.undo[:0]
+}
+
+func (t *directTxn) end() {
+	if cap(t.undo) > maxKeptUndo {
+		t.undo = nil
+	}
+}
+
+func (t *directTxn) Read(v *meta.Var) uint64 { return v.Load() }
+
+func (t *directTxn) Write(v *meta.Var, x uint64) {
+	t.undo = append(t.undo, undoRec{v: v, old: v.Load()})
+	v.Store(x)
+}
+
+func (t *directTxn) Age() uint64     { return t.age }
+func (t *directTxn) TryCommit() bool { return true }
+func (t *directTxn) Commit() bool    { return true }
+func (t *directTxn) Cleanup()        {}
+func (t *directTxn) Doomed() bool    { return false }
+
+// AbandonAttempt restores every pre-image, newest first.
+func (t *directTxn) AbandonAttempt() {
+	for i := len(t.undo) - 1; i >= 0; i-- {
+		t.undo[i].v.Store(t.undo[i].old)
+	}
+	t.undo = t.undo[:0]
+}

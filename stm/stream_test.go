@@ -62,6 +62,7 @@ func runWakeups(t *testing.T, alg stm.Algorithm, workers int, durable bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	stm.PinSpeculative(p) // every worker claims, none sits on the direct bench
 
 	var (
 		prod, side sync.WaitGroup

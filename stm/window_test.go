@@ -19,6 +19,7 @@ func TestWindowNarrowsAndRegrows(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
+	p.l.pinSpeculative() // the window only moves under speculation
 	ceiling, floor := uint64(p.cfg.Window), uint64(2*workers)
 	var low atomic.Uint64 // the narrowest window any body saw
 	low.Store(ceiling)
